@@ -20,12 +20,22 @@ EXIT_NUMERIC = 3
 EXIT_ACCEPTANCE = 4
 
 
+def _jobs(text: str) -> int:
+    try:
+        jobs = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"expected an integer, got {text!r}")
+    if jobs < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, got {jobs}")
+    return jobs
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="lrwp", description=__doc__)
     parser.add_argument("mode", choices=["analytic", "validate", "momentum", "sweep"])
     parser.add_argument("--config", required=True, help="path to the run configuration")
     parser.add_argument("--out", required=True, help="output directory for CSV files")
-    parser.add_argument("--jobs", type=int, default=None, help="sweep worker count")
+    parser.add_argument("--jobs", type=_jobs, default=None, help="sweep worker count (>= 1)")
     return parser
 
 

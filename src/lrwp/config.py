@@ -30,7 +30,8 @@ from .invariant import InvariantSpec, PacketMode
 from .oracle import GridSpec
 from .wavepacket import GaussianMomentumParams, PacketState, delta_x, matched_packet
 
-__all__ = ["RunMode", "RunConfig", "parse_config", "check_containment", "apply_sweep_value"]
+__all__ = ["RunMode", "RunConfig", "parse_config", "check_containment", "apply_sweep_value",
+           "sweep_case_name"]
 
 CONTAINMENT_WIDTHS = 8.0
 
@@ -277,6 +278,11 @@ def parse_config(text: str, mode_override: str | None = None) -> RunConfig:
     if "sweep_values" in rsec:
         raw, line = rsec["sweep_values"]
         sweep_values = tuple(_parse_float(v, line) for v in raw.split(",") if v.strip())
+        # concurrent cases must never write into the same directory
+        names = [sweep_case_name(sweep_axis or "", v) for v in sweep_values]
+        shared = [v for v, name in zip(sweep_values, names) if names.count(name) > 1]
+        if shared:
+            raise ConfigError(f"sweep values {shared} share a case directory name", line)
     if "sweep_mode" in rsec:
         raw, line = rsec["sweep_mode"]
         try:
@@ -314,6 +320,11 @@ def parse_config(text: str, mode_override: str | None = None) -> RunConfig:
         if sweep_axis not in {"sigma", "F0_imag", "dt", "n", "force_amplitude"}:
             raise ConfigError(f"unknown sweep axis {sweep_axis!r}")
     return cfg
+
+
+def sweep_case_name(axis: str, value: float) -> str:
+    """Directory name of the sweep case that sets ``axis`` to ``value``."""
+    return f"{axis}={value:g}"
 
 
 def apply_sweep_value(cfg: RunConfig, axis: str, value: float) -> RunConfig:

@@ -2,7 +2,10 @@
 
 Output files are written atomically (temp file + rename) with LF line
 endings and a fixed 17-significant-digit scientific format, so identical
-configurations produce byte-identical files. Column orders are frozen:
+configurations produce byte-identical files. Their permissions follow the
+process umask (0644 under umask 022). Each sweep case writes into its own
+directory, named by ``config.sweep_case_name``; the parser rejects sweep
+values that would share one. Column orders are frozen:
 
     observables.csv   t,norm,x_mean,p_mean,dx,dp,dxdp,inv_re,inv_im,l2_err_ss,l2_err_cn
     snapshots.csv     t,x,psi_re,psi_im,prob
@@ -11,16 +14,16 @@ configurations produce byte-identical files. Column orders are frozen:
 """
 
 import concurrent.futures
-import math
 import os
-import tempfile
+import secrets
+from collections.abc import Iterator
 from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 
 from .classical import ClassicalState, KineticActionTable, p_c, x_c
-from .config import RunConfig, RunMode, apply_sweep_value, check_containment
+from .config import RunConfig, RunMode, apply_sweep_value, check_containment, sweep_case_name
 from .errors import AcceptanceViolation, AliasingError, LrwpError
 from .fields import conjugate_momentum_grid, l2_error
 from .forcing import Quadratures
@@ -65,26 +68,39 @@ INV_DRIFT_THRESHOLD = 1e-6
 NORM_THRESHOLD = 1e-10
 
 
-def _fmt(value) -> str:
-    if isinstance(value, str):
-        return value
-    v = float(value)
-    if math.isnan(v):
-        return "nan"
-    if v == 0.0:
-        v = 0.0  # normalize -0.0
-    return f"{v:.16e}"
+_CHUNK_ROWS = 4096
 
 
 def write_csv_atomic(path: Path, header: list[str], rows) -> None:
+    """Write ``header`` and ``rows`` to ``path`` atomically.
+
+    ``rows`` is one 2-D table (array or nested list) with one column per
+    header name, or an iterator of such blocks, written one after another.
+    Float cells print as ``%.16e``, with -0.0 as 0.0 and nan as ``nan``;
+    a column whose first cell is a ``str`` prints as text. Each block is
+    formatted in chunks of ``_CHUNK_ROWS`` rows with one line template.
+    """
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
-    fd, tmp = tempfile.mkstemp(dir=path.parent, suffix=".tmp")
+    blocks = rows if isinstance(rows, Iterator) else (rows,)
+    tmp = path.with_name(f"{path.name}.{secrets.token_hex(8)}.tmp")
+    fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)  # mode minus the umask
     try:
         with os.fdopen(fd, "w", newline="\n") as fh:
             fh.write(",".join(header) + "\n")
-            for row in rows:
-                fh.write(",".join(_fmt(v) for v in row) + "\n")
+            for block in blocks:
+                if not isinstance(block, np.ndarray):
+                    block = np.array(block, dtype=object)  # keeps str and float cells apart
+                if block.ndim != 2:
+                    raise ValueError(f"a CSV block must be 2-D, got shape {block.shape}")
+                if not len(block):
+                    continue
+                text = np.array([isinstance(cell, str) for cell in block[0]])
+                line = ",".join(np.where(text, "%s", "%.16e")) + "\n"
+                for start in range(0, len(block), _CHUNK_ROWS):
+                    chunk = block[start:start + _CHUNK_ROWS].copy()
+                    chunk[:, ~text] = chunk[:, ~text].astype(float) + 0.0  # -0.0 + 0.0 is 0.0
+                    fh.write(line * len(chunk) % tuple(chunk.ravel().tolist()))
         os.replace(tmp, path)
     except BaseException:
         if os.path.exists(tmp):
@@ -116,7 +132,6 @@ def run_analytic(cfg: RunConfig, out_dir) -> dict:
     table = _action_table(cfg) if gtwp else None
 
     obs_rows = []
-    snap_rows = []
     nan = float("nan")
     for t in times:
         t = float(t)
@@ -125,20 +140,25 @@ def run_analytic(cfg: RunConfig, out_dir) -> dict:
         if gtwp:
             row = [t, analytic_norm_sq(packet), xc, pc, delta_x(packet, t),
                    delta_p(packet), uncertainty_product(packet, t), lam.real, lam.imag, nan, nan]
-            field = sample_gtwp(packet, q, grid, t, action=table(t))
         else:
             row = [t, nan, nan, pc, nan, nan, nan, lam.real, lam.imag, nan, nan]
-            field = None
         obs_rows.append(row)
-        values = field.values if field is not None else plane_wave_psi(
-            packet, q, lam, grid.points, t
-        )
-        prob = np.abs(values) ** 2
-        for j, xj in enumerate(grid.points):
-            snap_rows.append([t, float(xj), values[j].real, values[j].imag, prob[j]])
+
+    x = grid.points
+
+    def snapshots():
+        for t in times:
+            t = float(t)
+            if gtwp:
+                values = sample_gtwp(packet, q, grid, t, action=table(t)).values
+            else:
+                values = plane_wave_psi(packet, q, lam, x, t)
+            yield np.column_stack(
+                [np.full(len(x), t), x, values.real, values.imag, np.abs(values) ** 2]
+            )
 
     write_csv_atomic(out / "observables.csv", OBSERVABLES_HEADER, obs_rows)
-    write_csv_atomic(out / "snapshots.csv", SNAPSHOTS_HEADER, snap_rows)
+    write_csv_atomic(out / "snapshots.csv", SNAPSHOTS_HEADER, snapshots())
     return {"times": times, "lambda": lam}
 
 
@@ -247,6 +267,11 @@ def _packet_metrics(cfg: RunConfig) -> tuple[float, float]:
     return uncertainty_product(cfg.packet, t_star), t_star
 
 
+def _error_row(axis: str, value: float, kind: str) -> list:
+    nan = float("nan")
+    return [axis, value, nan, nan, nan, nan, f"error:{kind}"]
+
+
 def _run_sweep_case(args) -> list:
     axis, value, cfg, case_dir = args
     nan = float("nan")
@@ -267,26 +292,32 @@ def _run_sweep_case(args) -> list:
         s = exc.summary
         return [axis, value, s.max_l2_ss, s.max_l2_cn, min_dxdp, t_star, "acceptance_violation"]
     except (LrwpError, ValueError) as exc:
-        return [axis, value, nan, nan, nan, nan, f"error:{type(exc).__name__}"]
+        return _error_row(axis, value, type(exc).__name__)
 
 
 def run_sweep(cfg: RunConfig, out_dir, jobs: int | None = None) -> list[list]:
     """Repeat the configured sweep_mode once per axis value, concurrently.
 
     Each case writes into its own subdirectory; per-case failures are
-    recorded in the summary and do not abort the sweep.
+    recorded in the summary and do not abort the sweep. A case whose worker
+    process died, or that was still pending when another worker died, is
+    recorded as ``error:BrokenProcessPool``.
     """
     out = Path(out_dir)
     axis = cfg.sweep_axis
-    tasks = []
-    for value in cfg.sweep_values:
-        case_dir = out / f"{axis}={value:g}"
-        tasks.append((axis, value, cfg, str(case_dir)))
+    tasks = [(axis, value, cfg, str(out / sweep_case_name(axis, value)))
+             for value in cfg.sweep_values]
     jobs = jobs or os.cpu_count() or 1
     if jobs == 1 or len(tasks) == 1:
         results = [_run_sweep_case(t) for t in tasks]
     else:
+        results = []
         with concurrent.futures.ProcessPoolExecutor(max_workers=jobs) as pool:
-            results = list(pool.map(_run_sweep_case, tasks))
+            futures = [pool.submit(_run_sweep_case, t) for t in tasks]
+            for value, future in zip(cfg.sweep_values, futures):
+                try:
+                    results.append(future.result())
+                except concurrent.futures.BrokenExecutor as exc:  # BrokenProcessPool
+                    results.append(_error_row(axis, value, type(exc).__name__))
     write_csv_atomic(out / "sweep_summary.csv", SWEEP_HEADER, results)
     return results

@@ -76,3 +76,14 @@ def test_acceptance_violation_exit_four(tmp_path, capsys):
     assert main(["validate", "--config", cfg, "--out", str(tmp_path / "out")]) == 4
     assert "acceptance violation" in capsys.readouterr().err
     assert (tmp_path / "out" / "observables.csv").exists()
+
+
+@pytest.mark.parametrize("jobs", ["0", "-1"])
+def test_jobs_below_one_exit_two(tmp_path, capsys, jobs):
+    cfg = _write(tmp_path, GOOD)
+    with pytest.raises(SystemExit) as exc:
+        main(["sweep", "--config", cfg, "--out", str(tmp_path / "out"), "--jobs", jobs])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err.strip().splitlines()
+    assert err[-1] == f"lrwp: error: argument --jobs: must be at least 1, got {jobs}"
+    assert "Traceback" not in "\n".join(err)

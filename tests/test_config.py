@@ -183,6 +183,12 @@ class TestModeValidation:
         with pytest.raises(ConfigError, match="unknown sweep axis"):
             parse_config("[run]\nmode = sweep\nsweep_axis = foo\nsweep_values = 1\n")
 
+    @pytest.mark.parametrize("values", ["1e-3, 2e-3, 1.0000001e-3", "0.5, 1, 0.5"])
+    def test_sweep_values_need_distinct_case_directories(self, values):
+        text = f"[run]\nmode = sweep\nsweep_axis = dt\nsweep_values = {values}\n"
+        with pytest.raises(ConfigError, match=r"line 4: sweep values \[.*\] share a case"):
+            parse_config(text)
+
 
 def test_mode_override_applies():
     cfg = parse_config("[run]\nmode = analytic\n", mode_override="momentum")

@@ -1,8 +1,11 @@
 import math
+import os
+import stat
 
 import numpy as np
 import pytest
 
+from lrwp import runner
 from lrwp.config import parse_config
 from lrwp.errors import AcceptanceViolation, AliasingError
 from lrwp.runner import (
@@ -47,6 +50,102 @@ class TestFormatting:
         write_csv_atomic(tmp_path / "x.csv", ["a"], [[1.0], [2.0]])
         raw = (tmp_path / "x.csv").read_bytes()
         assert b"\r" not in raw
+
+    @pytest.mark.parametrize(
+        "table", ["streamed blocks", "one array", "text columns", "text columns, plain list"]
+    )
+    def test_bytes_equal_per_cell_reference(self, tmp_path, table):
+        blocks = _special_blocks()
+        if table == "streamed blocks":
+            header, rows = SNAPSHOTS_HEADER, iter(blocks)
+        elif table == "one array":
+            header, rows = SNAPSHOTS_HEADER, np.concatenate(blocks)
+        else:
+            header = SWEEP_HEADER
+            cells = np.concatenate(blocks).tolist()
+            status = ["ok", "error:ValueError"] * len(cells)
+            rows = [["sigma", *row, s] for row, s in zip(cells, status)]
+            if table == "text columns":
+                rows = np.array(rows, dtype=object)
+        reference = np.concatenate(blocks).tolist() if header != SWEEP_HEADER else list(rows)
+        _reference_write(tmp_path / "ref.csv", header, reference)
+        signs = [np.signbit(block) for block in blocks]
+        write_csv_atomic(tmp_path / "new.csv", header, rows)
+        assert (tmp_path / "new.csv").read_bytes() == (tmp_path / "ref.csv").read_bytes()
+        # the caller's blocks keep their -0.0
+        assert all((np.signbit(b) == s).all() for b, s in zip(blocks, signs))
+
+    @pytest.mark.parametrize(
+        "rows", [[[[1.0]]], [np.zeros((2, 5)), np.zeros((2, 5))], [1.0, 2.0]],
+        ids=["3-D list", "list of blocks", "1-D list"],
+    )
+    def test_rejects_block_not_2d(self, tmp_path, rows):
+        with pytest.raises(ValueError, match="2-D"):
+            write_csv_atomic(tmp_path / "x.csv", SNAPSHOTS_HEADER, rows)
+        assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize("umask, mode", [(0o022, 0o644), (0o077, 0o600)], ids=["022", "077"])
+    def test_permissions_follow_umask(self, tmp_path, umask, mode):
+        previous = os.umask(umask)
+        try:
+            write_csv_atomic(tmp_path / "x.csv", ["a"], [[1.0]])
+        finally:
+            in_effect = os.umask(previous)
+        assert in_effect == umask
+        assert stat.S_IMODE((tmp_path / "x.csv").stat().st_mode) == mode
+
+
+def _reference_write(path, header, rows):
+    """The per-cell writer the array writer replaced: the byte reference."""
+
+    def fmt(value):
+        if isinstance(value, str):
+            return value
+        v = float(value)
+        if math.isnan(v):
+            return "nan"
+        if v == 0.0:
+            v = 0.0  # normalize -0.0
+        return f"{v:.16e}"
+
+    with open(path, "w", newline="\n") as fh:
+        fh.write(",".join(header) + "\n")
+        for row in rows:
+            fh.write(",".join(fmt(v) for v in row) + "\n")
+
+
+SPECIAL = [
+    -0.0, 0.0, math.nan, -math.nan, math.inf, -math.inf, 5e-324, 1e-310,
+    2.2250738585072014e-308, 1e300, -1e300, 1e-300, -1e-300, 1.0 / 3.0, -2.5,
+]
+
+
+def _special_blocks():
+    """Snapshot-shaped blocks of special values.
+
+    Per block: a constant first column (one of them -0.0), a second column
+    repeated from the block before (once with the signs of its zeros
+    flipped, once with one value moved by an ulp), special values in the
+    middle columns, and a constant nan column. The last two blocks span
+    more than two chunks; the last one moves an x value in its second chunk.
+    """
+    rng = np.random.default_rng(7)
+    x = rng.standard_normal(2048)
+    x[: len(SPECIAL)] = SPECIAL
+    blocks = []
+    for k in range(6):
+        n = 9000 if k >= 4 else 2048
+        block = rng.standard_normal((n, 5)) * 10.0 ** rng.integers(-300, 300, (n, 5))
+        block[:, 0] = -0.0 if k == 0 else 0.1 * k
+        block[:, 1] = np.resize(x, n)
+        block[k : k + len(SPECIAL), 2] = SPECIAL
+        block[-len(SPECIAL) :, 3] = SPECIAL
+        blocks.append(block)
+    blocks[2][:, 1] = np.where(x == 0.0, -x, x)
+    blocks[3][5, 1] = np.nextafter(x[5], math.inf)
+    blocks[4][:, 4] = math.nan
+    blocks[5][5000, 1] = np.nextafter(blocks[5][5000, 1], -math.inf)
+    return blocks
 
 
 class TestAnalytic:
@@ -188,6 +287,20 @@ class TestSweep:
         assert results[0][-1].startswith("error:")
         assert results[1][-1] == "ok"
 
+    def test_crashed_worker_keeps_the_summary(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(runner, "_run_sweep_case", _crash_on_sigma_one)
+        cfg = parse_config(
+            SMALL_GRID
+            + "[run]\nmode = sweep\nsweep_axis = sigma\nsweep_values = 0.5, 1.0, 2.0\n"
+            "sweep_mode = analytic\n"
+        )
+        results = run_sweep(cfg, tmp_path, jobs=2)
+        header, rows = _read(tmp_path / "sweep_summary.csv")
+        assert [float(r[1]) for r in rows] == [0.5, 1.0, 2.0]
+        assert rows[1][-1] == "error:BrokenProcessPool"
+        assert all(r[-1] in ("ok", "error:BrokenProcessPool") for r in rows)
+        assert [r[-1] for r in results] == [r[-1] for r in rows]
+
     def test_threshold_violations_keep_their_metrics(self, tmp_path):
         # dt = 5e-2 completes but breaks the L2 gate; the sweep should still
         # report the measured errors instead of discarding the case
@@ -202,3 +315,12 @@ class TestSweep:
         # the offending L2 figure is preserved (Crank-Nicolson breaks first)
         assert max(results[0][2], results[0][3]) > 1e-4
         assert results[1][-1] == "ok"
+
+
+_RUN_SWEEP_CASE = runner._run_sweep_case
+
+
+def _crash_on_sigma_one(args):
+    if args[1] == 1.0:
+        os._exit(1)  # the worker process dies without a result
+    return _RUN_SWEEP_CASE(args)
