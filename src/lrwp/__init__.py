@@ -1,7 +1,7 @@
 """Closed-form wave packets for a particle driven by a time-dependent linear
 potential, with two independent numerical propagators for cross-validation."""
 
-from .classical import ClassicalState, KineticActionTable, kinetic_action, p_c, x_c
+from .classical import ClassicalState, kinetic_action, p_c, x_c
 from .errors import (
     AcceptanceViolation,
     AliasingError,
@@ -26,11 +26,7 @@ from .forcing import (
     QuadMethod,
     Quadratures,
     SinusoidalForce,
-    TabulatedForce,
     ZeroForce,
-    eval_force,
-    quad_G,
-    quad_G1,
 )
 from .invariant import (
     InvariantCoefficients,

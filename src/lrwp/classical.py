@@ -5,17 +5,17 @@ The center of the packet follows Newton's equations for the driving force:
     x_c(t) = x0 + (p0·t + G1(t)) / m
     p_c(t) = p0 + G(t)
 
-and the accumulated kinetic phase uses S(t) = ∫₀ᵗ p_c(τ)²/(2m) dτ.
+and the accumulated kinetic phase uses S(t) = ∫₀ᵗ p_c(τ)²/(2m) dτ, which
+expands into the exact quadratures G1 and G2 = ∫₀ᵗ G² dτ of the force.
 """
 
 from dataclasses import dataclass
 
 import numpy as np
 
-from .forcing import ConstantForce, Quadratures, ZeroForce
-from .quadrature import adaptive_simpson
+from .forcing import Quadratures
 
-__all__ = ["ClassicalState", "x_c", "p_c", "kinetic_action", "KineticActionTable"]
+__all__ = ["ClassicalState", "x_c", "p_c", "kinetic_action"]
 
 
 @dataclass(frozen=True)
@@ -37,61 +37,9 @@ def p_c(state: ClassicalState, q: Quadratures, t):
     return state.p0 + q.G(t)
 
 
-def kinetic_action(state: ClassicalState, q: Quadratures, t: float, tol: float = 1e-12) -> float:
-    """S(t) = ∫₀ᵗ p_c²/(2m) dτ; closed form for zero/constant force."""
+def kinetic_action(state: ClassicalState, q: Quadratures, t: float) -> float:
+    """S(t) = ∫₀ᵗ p_c²/(2m) dτ = (p0²·t + 2·p0·G1(t) + G2(t)) / (2m)."""
     if t < 0:
         raise ValueError("negative time")
-    m, p0 = state.m, state.p0
-    profile = q.profile
-    if isinstance(profile, ZeroForce):
-        return p0 * p0 * t / (2.0 * m)
-    if isinstance(profile, ConstantForce):
-        f = profile.amplitude
-        return (p0 * p0 * t + p0 * f * t * t + f * f * t**3 / 3.0) / (2.0 * m)
-    return adaptive_simpson(
-        lambda tau: p_c(state, q, tau) ** 2 / (2.0 * m), 0.0, t, tol
-    ).real
-
-
-class KineticActionTable:
-    """Cumulative kinetic action on a fine uniform grid, for repeated queries.
-
-    Nodes are filled with composite Simpson sums (exact node values for
-    polynomial p_c²); off-node times fall back to a short adaptive stretch
-    from the nearest node below.
-    """
-
-    def __init__(self, state: ClassicalState, q: Quadratures, t_max: float, step: float):
-        if step <= 0 or t_max <= 0:
-            raise ValueError("t_max and step must be positive")
-        n = int(np.ceil(t_max / step - 1e-12))
-        n += n % 2  # need an even number of panels for paired Simpson
-        self.state = state
-        self.q = q
-        self.step = step
-        self.times = step * np.arange(n + 1)
-        f = np.asarray(p_c(state, q, self.times)) ** 2 / (2.0 * state.m)
-        h = step
-        cum = np.empty(n + 1)
-        cum[0] = 0.0
-        pair = h / 3.0 * (f[0:-2:2] + 4.0 * f[1:-1:2] + f[2::2])
-        cum[2::2] = np.cumsum(pair)
-        # first half of each panel pair: quadratic through the three nodes
-        cum[1::2] = cum[0:-2:2] + h / 12.0 * (5.0 * f[0:-2:2] + 8.0 * f[1:-1:2] - f[2::2])
-        self.values = cum
-
-    def __call__(self, t: float) -> float:
-        if t < 0:
-            raise ValueError("negative time")
-        j = int(round(t / self.step))
-        if 0 <= j < len(self.values) and abs(t - j * self.step) <= 1e-12 * max(1.0, t):
-            return float(self.values[j])
-        j = min(int(t / self.step), len(self.values) - 1)
-        base = float(self.values[j])
-        tail = adaptive_simpson(
-            lambda tau: p_c(self.state, self.q, tau) ** 2 / (2.0 * self.state.m),
-            j * self.step,
-            t,
-            1e-13,
-        ).real
-        return base + tail
+    p0 = state.p0
+    return (p0 * p0 * t + 2.0 * p0 * q.G1(t) + q.G2(t)) / (2.0 * state.m)

@@ -16,19 +16,19 @@ import math
 from dataclasses import dataclass, replace
 
 from .classical import ClassicalState, x_c
-from .errors import ConfigError, ContainmentError, LrwpError
+from .errors import ConfigError, ContainmentError, LrwpError, OutOfDomainError
 from .forcing import (
     ConstantForce,
     ForceProfile,
     PiecewiseLinearForce,
     Quadratures,
     SinusoidalForce,
-    TabulatedForce,
     ZeroForce,
 )
 from .invariant import InvariantSpec, PacketMode
-from .oracle import GridSpec
-from .wavepacket import GaussianMomentumParams, PacketState, delta_x, matched_packet
+from .oracle import INITIAL_NORM_TOL, GridSpec
+from .wavepacket import (GaussianMomentumParams, PacketState, analytic_norm_sq, delta_x,
+                         matched_packet)
 
 __all__ = ["RunMode", "RunConfig", "parse_config", "check_containment", "apply_sweep_value",
            "sweep_case_name"]
@@ -156,10 +156,9 @@ def _build_profile(sec: dict[str, tuple[str, int]]) -> ForceProfile:
                 omega=_parse_float(*need("omega")),
                 phase=phase,
             )
-        if kind == "piecewise_linear":
-            return PiecewiseLinearForce(knots=_parse_pairs(*need("knots")))
-        if kind == "tabulated":
-            return TabulatedForce(knots=_parse_pairs(*need("samples")))
+        if kind in ("piecewise_linear", "tabulated"):  # tabulated samples interpolate linearly
+            key = "knots" if kind == "piecewise_linear" else "samples"
+            return PiecewiseLinearForce(knots=_parse_pairs(*need(key)))
     except ValueError as exc:
         raise ConfigError(str(exc), kind_line)
     raise ConfigError(f"unknown force kind {kind!r}", kind_line)
@@ -260,6 +259,12 @@ def parse_config(text: str, mode_override: str | None = None) -> RunConfig:
     except ValueError as exc:
         line = min((ln for _, ln in gsec.values()), default=0)
         raise ConfigError(str(exc), line or None)
+    try:
+        profile.force(grid.t_max)  # same domain rule and end fuzz as every later call
+    except OutOfDomainError as exc:
+        fsec = sections["force"]
+        line = next(fsec[key][1] for key in ("knots", "samples") if key in fsec)
+        raise ConfigError(f"the force is not defined up to t_max = {grid.t_max:g} ({exc})", line)
 
     rsec = sections["run"]
     mode_text, mode_line = rsec.get("mode", ("analytic", 0))
@@ -308,6 +313,10 @@ def parse_config(text: str, mode_override: str | None = None) -> RunConfig:
     if mode is RunMode.VALIDATE:
         if packet.mode is not PacketMode.GTWP:
             raise ConfigError("validate mode needs a packet (Im(F0) < 0), not a plane wave")
+        norm_sq = analytic_norm_sq(packet)
+        if abs(norm_sq - 1.0) > INITIAL_NORM_TOL:  # only an explicit alpha0 can do this
+            message = f"validate mode needs a normalized packet; alpha0 gives norm {norm_sq:.6g}"
+            raise ConfigError(message, sections["packet"]["alpha0"][1])
         try:
             check_containment(cfg)
         except ContainmentError as exc:

@@ -1,20 +1,24 @@
-"""Driving forces F(t) and their first two time antiderivatives.
+"""Driving forces F(t) and their first three time antiderivatives.
 
-Every closed-form result downstream is built from the two quadratures
+Every closed-form result downstream is built from the three quadratures
 
     G(t)  = ∫₀ᵗ F(τ) dτ          (momentum delivered by the force)
     G1(t) = ∫₀ᵗ G(τ) dτ          (enters the drift of the packet center)
+    G2(t) = ∫₀ᵗ G(τ)² dτ         (enters every phase: action, momentum route,
+                                  plane wave)
 
-so each profile kind carries exact antiderivatives. Piecewise-linear (and
-tabulated, which interpolates linearly) profiles integrate segment-by-segment
-to piecewise-quadratic G and piecewise-cubic G1; nothing needs nested numeric
-quadrature. An adaptive-Simpson route is kept as an independent cross-check.
+so each profile kind carries exact antiderivatives. Piecewise-linear profiles
+(the config kind ``tabulated`` builds one too) integrate segment-by-segment to
+piecewise-quadratic G, piecewise-cubic G1 and piecewise-quintic G2; nothing
+needs nested numeric quadrature. An adaptive-Simpson route is kept as an
+independent cross-check.
 
 All evaluations accept a scalar or an ndarray of times. Negative times are
 rejected everywhere; the lower integration limit is always 0.
 """
 
 import enum
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -28,12 +32,8 @@ __all__ = [
     "ConstantForce",
     "SinusoidalForce",
     "PiecewiseLinearForce",
-    "TabulatedForce",
     "QuadMethod",
     "Quadratures",
-    "eval_force",
-    "quad_G",
-    "quad_G1",
 ]
 
 
@@ -45,7 +45,8 @@ def _check_time(t):
 
 
 class ForceProfile:
-    """Base class; subclasses provide force(t), g(t) = ∫F and g1(t) = ∫∫F."""
+    """Base class; subclasses provide force(t), g(t) = ∫F, g1(t) = ∫G and
+    g2(t) = ∫G²."""
 
     def force(self, t):
         raise NotImplementedError
@@ -54,6 +55,9 @@ class ForceProfile:
         raise NotImplementedError
 
     def g1(self, t):
+        raise NotImplementedError
+
+    def g2(self, t):
         raise NotImplementedError
 
 
@@ -66,6 +70,9 @@ class ZeroForce(ForceProfile):
         return _check_time(t) * 0.0
 
     def g1(self, t):
+        return _check_time(t) * 0.0
+
+    def g2(self, t):
         return _check_time(t) * 0.0
 
 
@@ -82,6 +89,10 @@ class ConstantForce(ForceProfile):
     def g1(self, t):
         t = _check_time(t)
         return 0.5 * self.amplitude * t * t
+
+    def g2(self, t):
+        t = _check_time(t)
+        return self.amplitude * self.amplitude * t**3 / 3.0
 
 
 @dataclass(frozen=True)
@@ -112,6 +123,39 @@ class SinusoidalForce(ForceProfile):
             - (np.sin(self.omega * t + self.phase) - np.sin(self.phase)) / self.omega
         )
 
+    def g2(self, t):
+        # at x = ωτ, G = (a/ω)·[c·(1 − cos x) + s·sin x] with c, s = cos φ, sin φ,
+        # and its square integrates to (a²/ω³)·[c²·f5 + c·s·(1 − cos x)² + s²·f3],
+        # where (1 − cos x)² = 4·sin⁴(x/2) keeps small x accurate
+        t = _check_time(t)
+        x = self.omega * t
+        c, s = np.cos(self.phase), np.sin(self.phase)
+        f3, f5 = _sin_moments(x)
+        out = (self.amplitude**2 / self.omega**3) * (
+            c * c * f5 + 4.0 * c * s * np.sin(0.5 * x) ** 4 + s * s * f3
+        )
+        return out if np.ndim(t) else float(out)
+
+
+# Taylor coefficients of f3/x³ and f5/x³ in powers of x², one column each: with
+# h(y) = y − sin y = Σₖ (−1)^(k+1)·y^(2k+1)/(2k+1)!, f3 = h(2x)/4, f5 = 2h(x) − h(2x)/4
+_MOMENT_SERIES = np.array([[2.0 ** (2 * k - 1), 2.0 - 2.0 ** (2 * k - 1)] for k in range(1, 14)])
+_MOMENT_SERIES *= [[(-1) ** (k + 1) / math.factorial(2 * k + 1)] for k in range(1, 14)]
+
+
+def _sin_moments(x):
+    """f3 = ∫₀ˣ sin²δ dδ and f5 = ∫₀ˣ (1 − cos δ)² dδ.
+
+    Below |x| = 1 the closed forms (2x − sin 2x)/4 and 3x/2 − 2 sin x + sin(2x)/4
+    cancel down to x³/3 and x⁵/20, so there the Taylor series is summed instead.
+    """
+    x = np.asarray(x, dtype=float)
+    small = np.abs(x) < 1.0
+    series = x**3 * np.polynomial.polynomial.polyval(x * x, _MOMENT_SERIES)
+    f3 = np.where(small, series[0], (2.0 * x - np.sin(2.0 * x)) / 4.0)
+    f5 = np.where(small, series[1], 1.5 * x - 2.0 * np.sin(x) + np.sin(2.0 * x) / 4.0)
+    return f3, f5
+
 
 @dataclass(frozen=True)
 class PiecewiseLinearForce(ForceProfile):
@@ -127,6 +171,7 @@ class PiecewiseLinearForce(ForceProfile):
     _slopes: np.ndarray = field(init=False, repr=False, compare=False)
     _g_knots: np.ndarray = field(init=False, repr=False, compare=False)
     _g1_knots: np.ndarray = field(init=False, repr=False, compare=False)
+    _g2_knots: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         knots = tuple((float(t), float(f)) for t, f in self.knots)
@@ -145,11 +190,13 @@ class PiecewiseLinearForce(ForceProfile):
         g = np.concatenate(([0.0], np.cumsum(0.5 * (fs[:-1] + fs[1:]) * dts)))
         seg_g1 = g[:-1] * dts + 0.5 * fs[:-1] * dts**2 + slopes * dts**3 / 6.0
         g1 = np.concatenate(([0.0], np.cumsum(seg_g1)))
+        g2 = np.concatenate(([0.0], np.cumsum(_g2_segment(g[:-1], fs[:-1], slopes, dts))))
         object.__setattr__(self, "_ts", ts)
         object.__setattr__(self, "_fs", fs)
         object.__setattr__(self, "_slopes", slopes)
         object.__setattr__(self, "_g_knots", g)
         object.__setattr__(self, "_g1_knots", g1)
+        object.__setattr__(self, "_g2_knots", g2)
 
     def _segment(self, t):
         t = _check_time(t)
@@ -185,12 +232,23 @@ class PiecewiseLinearForce(ForceProfile):
         )
         return out if np.ndim(t) else float(out[0])
 
+    def g2(self, t):
+        t, arr, i = self._segment(t)
+        out = self._g2_knots[i] + _g2_segment(
+            self._g_knots[i], self._fs[i], self._slopes[i], arr - self._ts[i]
+        )
+        return out if np.ndim(t) else float(out[0])
 
-@dataclass(frozen=True)
-class TabulatedForce(PiecewiseLinearForce):
-    """Sampled force, linearly interpolated (declared interpolation order 1)."""
 
-    interpolation_order = 1
+def _g2_segment(g, f, k, s):
+    """∫₀ˢ G² on a segment where G = g + f·s + k·s²/2."""
+    return (
+        g * g * s
+        + g * f * s**2
+        + (f * f + g * k) * s**3 / 3.0
+        + f * k * s**4 / 4.0
+        + k * k * s**5 / 20.0
+    )
 
 
 class QuadMethod(enum.Enum):
@@ -200,10 +258,10 @@ class QuadMethod(enum.Enum):
 
 @dataclass(frozen=True)
 class Quadratures:
-    """Bundle of G and G1 for one profile, tagged with how they are computed.
+    """Bundle of G, G1 and G2 for one profile, tagged with how they are computed.
 
-    Both routes satisfy G(0) = G1(0) = 0 exactly; the numeric route integrates
-    the force with adaptive Simpson and exists mainly to cross-check the
+    Both routes satisfy G(0) = G1(0) = G2(0) = 0 exactly; the numeric route
+    integrates with adaptive Simpson and exists only to cross-check the
     closed forms.
     """
 
@@ -219,37 +277,28 @@ class Quadratures:
     def numeric(cls, profile: ForceProfile, tol: float = 1e-12) -> "Quadratures":
         return cls(profile=profile, method=QuadMethod.NUMERIC, tol=tol)
 
+    def _simpson(self, integrand, t):
+        """∫₀ᵗ integrand(t, τ) dτ by adaptive Simpson, elementwise over an array t."""
+        t = _check_time(t)
+        if np.ndim(t):
+            return np.array([self._simpson(integrand, float(ti)) for ti in t])
+        return adaptive_simpson(lambda tau: integrand(t, tau), 0.0, t, self.tol).real
+
     def G(self, t):
         if self.method is QuadMethod.CLOSED_FORM:
             return self.profile.g(t)
-        t = _check_time(t)
-        if np.ndim(t):
-            return np.array([self.G(float(ti)) for ti in t])
-        return adaptive_simpson(lambda tau: self.profile.force(tau), 0.0, t, self.tol).real
+        return self._simpson(lambda t, tau: self.profile.force(tau), t)
 
     def G1(self, t):
         if self.method is QuadMethod.CLOSED_FORM:
             return self.profile.g1(t)
-        t = _check_time(t)
-        if np.ndim(t):
-            return np.array([self.G1(float(ti)) for ti in t])
         # integration by parts collapses the double integral to one pass:
         # G1(t) = ∫₀ᵗ (t−τ)·F(τ) dτ
-        return adaptive_simpson(
-            lambda tau: (t - tau) * self.profile.force(tau), 0.0, t, self.tol
-        ).real
+        return self._simpson(lambda t, tau: (t - tau) * self.profile.force(tau), t)
 
-
-def eval_force(profile: ForceProfile, t):
-    """F(t); exact for closed-form kinds, interpolated for tabulated ones."""
-    return profile.force(t)
-
-
-def quad_G(q: Quadratures, t):
-    """G(t) = ∫₀ᵗ F dτ."""
-    return q.G(t)
-
-
-def quad_G1(q: Quadratures, t):
-    """G1(t) = ∫₀ᵗ G dτ."""
-    return q.G1(t)
+    def G2(self, t):
+        if self.method is QuadMethod.CLOSED_FORM:
+            return self.profile.g2(t)
+        # squares the closed-form G, which G above cross-checks on its own:
+        # Simpson over a Simpson-computed G would nest two adaptive quadratures
+        return self._simpson(lambda t, tau: self.profile.g(tau) ** 2, t)

@@ -24,6 +24,7 @@ from scipy.linalg import solve_banded
 from .errors import AliasingError, DegenerateFieldError, InstabilityError
 from .fields import (
     Grid1D,
+    _is_pow2,
     Space,
     WaveField,
     field_norm,
@@ -46,6 +47,7 @@ __all__ = [
 ]
 
 NORM_DRIFT_TOL = 1e-8
+INITIAL_NORM_TOL = 1e-8
 BOUNDARY_TOL = 1e-10
 
 
@@ -63,7 +65,7 @@ class GridSpec:
     def __post_init__(self):
         if not self.x_min < self.x_max:
             raise ValueError("x_min must be below x_max")
-        if self.n < 64 or (self.n & (self.n - 1)) != 0:
+        if self.n < 64 or not _is_pow2(self.n):
             raise ValueError("n must be a power of two, at least 64")
         if self.dt <= 0:
             raise ValueError("dt must be positive")
@@ -131,7 +133,7 @@ def _check_initial(initial: WaveField, spec: GridSpec) -> float:
     if initial.grid != spec.grid:
         raise ValueError("initial field grid does not match the run grid")
     norm0 = field_norm(initial) ** 2
-    if abs(norm0 - 1.0) > 1e-8:
+    if abs(norm0 - 1.0) > INITIAL_NORM_TOL:
         raise ValueError("initial field must be normalized")
     return norm0
 

@@ -22,7 +22,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .classical import ClassicalState, KineticActionTable, p_c, x_c
+from .classical import p_c, x_c
 from .config import RunConfig, RunMode, apply_sweep_value, check_containment, sweep_case_name
 from .errors import AcceptanceViolation, AliasingError, LrwpError
 from .fields import conjugate_momentum_grid, l2_error
@@ -114,11 +114,6 @@ def _snapshot_times(cfg: RunConfig) -> np.ndarray:
     return g.dt * g.output_every * np.arange(count + 1)
 
 
-def _action_table(cfg: RunConfig) -> KineticActionTable:
-    cl = ClassicalState(m=cfg.m, x0=cfg.packet.x0, p0=cfg.packet.p0)
-    return KineticActionTable(cl, Quadratures.closed_form(cfg.profile), cfg.grid.t_max, cfg.grid.dt / 4.0)
-
-
 def run_analytic(cfg: RunConfig, out_dir) -> dict:
     """Closed-form observables and snapshots, no propagation."""
     out = Path(out_dir)
@@ -129,7 +124,6 @@ def run_analytic(cfg: RunConfig, out_dir) -> dict:
     times = _snapshot_times(cfg)
     grid = cfg.grid.grid
     gtwp = packet.mode is PacketMode.GTWP
-    table = _action_table(cfg) if gtwp else None
 
     obs_rows = []
     nan = float("nan")
@@ -150,7 +144,7 @@ def run_analytic(cfg: RunConfig, out_dir) -> dict:
         for t in times:
             t = float(t)
             if gtwp:
-                values = sample_gtwp(packet, q, grid, t, action=table(t)).values
+                values = sample_gtwp(packet, q, grid, t).values
             else:
                 values = plane_wave_psi(packet, q, lam, x, t)
             yield np.column_stack(
@@ -184,9 +178,8 @@ def run_validate(cfg: RunConfig, out_dir) -> ValidateSummary:
     q = Quadratures.closed_form(cfg.profile)
     packet = cfg.packet
     lam = eigenvalue(packet.spec, packet.classical)
-    table = _action_table(cfg)
     grid = cfg.grid.grid
-    initial = sample_gtwp(packet, q, grid, 0.0, action=0.0)
+    initial = sample_gtwp(packet, q, grid, 0.0)
 
     rows = []
     records = []
@@ -195,7 +188,7 @@ def run_validate(cfg: RunConfig, out_dir) -> ValidateSummary:
     stream_cn = propagate_cranknicolson(initial, cfg.profile, cfg.m, cfg.hbar, cfg.grid)
     for f_ss, f_cn in zip(stream_ss, stream_cn):
         t = f_ss.t
-        analytic = sample_gtwp(packet, q, grid, t, action=table(t))
+        analytic = sample_gtwp(packet, q, grid, t)
         coeffs = coeffs_at(packet.spec, cfg.m, q, t)
         rec = observables(f_ss, cfg.m, cfg.hbar, coeffs, analytic=analytic)
         l2_cn = l2_error(f_cn, analytic)
@@ -242,17 +235,15 @@ def run_momentum(cfg: RunConfig, out_dir) -> dict:
     packet = cfg.packet
     grid = cfg.grid.grid
     pgrid = conjugate_momentum_grid(grid, cfg.hbar)
-    table = _action_table(cfg)
     rows = []
     worst = 0.0
     for t in _snapshot_times(cfg):
         t = float(t)
-        action = table(t)
-        phi = sample_gaussian_momentum(params, cfg.m, cfg.hbar, q, pgrid, t, action=action)
+        phi = sample_gaussian_momentum(params, cfg.m, cfg.hbar, q, pgrid, t)
         bridged = fourier_bridge(phi, cfg.hbar, position_grid=grid)
         if "aliasing" in bridged.flags:
             raise AliasingError(f"momentum samples not contained on the grid at t={t:g}")
-        direct = sample_gtwp(packet, q, grid, t, action=action)
+        direct = sample_gtwp(packet, q, grid, t)
         diff = float(np.max(np.abs(bridged.values - direct.values)))
         worst = max(worst, diff)
         rows.append([t, diff])

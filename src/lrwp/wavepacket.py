@@ -30,7 +30,7 @@ from .classical import ClassicalState, kinetic_action, p_c, x_c
 from .errors import ModeMismatchError
 from .fields import Grid1D, Space, WaveField, boundary_amplitude, conjugate_momentum_grid
 from .forcing import Quadratures
-from .invariant import InvariantSpec, PacketMode, coeffs_at, eigenvalue, phase_alpha
+from .invariant import InvariantSpec, PacketMode, coeffs_at, eigenvalue
 
 __all__ = [
     "PacketState",
@@ -139,14 +139,13 @@ def _branch_sqrt(z: complex) -> complex:
     return -w if w.real < 0 else w
 
 
-def gtwp_psi(state: PacketState, q: Quadratures, x, t: float, *, action: float | None = None):
+def gtwp_psi(state: PacketState, q: Quadratures, x, t: float):
     """Gaussian-type wave packet at position(s) x and time t."""
     _require_gtwp(state)
     if t < 0:
         raise ValueError("negative time")
     cl = state.classical
-    if action is None:
-        action = kinetic_action(cl, q, t)
+    action = kinetic_action(cl, q, t)
     xc = x_c(cl, q, t)
     pc = p_c(cl, q, t)
     hbar = state.hbar
@@ -161,14 +160,21 @@ def gtwp_psi(state: PacketState, q: Quadratures, x, t: float, *, action: float |
 
 
 def plane_wave_psi(state: PacketState, q: Quadratures, lam: complex, x, t: float):
-    """Driven plane-wave solution (F0 = 0 branch) with eigenvalue ``lam``."""
+    """Driven plane-wave solution (F0 = 0 branch) with eigenvalue ``lam``.
+
+    With B0 = 0 the coefficient A stays A0 and λ − C(τ) = A0·(u + G(τ)) for
+    u = (λ − C0)/A0, so the phase integral is exact:
+    α(t) = α(0) − (u²·t + 2u·G1(t) + G2(t)) / (2mħ).
+    """
     if state.mode is not PacketMode.PLANE_WAVE:
         raise ModeMismatchError("packet-mode spec: use gtwp_psi")
     if t < 0:
         raise ValueError("negative time")
-    coeffs = coeffs_at(state.spec, state.m, q, t)
-    alpha = phase_alpha(
-        state.spec, state.classical, q, lam, state.hbar, t, alpha0=state.alpha0
+    spec = state.spec
+    coeffs = coeffs_at(spec, state.m, q, t)
+    u = (lam - spec.C0) / spec.A0
+    alpha = state.alpha0 - (u * u * t + 2.0 * u * q.G1(t) + q.G2(t)) / (
+        2.0 * state.m * state.hbar
     )
     x = np.asarray(x, dtype=float)
     out = cmath.exp(1j * alpha) * np.exp(
@@ -292,15 +298,12 @@ def gaussian_phi_pt(
     q: Quadratures,
     p,
     t: float,
-    *,
-    action: float | None = None,
 ):
     """Momentum-space Gaussian at time t (closed three-factor form)."""
     if t < 0:
         raise ValueError("negative time")
     cl = ClassicalState(m=m, x0=params.x0, p0=params.p0)
-    if action is None:
-        action = kinetic_action(cl, q, t)
+    action = kinetic_action(cl, q, t)
     bigT = spreading_time(params, m, hbar)
     pc = p_c(cl, q, t)
     xc = x_c(cl, q, t)
@@ -322,22 +325,19 @@ def momentum_solution(
     hbar: float,
     p,
     t: float,
-    tol: float = 1e-12,
 ):
     """General momentum-space solution for an arbitrary initial φ0:
 
     φ(p,t) = φ0(p−G(t)) · exp{−(i/ħ)∫₀ᵗ [p−G(t)+G(τ)]²/(2m) dτ}.
 
     With u = p−G(t) the inner integral splits into u²t/2m + u·G1(t)/m plus
-    ∫G²/2m, so only the last piece ever needs quadrature (closed form for
-    zero/constant force via the action of a center launched at rest).
+    G2(t)/2m, all three exact closed forms for every force profile.
     """
     if t < 0:
         raise ValueError("negative time")
     g = q.G(t)
     g1 = q.G1(t)
-    rest = ClassicalState(m=m, x0=0.0, p0=0.0)
-    s0 = kinetic_action(rest, q, t, tol=tol)
+    s0 = q.G2(t) / (2.0 * m)
     p = np.asarray(p, dtype=float)
     u = p - g
     phase = u * u * t / (2.0 * m) + u * g1 / m + s0
@@ -424,10 +424,8 @@ def plane_wave_superposition(
     return out if np.ndim(out) else complex(out)
 
 
-def sample_gtwp(
-    state: PacketState, q: Quadratures, grid: Grid1D, t: float, *, action: float | None = None
-) -> WaveField:
-    values = gtwp_psi(state, q, grid.points, t, action=action)
+def sample_gtwp(state: PacketState, q: Quadratures, grid: Grid1D, t: float) -> WaveField:
+    values = gtwp_psi(state, q, grid.points, t)
     return WaveField(grid=grid, t=t, values=values, space=Space.POSITION)
 
 
@@ -445,8 +443,6 @@ def sample_gaussian_momentum(
     q: Quadratures,
     grid: Grid1D,
     t: float,
-    *,
-    action: float | None = None,
 ) -> WaveField:
-    values = gaussian_phi_pt(params, m, hbar, q, grid.points, t, action=action)
+    values = gaussian_phi_pt(params, m, hbar, q, grid.points, t)
     return WaveField(grid=grid, t=t, values=values, space=Space.MOMENTUM)

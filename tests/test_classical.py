@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from lrwp.classical import ClassicalState, KineticActionTable, kinetic_action, p_c, x_c
+from lrwp.classical import ClassicalState, kinetic_action, p_c, x_c
 from lrwp.forcing import ConstantForce, Quadratures, SinusoidalForce, ZeroForce
 
 # frozen oracle values for Sinusoidal(amplitude=1, omega=2): nested adaptive
@@ -78,16 +78,3 @@ def test_affine_in_initial_conditions():
 def test_mass_must_be_positive():
     with pytest.raises(ValueError):
         ClassicalState(m=0.0)
-
-
-def test_action_table_matches_direct():
-    st = ClassicalState(1.0, p0=1.0)
-    table = KineticActionTable(st, Q_SIN, t_max=2.0, step=2e-3 / 4)
-    for t in (0.0, 0.5e-3, 0.25, 1.0, 1.33321, 2.0):
-        assert table(t) == pytest.approx(kinetic_action(st, Q_SIN, t), abs=1e-11)
-
-
-def test_action_table_exact_for_constant_force():
-    st = ClassicalState(1.0)
-    table = KineticActionTable(st, Q_CONST, t_max=2.0, step=1e-3)
-    assert table(2.0) == pytest.approx(4.0 / 3.0, abs=1e-13)

@@ -53,10 +53,30 @@ def test_sweep_exit_zero(tmp_path):
 
 
 def test_config_error_exit_two(tmp_path, capsys):
-    cfg = _write(tmp_path, "[packet]\nF0 = +i\n")
-    assert main(["analytic", "--config", cfg, "--out", str(tmp_path / "out")]) == 2
+    cases = [
+        ("analytic", "[packet]\nF0 = +i\n", "unphysical invariant: Im(F0) > 0"),
+        # an explicit alpha0 that does not normalize the packet cannot seed the oracles
+        ("validate", "[packet]\nF0 = 0-0.5i\nalpha0 = 0\n",
+         "line 3: validate mode needs a normalized packet"),
+    ]
+    for mode, text, message in cases:
+        cfg = _write(tmp_path, text)
+        assert main([mode, "--config", cfg, "--out", str(tmp_path / "out")]) == 2
+        err = capsys.readouterr().err
+        assert message in err
+        assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("mode", ["analytic", "validate", "momentum", "sweep"])
+@pytest.mark.parametrize("kind, key", [("piecewise_linear", "knots"), ("tabulated", "samples")])
+def test_force_ending_before_t_max_exit_two(tmp_path, capsys, mode, kind, key):
+    text = GOOD.replace("kind = constant\namplitude = 1.0", f"kind = {kind}\n{key} = 0:1, 0.25:0")
+    text += "[run]\nsweep_axis = sigma\nsweep_values = 0.5, 1\n"
+    cfg = _write(tmp_path, text)
+    assert main([mode, "--config", cfg, "--out", str(tmp_path / "out")]) == 2
     err = capsys.readouterr().err
-    assert "unphysical invariant: Im(F0) > 0" in err
+    assert "line 4: the force is not defined up to t_max = 0.5" in err
+    assert not (tmp_path / "out").exists()
 
 
 def test_missing_config_exit_two(tmp_path, capsys):

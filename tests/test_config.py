@@ -6,7 +6,6 @@ from lrwp.forcing import (
     ConstantForce,
     PiecewiseLinearForce,
     SinusoidalForce,
-    TabulatedForce,
     ZeroForce,
 )
 from lrwp.invariant import PacketMode
@@ -91,7 +90,8 @@ def test_piecewise_force():
 
 def test_tabulated_force():
     cfg = parse_config("[force]\nkind = tabulated\nsamples = 0:1, 4:1\n")
-    assert isinstance(cfg.profile, TabulatedForce)
+    assert isinstance(cfg.profile, PiecewiseLinearForce)
+    assert cfg.profile.force(2.0) == pytest.approx(1.0)
 
 
 class TestDiagnostics:

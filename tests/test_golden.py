@@ -4,6 +4,12 @@ The hashes were taken with the per-cell CSV writer that the array writer
 replaced, on x86-64 Linux with NumPy 2.4 and SciPy 1.17. They also pin the
 last bit of NumPy's elementwise math and FFTs, so a different CPU or NumPy
 build can move them without any change to this package.
+
+Three hashes were retaken when every phase became exact in G2 = ∫₀ᵗG²: the
+driven plane-wave snapshots (its phase was adaptive Simpson; 19130 cells
+moved, by at most 2.2e-15), the small-b1 momentum comparison (1 cell,
+3.5e-18) and the small-b1 sweep summary (2 cells, 2.1e-17). The last two
+used a Simpson-summed kinetic-action table.
 """
 
 import hashlib
@@ -38,13 +44,13 @@ GOLDEN = {
     ("driven_plane_wave", "observables.csv"):
         "a9366aadbc5e85a7ff7962475b21f37d97a3918ffdceb3ca14cb22274bbbda37",
     ("driven_plane_wave", "snapshots.csv"):
-        "d8f49e944c6e8feba1e0b7d14d21b82aee0e31a8e7d0ecd6ac67887eb03e2166",
+        "f1543ce8d73d87ad9c0ebf2d88fb3e657db90ab18315597b6c75276b67ec2a68",
     ("small_b1_validate", "observables.csv"):
         "5a6fa3af057aa0e44842167418a73400b89290f32be908958dcb1b2250ce28f5",
     ("small_b1_momentum", "comparison.csv"):
-        "5e412d4b20c531901eb6a11459d65f6075717e381973ef5cc61bedc777cc7e20",
+        "93b69bb1c4adb9ed60c69eed3ad838dab3379aca17561f5c5c0114690e777e76",
     ("small_b1_sweep", "sweep_summary.csv"):
-        "18181d1a58b3c2c1a540da798120a3f90606a699c40d691b2ff96570694533d2",
+        "e43d90281f62d391aded7b7141bae070630a630ec3e016be615c757bb4e69a99",
 }
 
 

@@ -1,10 +1,12 @@
 import cmath
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from lrwp.classical import ClassicalState, p_c, x_c
+from lrwp.config import parse_config
 from lrwp.errors import ModeMismatchError
 from lrwp.fields import (
     Grid1D,
@@ -47,6 +49,8 @@ Q_CONST = Quadratures.closed_form(ConstantForce(1.0))
 Q_SIN = Quadratures.closed_form(SinusoidalForce(1.0, 2.0))
 
 MATCHED = matched_packet(GaussianMomentumParams(sigma=1.0), 1.0, 1.0)
+
+CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 
 
 class TestGtwpPsi:
@@ -185,6 +189,24 @@ class TestPlaneWave:
     def test_mode_guard(self):
         with pytest.raises(ModeMismatchError):
             plane_wave_psi(MATCHED, Q_ZERO, 0j, 0.0, 0.0)
+
+    def test_phase_matches_phase_alpha(self):
+        # the exact G2 phase against the general adaptive integral, at the
+        # snapshot times of driven_plane_wave.ini and for a complex λ, A0, C0
+        cfg = parse_config((CONFIGS / "driven_plane_wave.ini").read_text())
+        q = Quadratures.closed_form(cfg.profile)
+        general = PacketState(
+            1.0, 1.0, 0.0, 0.0, InvariantSpec(0.8 + 0.3j, 0j, 0.2 - 0.1j), alpha0=0.3 + 0.1j
+        )
+        cases = [(cfg.packet, eigenvalue(cfg.packet.spec, cfg.packet.classical)),
+                 (general, 1.1 + 0.05j)]
+        g = cfg.grid
+        for pk, lam in cases:
+            for t in g.dt * g.output_every * np.arange(g.n_steps // g.output_every + 1):
+                t = float(t)
+                alpha = phase_alpha(pk.spec, pk.classical, q, lam, pk.hbar, t, alpha0=pk.alpha0)
+                # at x = 0 the plane wave is e^{iα(t)}
+                assert abs(plane_wave_psi(pk, q, lam, 0.0, t) - cmath.exp(1j * alpha)) <= 1e-13
 
 
 class TestMomentumSpace:
