@@ -23,8 +23,6 @@ from .forcing import (
     ConstantForce,
     ForceProfile,
     PiecewiseLinearForce,
-    QuadMethod,
-    Quadratures,
     SinusoidalForce,
     ZeroForce,
 )
@@ -69,7 +67,6 @@ from .wavepacket import (
     plane_wave_superposition,
     sample_gaussian_momentum,
     sample_gtwp,
-    sample_plane_wave,
     spreading_time,
     uncertainty_product,
 )

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .forcing import Quadratures
+from .forcing import ForceProfile
 
 __all__ = ["ClassicalState", "x_c", "p_c", "kinetic_action"]
 
@@ -29,17 +29,17 @@ class ClassicalState:
             raise ValueError("mass must be positive")
 
 
-def x_c(state: ClassicalState, q: Quadratures, t):
-    return state.x0 + (state.p0 * np.asarray(t, dtype=float) + q.G1(t)) / state.m
+def x_c(state: ClassicalState, profile: ForceProfile, t):
+    return state.x0 + (state.p0 * np.asarray(t, dtype=float) + profile.g1(t)) / state.m
 
 
-def p_c(state: ClassicalState, q: Quadratures, t):
-    return state.p0 + q.G(t)
+def p_c(state: ClassicalState, profile: ForceProfile, t):
+    return state.p0 + profile.g(t)
 
 
-def kinetic_action(state: ClassicalState, q: Quadratures, t: float) -> float:
+def kinetic_action(state: ClassicalState, profile: ForceProfile, t: float) -> float:
     """S(t) = ∫₀ᵗ p_c²/(2m) dτ = (p0²·t + 2·p0·G1(t) + G2(t)) / (2m)."""
     if t < 0:
         raise ValueError("negative time")
     p0 = state.p0
-    return (p0 * p0 * t + 2.0 * p0 * q.G1(t) + q.G2(t)) / (2.0 * state.m)
+    return (p0 * p0 * t + 2.0 * p0 * profile.g1(t) + profile.g2(t)) / (2.0 * state.m)

@@ -2,8 +2,9 @@
 
     lrwp <analytic|validate|momentum|sweep> --config <path> --out <dir> [--jobs N]
 
-Exit codes: 0 success, 2 configuration error, 3 numeric failure,
-4 acceptance violation in validate mode.
+Exit codes: 0 success, 2 configuration error (including a config file that
+cannot be read and an output directory that cannot be written), 3 numeric
+failure, 4 acceptance violation in validate mode.
 """
 
 import argparse
@@ -42,8 +43,8 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        text = Path(args.config).read_text()
-    except OSError as exc:
+        text = Path(args.config).read_text(encoding="utf-8")
+    except (OSError, UnicodeDecodeError) as exc:
         print(f"lrwp: cannot read config: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     try:
@@ -66,6 +67,9 @@ def main(argv=None) -> int:
             run_sweep(cfg, out, jobs=args.jobs)
     except ConfigError as exc:
         print(f"lrwp: config error: {exc}", file=sys.stderr)
+        return EXIT_CONFIG
+    except OSError as exc:  # --out names a file, or a directory that cannot be written
+        print(f"lrwp: cannot write output: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     except AcceptanceViolation as exc:
         print(f"lrwp: acceptance violation: {exc}", file=sys.stderr)

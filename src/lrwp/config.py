@@ -11,6 +11,7 @@ The packet section accepts exactly one parameterization:
   * invariant:  A0, B0, C0, alpha0 — or the shorthand F0 (A0=1, C0=0).
 """
 
+import cmath
 import enum
 import math
 from dataclasses import dataclass, replace
@@ -21,7 +22,6 @@ from .forcing import (
     ConstantForce,
     ForceProfile,
     PiecewiseLinearForce,
-    Quadratures,
     SinusoidalForce,
     ZeroForce,
 )
@@ -73,17 +73,24 @@ def _parse_complex(text: str, line: int) -> complex:
             body = s[:-1]
             if body == "" or body[-1] in "+-":
                 body += "1"
-            return complex(body + "j")
-        return complex(float(s))
+            value = complex(body + "j")
+        else:
+            value = complex(float(s))
     except ValueError:
         raise ConfigError(f"cannot parse complex value {text!r} (use re+imi)", line)
+    if not cmath.isfinite(value):
+        raise ConfigError(f"value {text.strip()!r} is not finite", line)
+    return value
 
 
 def _parse_float(text: str, line: int) -> float:
     try:
-        return float(text)
+        value = float(text)
     except ValueError:
         raise ConfigError(f"cannot parse number {text!r}", line)
+    if not math.isfinite(value):
+        raise ConfigError(f"value {text.strip()!r} is not finite", line)
+    return value
 
 
 def _parse_int(text: str, line: int) -> int:
@@ -217,9 +224,8 @@ def check_containment(cfg: RunConfig) -> None:
     """Validate-mode guard: the box must hold x_c(t_max) ± 8·Δx(t_max)."""
     if cfg.packet.mode is not PacketMode.GTWP:
         return
-    q = Quadratures.closed_form(cfg.profile)
     cl = ClassicalState(m=cfg.m, x0=cfg.packet.x0, p0=cfg.packet.p0)
-    xc = float(x_c(cl, q, cfg.grid.t_max))
+    xc = float(x_c(cl, cfg.profile, cfg.grid.t_max))
     margin = CONTAINMENT_WIDTHS * delta_x(cfg.packet, cfg.grid.t_max)
     if xc - margin < cfg.grid.x_min or xc + margin > cfg.grid.x_max:
         raise ContainmentError(

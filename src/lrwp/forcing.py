@@ -10,21 +10,19 @@ Every closed-form result downstream is built from the three quadratures
 so each profile kind carries exact antiderivatives. Piecewise-linear profiles
 (the config kind ``tabulated`` builds one too) integrate segment-by-segment to
 piecewise-quadratic G, piecewise-cubic G1 and piecewise-quintic G2; nothing
-needs nested numeric quadrature. An adaptive-Simpson route is kept as an
-independent cross-check.
+needs nested numeric quadrature. The tests cross-check all three against
+adaptive Simpson.
 
 All evaluations accept a scalar or an ndarray of times. Negative times are
 rejected everywhere; the lower integration limit is always 0.
 """
 
-import enum
 import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .errors import OutOfDomainError
-from .quadrature import adaptive_simpson
 
 __all__ = [
     "ForceProfile",
@@ -32,8 +30,6 @@ __all__ = [
     "ConstantForce",
     "SinusoidalForce",
     "PiecewiseLinearForce",
-    "QuadMethod",
-    "Quadratures",
 ]
 
 
@@ -110,23 +106,27 @@ class SinusoidalForce(ForceProfile):
     def force(self, t):
         return self.amplitude * np.sin(self.omega * _check_time(t) + self.phase)
 
+    # At x = ωt, with c, s = cos φ, sin φ, G = (a/ω)·[c·(1 − cos x) + s·sin x].
+    # Written as cos φ − cos(x + φ), its terms cancel when x is small, so each
+    # antiderivative is built from 1 − cos x = 2·sin²(x/2) and the moments below.
+
     def g(self, t):
-        t = _check_time(t)
-        return (self.amplitude / self.omega) * (
-            np.cos(self.phase) - np.cos(self.omega * t + self.phase)
-        )
+        x = self.omega * _check_time(t)
+        c, s = np.cos(self.phase), np.sin(self.phase)
+        return (self.amplitude / self.omega) * (2.0 * c * np.sin(0.5 * x) ** 2 + s * np.sin(x))
 
     def g1(self, t):
+        # G1 = (a/ω²)·[c·(x − sin x) + s·(1 − cos x)], where x − sin x = 4·f3(x/2)
         t = _check_time(t)
-        return (self.amplitude / self.omega) * (
-            t * np.cos(self.phase)
-            - (np.sin(self.omega * t + self.phase) - np.sin(self.phase)) / self.omega
-        )
+        x = self.omega * t
+        c, s = np.cos(self.phase), np.sin(self.phase)
+        f3, _ = _sin_moments(0.5 * x)
+        out = (self.amplitude / self.omega**2) * (4.0 * c * f3 + 2.0 * s * np.sin(0.5 * x) ** 2)
+        return out if np.ndim(t) else float(out)
 
     def g2(self, t):
-        # at x = ωτ, G = (a/ω)·[c·(1 − cos x) + s·sin x] with c, s = cos φ, sin φ,
-        # and its square integrates to (a²/ω³)·[c²·f5 + c·s·(1 − cos x)² + s²·f3],
-        # where (1 − cos x)² = 4·sin⁴(x/2) keeps small x accurate
+        # G² integrates to (a²/ω³)·[c²·f5 + c·s·(1 − cos x)² + s²·f3],
+        # where (1 − cos x)² = 4·sin⁴(x/2)
         t = _check_time(t)
         x = self.omega * t
         c, s = np.cos(self.phase), np.sin(self.phase)
@@ -250,55 +250,3 @@ def _g2_segment(g, f, k, s):
         + k * k * s**5 / 20.0
     )
 
-
-class QuadMethod(enum.Enum):
-    CLOSED_FORM = "closed_form"
-    NUMERIC = "numeric"
-
-
-@dataclass(frozen=True)
-class Quadratures:
-    """Bundle of G, G1 and G2 for one profile, tagged with how they are computed.
-
-    Both routes satisfy G(0) = G1(0) = G2(0) = 0 exactly; the numeric route
-    integrates with adaptive Simpson and exists only to cross-check the
-    closed forms.
-    """
-
-    profile: ForceProfile
-    method: QuadMethod
-    tol: float = 1e-12
-
-    @classmethod
-    def closed_form(cls, profile: ForceProfile) -> "Quadratures":
-        return cls(profile=profile, method=QuadMethod.CLOSED_FORM)
-
-    @classmethod
-    def numeric(cls, profile: ForceProfile, tol: float = 1e-12) -> "Quadratures":
-        return cls(profile=profile, method=QuadMethod.NUMERIC, tol=tol)
-
-    def _simpson(self, integrand, t):
-        """∫₀ᵗ integrand(t, τ) dτ by adaptive Simpson, elementwise over an array t."""
-        t = _check_time(t)
-        if np.ndim(t):
-            return np.array([self._simpson(integrand, float(ti)) for ti in t])
-        return adaptive_simpson(lambda tau: integrand(t, tau), 0.0, t, self.tol).real
-
-    def G(self, t):
-        if self.method is QuadMethod.CLOSED_FORM:
-            return self.profile.g(t)
-        return self._simpson(lambda t, tau: self.profile.force(tau), t)
-
-    def G1(self, t):
-        if self.method is QuadMethod.CLOSED_FORM:
-            return self.profile.g1(t)
-        # integration by parts collapses the double integral to one pass:
-        # G1(t) = ∫₀ᵗ (t−τ)·F(τ) dτ
-        return self._simpson(lambda t, tau: (t - tau) * self.profile.force(tau), t)
-
-    def G2(self, t):
-        if self.method is QuadMethod.CLOSED_FORM:
-            return self.profile.g2(t)
-        # squares the closed-form G, which G above cross-checks on its own:
-        # Simpson over a Simpson-computed G would nest two adaptive quadratures
-        return self._simpson(lambda t, tau: self.profile.g(tau) ** 2, t)

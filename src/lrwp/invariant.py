@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .classical import ClassicalState, p_c, x_c
+from .classical import ClassicalState
 from .errors import (
     DivergentDensityError,
     PositionBranchError,
@@ -26,7 +26,7 @@ from .errors import (
     UnphysicalInvariantError,
 )
 from .fields import WaveField, boundary_amplitude, spectral_derivative
-from .forcing import Quadratures
+from .forcing import ForceProfile
 from .quadrature import adaptive_simpson
 
 __all__ = [
@@ -90,12 +90,14 @@ class InvariantCoefficients:
     t: float
 
 
-def coeffs_at(spec: InvariantSpec, m: float, q: Quadratures, t: float) -> InvariantCoefficients:
+def coeffs_at(
+    spec: InvariantSpec, m: float, profile: ForceProfile, t: float
+) -> InvariantCoefficients:
     """Coefficients of the invariant at time t."""
     if t < 0:
         raise ValueError("negative time")
     a = spec.A0 - spec.B0 / m * t
-    c = spec.C0 - a * q.G(t) - spec.B0 / m * q.G1(t)
+    c = spec.C0 - a * profile.g(t) - spec.B0 / m * profile.g1(t)
     return InvariantCoefficients(A=a, B=spec.B0, C=c, t=t)
 
 
@@ -149,7 +151,7 @@ def eigen_residual(
 def phase_alpha(
     spec: InvariantSpec,
     state: ClassicalState,
-    q: Quadratures,
+    profile: ForceProfile,
     lam: complex,
     hbar: float,
     t: float,
@@ -173,7 +175,7 @@ def phase_alpha(
             )
 
     def integrand(tau: float) -> complex:
-        c = coeffs_at(spec, m, q, tau)
+        c = coeffs_at(spec, m, profile, tau)
         return ((lam - c.C) ** 2 + 1j * hbar * spec.B0 * c.A) / (2.0 * m * hbar * c.A**2)
 
     return alpha0 - adaptive_simpson(integrand, 0.0, t, tol)

@@ -72,6 +72,8 @@ class GridSpec:
         if self.t_max < self.dt:
             raise ValueError("t_max must be at least dt")
         steps = self.t_max / self.dt
+        if not np.isfinite(steps):
+            raise ValueError("t_max / dt overflows a float")
         if abs(steps - round(steps)) > 1e-9 * max(1.0, steps):
             raise ValueError("t_max must be an integer number of steps")
         if self.output_every < 1 or round(steps) % self.output_every != 0:

@@ -26,7 +26,6 @@ from .classical import p_c, x_c
 from .config import RunConfig, RunMode, apply_sweep_value, check_containment, sweep_case_name
 from .errors import AcceptanceViolation, AliasingError, LrwpError
 from .fields import conjugate_momentum_grid, l2_error
-from .forcing import Quadratures
 from .invariant import PacketMode, coeffs_at, eigenvalue
 from .oracle import observables, propagate_cranknicolson, propagate_splitstep
 from .wavepacket import (
@@ -117,7 +116,6 @@ def _snapshot_times(cfg: RunConfig) -> np.ndarray:
 def run_analytic(cfg: RunConfig, out_dir) -> dict:
     """Closed-form observables and snapshots, no propagation."""
     out = Path(out_dir)
-    q = Quadratures.closed_form(cfg.profile)
     packet = cfg.packet
     cl = packet.classical
     lam = eigenvalue(packet.spec, cl)
@@ -129,8 +127,8 @@ def run_analytic(cfg: RunConfig, out_dir) -> dict:
     nan = float("nan")
     for t in times:
         t = float(t)
-        xc = float(x_c(cl, q, t))
-        pc = float(p_c(cl, q, t))
+        xc = float(x_c(cl, cfg.profile, t))
+        pc = float(p_c(cl, cfg.profile, t))
         if gtwp:
             row = [t, analytic_norm_sq(packet), xc, pc, delta_x(packet, t),
                    delta_p(packet), uncertainty_product(packet, t), lam.real, lam.imag, nan, nan]
@@ -144,9 +142,9 @@ def run_analytic(cfg: RunConfig, out_dir) -> dict:
         for t in times:
             t = float(t)
             if gtwp:
-                values = sample_gtwp(packet, q, grid, t).values
+                values = sample_gtwp(packet, cfg.profile, grid, t).values
             else:
-                values = plane_wave_psi(packet, q, lam, x, t)
+                values = plane_wave_psi(packet, cfg.profile, lam, x, t)
             yield np.column_stack(
                 [np.full(len(x), t), x, values.real, values.imag, np.abs(values) ** 2]
             )
@@ -175,11 +173,10 @@ def run_validate(cfg: RunConfig, out_dir) -> ValidateSummary:
     """
     out = Path(out_dir)
     check_containment(cfg)
-    q = Quadratures.closed_form(cfg.profile)
     packet = cfg.packet
     lam = eigenvalue(packet.spec, packet.classical)
     grid = cfg.grid.grid
-    initial = sample_gtwp(packet, q, grid, 0.0)
+    initial = sample_gtwp(packet, cfg.profile, grid, 0.0)
 
     rows = []
     records = []
@@ -188,8 +185,8 @@ def run_validate(cfg: RunConfig, out_dir) -> ValidateSummary:
     stream_cn = propagate_cranknicolson(initial, cfg.profile, cfg.m, cfg.hbar, cfg.grid)
     for f_ss, f_cn in zip(stream_ss, stream_cn):
         t = f_ss.t
-        analytic = sample_gtwp(packet, q, grid, t)
-        coeffs = coeffs_at(packet.spec, cfg.m, q, t)
+        analytic = sample_gtwp(packet, cfg.profile, grid, t)
+        coeffs = coeffs_at(packet.spec, cfg.m, cfg.profile, t)
         rec = observables(f_ss, cfg.m, cfg.hbar, coeffs, analytic=analytic)
         l2_cn = l2_error(f_cn, analytic)
         max_l2_cn = max(max_l2_cn, l2_cn)
@@ -230,7 +227,6 @@ def run_momentum(cfg: RunConfig, out_dir) -> dict:
     """Momentum-route comparison: transform the momentum-space Gaussian and
     measure the pointwise gap to the packet closed form per output time."""
     out = Path(out_dir)
-    q = Quadratures.closed_form(cfg.profile)
     params = cfg.gaussian
     packet = cfg.packet
     grid = cfg.grid.grid
@@ -239,11 +235,11 @@ def run_momentum(cfg: RunConfig, out_dir) -> dict:
     worst = 0.0
     for t in _snapshot_times(cfg):
         t = float(t)
-        phi = sample_gaussian_momentum(params, cfg.m, cfg.hbar, q, pgrid, t)
+        phi = sample_gaussian_momentum(params, cfg.m, cfg.hbar, cfg.profile, pgrid, t)
         bridged = fourier_bridge(phi, cfg.hbar, position_grid=grid)
         if "aliasing" in bridged.flags:
             raise AliasingError(f"momentum samples not contained on the grid at t={t:g}")
-        direct = sample_gtwp(packet, q, grid, t)
+        direct = sample_gtwp(packet, cfg.profile, grid, t)
         diff = float(np.max(np.abs(bridged.values - direct.values)))
         worst = max(worst, diff)
         rows.append([t, diff])

@@ -29,7 +29,7 @@ import numpy as np
 from .classical import ClassicalState, kinetic_action, p_c, x_c
 from .errors import ModeMismatchError
 from .fields import Grid1D, Space, WaveField, boundary_amplitude, conjugate_momentum_grid
-from .forcing import Quadratures
+from .forcing import ForceProfile
 from .invariant import InvariantSpec, PacketMode, coeffs_at, eigenvalue
 
 __all__ = [
@@ -54,7 +54,6 @@ __all__ = [
     "spreading_time",
     "plane_wave_superposition",
     "sample_gtwp",
-    "sample_plane_wave",
     "sample_gaussian_momentum",
 ]
 
@@ -139,15 +138,15 @@ def _branch_sqrt(z: complex) -> complex:
     return -w if w.real < 0 else w
 
 
-def gtwp_psi(state: PacketState, q: Quadratures, x, t: float):
+def gtwp_psi(state: PacketState, profile: ForceProfile, x, t: float):
     """Gaussian-type wave packet at position(s) x and time t."""
     _require_gtwp(state)
     if t < 0:
         raise ValueError("negative time")
     cl = state.classical
-    action = kinetic_action(cl, q, t)
-    xc = x_c(cl, q, t)
-    pc = p_c(cl, q, t)
+    action = kinetic_action(cl, profile, t)
+    xc = x_c(cl, profile, t)
+    pc = p_c(cl, profile, t)
     hbar = state.hbar
     at = state.spec.A0 * _ratio_a(state, t)
     pref = cmath.exp(1j * state.alpha0) / _branch_sqrt(_ratio_a(state, t))
@@ -159,7 +158,7 @@ def gtwp_psi(state: PacketState, q: Quadratures, x, t: float):
     return out if out.ndim else complex(out)
 
 
-def plane_wave_psi(state: PacketState, q: Quadratures, lam: complex, x, t: float):
+def plane_wave_psi(state: PacketState, profile: ForceProfile, lam: complex, x, t: float):
     """Driven plane-wave solution (F0 = 0 branch) with eigenvalue ``lam``.
 
     With B0 = 0 the coefficient A stays A0 and λ − C(τ) = A0·(u + G(τ)) for
@@ -171,9 +170,9 @@ def plane_wave_psi(state: PacketState, q: Quadratures, lam: complex, x, t: float
     if t < 0:
         raise ValueError("negative time")
     spec = state.spec
-    coeffs = coeffs_at(spec, state.m, q, t)
+    coeffs = coeffs_at(spec, state.m, profile, t)
     u = (lam - spec.C0) / spec.A0
-    alpha = state.alpha0 - (u * u * t + 2.0 * u * q.G1(t) + q.G2(t)) / (
+    alpha = state.alpha0 - (u * u * t + 2.0 * u * profile.g1(t) + profile.g2(t)) / (
         2.0 * state.m * state.hbar
     )
     x = np.asarray(x, dtype=float)
@@ -183,12 +182,12 @@ def plane_wave_psi(state: PacketState, q: Quadratures, lam: complex, x, t: float
     return out if out.ndim else complex(out)
 
 
-def density(state: PacketState, q: Quadratures, x, t: float):
+def density(state: PacketState, profile: ForceProfile, x, t: float):
     """|ψ(x,t)|², evaluated from the packet itself."""
-    return np.abs(gtwp_psi(state, q, x, t)) ** 2
+    return np.abs(gtwp_psi(state, profile, x, t)) ** 2
 
 
-def density_closed_form(state: PacketState, q: Quadratures, x, t: float):
+def density_closed_form(state: PacketState, profile: ForceProfile, x, t: float):
     """Modulus-squared of the packet written directly:
 
     |ψ|² = e^{−2 Im α(0)} · exp[Im(F0)·(x−x_c)²/(ħ·|A/A0|²)] / |A/A0|.
@@ -196,7 +195,7 @@ def density_closed_form(state: PacketState, q: Quadratures, x, t: float):
     Kept as an independent cross-check of :func:`density`.
     """
     _require_gtwp(state)
-    xc = x_c(state.classical, q, t)
+    xc = x_c(state.classical, profile, t)
     r = abs(_ratio_a(state, t))
     x = np.asarray(x, dtype=float)
     out = (
@@ -240,42 +239,19 @@ def uncertainty_product(state: PacketState, t: float) -> float:
 def min_uncertainty_time(state: PacketState, t_hi: float) -> float:
     """Locate argmin over [0, t_hi] of the uncertainty product numerically.
 
-    Golden-section search brackets the minimum; a parabolic vertex fit on the
-    squared product (exactly quadratic in t) then refines it to machine
-    accuracy, which plain golden-section cannot reach.
+    The squared product is exactly quadratic in t, so the vertex of the
+    parabola through its values at 0, t_hi/2 and t_hi is the minimum. Points
+    that span the whole interval keep the fit well conditioned even where
+    the product is nearly flat.
     """
     _require_gtwp(state)
-
-    def f(t):
-        return uncertainty_product(state, t) ** 2
-
-    inv = (math.sqrt(5.0) - 1.0) / 2.0
-    a, b = 0.0, float(t_hi)
-    c, d = b - inv * (b - a), a + inv * (b - a)
-    fc, fd = f(c), f(d)
-    # stop while the bracket is still wide: the parabola fit below is exact
-    # for this family and much better conditioned than a collapsed bracket
-    while b - a > 1e-3 * max(1.0, float(t_hi)):
-        if fc < fd:
-            b, d, fd = d, c, fc
-            c = b - inv * (b - a)
-            fc = f(c)
-        else:
-            a, c, fc = c, d, fd
-            d = a + inv * (b - a)
-            fd = f(d)
-    x1, x3 = a, b
-    x2 = 0.5 * (a + b)
-    f1, f2, f3 = f(x1), f(x2), f(x3)
-    num = (x2 - x1) ** 2 * (f2 - f3) - (x2 - x3) ** 2 * (f2 - f1)
-    den = (x2 - x1) * (f2 - f3) - (x2 - x3) * (f2 - f1)
-    if den == 0.0:
-        t_star = x2
-    else:
-        t_star = x2 - 0.5 * num / den
-    if t_star < 1e-9 * max(1.0, float(t_hi)):
+    t_hi = float(t_hi)
+    f0, f1, f2 = (uncertainty_product(state, t) ** 2 for t in (0.0, 0.5 * t_hi, t_hi))
+    curvature = f2 - 2.0 * f1 + f0
+    t_star = t_hi * (0.25 - 0.5 * (f1 - f0) / curvature) if curvature > 0.0 else 0.0
+    if t_star < 1e-9 * max(1.0, t_hi):
         return 0.0  # boundary minimum: the product only grows for t > 0
-    return min(t_star, float(t_hi))
+    return min(t_star, t_hi)
 
 
 def gaussian_phi0(params: GaussianMomentumParams, hbar: float, p):
@@ -295,7 +271,7 @@ def gaussian_phi_pt(
     params: GaussianMomentumParams,
     m: float,
     hbar: float,
-    q: Quadratures,
+    profile: ForceProfile,
     p,
     t: float,
 ):
@@ -303,10 +279,10 @@ def gaussian_phi_pt(
     if t < 0:
         raise ValueError("negative time")
     cl = ClassicalState(m=m, x0=params.x0, p0=params.p0)
-    action = kinetic_action(cl, q, t)
+    action = kinetic_action(cl, profile, t)
     bigT = spreading_time(params, m, hbar)
-    pc = p_c(cl, q, t)
-    xc = x_c(cl, q, t)
+    pc = p_c(cl, profile, t)
+    xc = x_c(cl, profile, t)
     s = params.sigma
     p = np.asarray(p, dtype=float)
     out = (
@@ -320,7 +296,7 @@ def gaussian_phi_pt(
 
 def momentum_solution(
     phi0: Callable,
-    q: Quadratures,
+    profile: ForceProfile,
     m: float,
     hbar: float,
     p,
@@ -335,9 +311,9 @@ def momentum_solution(
     """
     if t < 0:
         raise ValueError("negative time")
-    g = q.G(t)
-    g1 = q.G1(t)
-    s0 = q.G2(t) / (2.0 * m)
+    g = profile.g(t)
+    g1 = profile.g1(t)
+    s0 = profile.g2(t) / (2.0 * m)
     p = np.asarray(p, dtype=float)
     u = p - g
     phase = u * u * t / (2.0 * m) + u * g1 / m + s0
@@ -399,7 +375,7 @@ def matched_packet(params: GaussianMomentumParams, m: float, hbar: float) -> Pac
 def plane_wave_superposition(
     m: float,
     hbar: float,
-    q: Quadratures,
+    profile: ForceProfile,
     phi0: Callable,
     p0_values: np.ndarray,
     x,
@@ -419,20 +395,13 @@ def plane_wave_superposition(
     out = np.zeros(x.shape if x.ndim else (), dtype=complex)
     for p0 in p0_values:
         state = PacketState(m=m, hbar=hbar, x0=0.0, p0=float(p0), spec=spec, alpha0=0j)
-        out = out + complex(phi0(p0)) * plane_wave_psi(state, q, complex(p0), x, t)
+        out = out + complex(phi0(p0)) * plane_wave_psi(state, profile, complex(p0), x, t)
     out = out * dp[0] / np.sqrt(2.0 * np.pi * hbar)
     return out if np.ndim(out) else complex(out)
 
 
-def sample_gtwp(state: PacketState, q: Quadratures, grid: Grid1D, t: float) -> WaveField:
-    values = gtwp_psi(state, q, grid.points, t)
-    return WaveField(grid=grid, t=t, values=values, space=Space.POSITION)
-
-
-def sample_plane_wave(
-    state: PacketState, q: Quadratures, lam: complex, grid: Grid1D, t: float
-) -> WaveField:
-    values = plane_wave_psi(state, q, lam, grid.points, t)
+def sample_gtwp(state: PacketState, profile: ForceProfile, grid: Grid1D, t: float) -> WaveField:
+    values = gtwp_psi(state, profile, grid.points, t)
     return WaveField(grid=grid, t=t, values=values, space=Space.POSITION)
 
 
@@ -440,9 +409,9 @@ def sample_gaussian_momentum(
     params: GaussianMomentumParams,
     m: float,
     hbar: float,
-    q: Quadratures,
+    profile: ForceProfile,
     grid: Grid1D,
     t: float,
 ) -> WaveField:
-    values = gaussian_phi_pt(params, m, hbar, q, grid.points, t)
+    values = gaussian_phi_pt(params, m, hbar, profile, grid.points, t)
     return WaveField(grid=grid, t=t, values=values, space=Space.MOMENTUM)

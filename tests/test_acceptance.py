@@ -15,7 +15,7 @@ from lrwp.classical import p_c, x_c
 from lrwp.config import parse_config
 from lrwp.errors import ConfigError
 from lrwp.fields import field_norm, l2_error
-from lrwp.forcing import ConstantForce, Quadratures, SinusoidalForce, ZeroForce
+from lrwp.forcing import ConstantForce, SinusoidalForce, ZeroForce
 from lrwp.invariant import coeffs_at, eigen_residual, eigenvalue
 from lrwp.oracle import (
     GridSpec,
@@ -60,9 +60,8 @@ class B1Run:
     def __init__(self, dt: float, output_every: int):
         grid_spec = GridSpec(-20.0, 20.0, 2048, dt, 2.0, output_every=output_every)
         self.grid_spec = grid_spec
-        self.q = Quadratures.closed_form(B1_FORCE)
         grid = grid_spec.grid
-        initial = sample_gtwp(B1_PACKET, self.q, grid, 0.0)
+        initial = sample_gtwp(B1_PACKET, B1_FORCE, grid, 0.0)
         start = time.perf_counter()
         ss = propagate_splitstep(initial, B1_FORCE, M, HBAR, grid_spec)
         cn = propagate_cranknicolson(initial, B1_FORCE, M, HBAR, grid_spec)
@@ -74,8 +73,8 @@ class B1Run:
         self.times = []
         for f_ss, f_cn in zip(ss, cn):
             t = f_ss.t
-            analytic = sample_gtwp(B1_PACKET, self.q, grid, t)
-            coeffs = coeffs_at(B1_PACKET.spec, M, self.q, t)
+            analytic = sample_gtwp(B1_PACKET, B1_FORCE, grid, t)
+            coeffs = coeffs_at(B1_PACKET.spec, M, B1_FORCE, t)
             self.records.append(observables(f_ss, M, HBAR, coeffs, analytic=analytic))
             self.l2_cn.append(l2_error(f_cn, analytic))
             self.cross.append(l2_error(f_cn, f_ss))
@@ -121,8 +120,8 @@ def test_criterion_02_invariant_constancy(b1):
     cl = B1_PACKET.classical
     worst_identity = 0.0
     for t in np.linspace(0.0, 2.0, 100):
-        c = coeffs_at(spec, M, b1.q, float(t))
-        moving = c.A * p_c(cl, b1.q, float(t)) + c.B * x_c(cl, b1.q, float(t)) + c.C
+        c = coeffs_at(spec, M, B1_FORCE, float(t))
+        moving = c.A * p_c(cl, B1_FORCE, float(t)) + c.B * x_c(cl, B1_FORCE, float(t)) + c.C
         worst_identity = max(worst_identity, abs(moving - lam))
     ok = drift < 1e-6 and worst_identity <= 1e-10 * max(1.0, abs(lam))
     _report(
@@ -140,8 +139,8 @@ def test_criterion_03_eigenfunction_residual(b1):
     grid = B1_GRID.grid
     worst = 0.0
     for t in b1.times:
-        field = sample_gtwp(B1_PACKET, b1.q, grid, float(t))
-        coeffs = coeffs_at(B1_PACKET.spec, M, b1.q, float(t))
+        field = sample_gtwp(B1_PACKET, B1_FORCE, grid, float(t))
+        coeffs = coeffs_at(B1_PACKET.spec, M, B1_FORCE, float(t))
         worst = max(worst, eigen_residual(coeffs, field, lam, HBAR))
     _report(
         3,
@@ -176,9 +175,9 @@ def test_criterion_05_momentum_route_equality(b1):
     pgrid = conjugate_momentum_grid(grid, HBAR)
     worst = 0.0
     for t in (0.0, 0.5, 1.0, 2.0):
-        phi = sample_gaussian_momentum(params, M, HBAR, b1.q, pgrid, t)
+        phi = sample_gaussian_momentum(params, M, HBAR, B1_FORCE, pgrid, t)
         bridged = fourier_bridge(phi, HBAR, position_grid=grid)
-        direct = sample_gtwp(B1_PACKET, b1.q, grid, t)
+        direct = sample_gtwp(B1_PACKET, B1_FORCE, grid, t)
         worst = max(worst, float(np.max(np.abs(bridged.values - direct.values))))
     _report(5, "momentum-route equality", worst < 1e-8, f"max pointwise gap {worst:.3e}")
 
@@ -186,11 +185,10 @@ def test_criterion_05_momentum_route_equality(b1):
 def test_criterion_06_ehrenfest(b1):
     rep_b1 = ehrenfest_check(b1.records, B1_FORCE, M)
     profile = SinusoidalForce(1.0, 2.0)
-    q = Quadratures.closed_form(profile)
     spec = GridSpec(-20.0, 20.0, 1024, 1e-3, 1.0, output_every=2)
-    initial = sample_gtwp(B1_PACKET, q, spec.grid, 0.0)
+    initial = sample_gtwp(B1_PACKET, profile, spec.grid, 0.0)
     records = [
-        observables(f, M, HBAR, coeffs_at(B1_PACKET.spec, M, q, f.t))
+        observables(f, M, HBAR, coeffs_at(B1_PACKET.spec, M, profile, f.t))
         for f in propagate_splitstep(initial, profile, M, HBAR, spec)
     ]
     rep_sin = ehrenfest_check(records, profile, M)
@@ -207,16 +205,16 @@ def test_criterion_06_ehrenfest(b1):
 def test_criterion_07_free_particle_reduction():
     sigma, bigT = 1.0, 2.0
     packet = B1_PACKET
-    q = Quadratures.closed_form(ZeroForce())
+    profile = ZeroForce()
     worst_analytic = max(
         abs(delta_x(packet, float(t)) - sigma * np.sqrt(1 + (t / bigT) ** 2))
         for t in np.linspace(0.0, 2.0, 41)
     )
     spec = GridSpec(-20.0, 20.0, 2048, 1e-3, 2.0, output_every=200)
-    initial = sample_gtwp(packet, q, spec.grid, 0.0)
+    initial = sample_gtwp(packet, profile, spec.grid, 0.0)
     worst_grid = 0.0
     for f in propagate_splitstep(initial, ZeroForce(), M, HBAR, spec):
-        rec = observables(f, M, HBAR, coeffs_at(packet.spec, M, q, f.t))
+        rec = observables(f, M, HBAR, coeffs_at(packet.spec, M, profile, f.t))
         law = sigma * np.sqrt(1 + (f.t / bigT) ** 2)
         worst_grid = max(worst_grid, abs(rec.dx - law))
     ok = worst_analytic < 1e-8 and worst_grid < 1e-6
@@ -248,15 +246,15 @@ def test_criterion_08_physicality_gate():
 def test_criterion_09_superposition_consistency():
     params = GaussianMomentumParams(sigma=1.0)
     packet = B1_PACKET
-    q = Quadratures.closed_form(ZeroForce())
+    profile = ZeroForce()
     x = B1_GRID.grid.points
     p0s = np.linspace(-6.0, 6.0, 257)
     worst = 0.0
     for t in (0.0, 1.0, 2.0):
         total = plane_wave_superposition(
-            M, HBAR, q, lambda p: gaussian_phi0(params, HBAR, p), p0s, x, t
+            M, HBAR, profile, lambda p: gaussian_phi0(params, HBAR, p), p0s, x, t
         )
-        direct = gtwp_psi(packet, q, x, t)
+        direct = gtwp_psi(packet, profile, x, t)
         worst = max(worst, np.linalg.norm(total - direct) / np.linalg.norm(direct))
     _report(9, "plane-wave superposition rebuilds the packet", worst < 1e-6, f"L2 {worst:.3e}")
 

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from lrwp.classical import ClassicalState, kinetic_action, p_c, x_c
-from lrwp.forcing import ConstantForce, Quadratures, SinusoidalForce, ZeroForce
+from lrwp.forcing import ConstantForce, SinusoidalForce, ZeroForce
 
 # frozen oracle values for Sinusoidal(amplitude=1, omega=2): nested adaptive
 # quadrature for G1 and a 2e6-point trapezoid rule for the action integral
@@ -10,49 +10,49 @@ G1_SIN_1 = 0.2726756432935796
 G_SIN_1 = 0.7080734182735712
 ACTION_SIN_1 = 0.8346884259511830  # m=1, p0=1, t=1
 
-Q_ZERO = Quadratures.closed_form(ZeroForce())
-Q_CONST = Quadratures.closed_form(ConstantForce(1.0))
-Q_SIN = Quadratures.closed_form(SinusoidalForce(1.0, 2.0))
+F_ZERO = ZeroForce()
+F_CONST = ConstantForce(1.0)
+F_SIN = SinusoidalForce(1.0, 2.0)
 
 
 def test_x_c_trivia():
-    assert x_c(ClassicalState(1.0), Q_ZERO, 4.0) == 0.0
-    assert x_c(ClassicalState(1.0), Q_CONST, 2.0) == pytest.approx(2.0, abs=1e-14)
+    assert x_c(ClassicalState(1.0), F_ZERO, 4.0) == 0.0
+    assert x_c(ClassicalState(1.0), F_CONST, 2.0) == pytest.approx(2.0, abs=1e-14)
 
 
 def test_x_c_derived():
     state = ClassicalState(m=2.0, x0=1.0, p0=3.0)
-    assert x_c(state, Q_SIN, 1.0) == pytest.approx(1.0 + (3.0 + G1_SIN_1) / 2.0, abs=1e-13)
+    assert x_c(state, F_SIN, 1.0) == pytest.approx(1.0 + (3.0 + G1_SIN_1) / 2.0, abs=1e-13)
 
 
 def test_p_c_trivia():
-    assert p_c(ClassicalState(1.0), Q_ZERO, 7.0) == 0.0
-    assert p_c(ClassicalState(1.0, p0=1.0), Q_CONST, 2.0) == pytest.approx(3.0, abs=1e-14)
+    assert p_c(ClassicalState(1.0), F_ZERO, 7.0) == 0.0
+    assert p_c(ClassicalState(1.0, p0=1.0), F_CONST, 2.0) == pytest.approx(3.0, abs=1e-14)
 
 
 def test_p_c_derived():
-    assert p_c(ClassicalState(1.0), Q_SIN, 1.0) == pytest.approx(G_SIN_1, abs=1e-14)
+    assert p_c(ClassicalState(1.0), F_SIN, 1.0) == pytest.approx(G_SIN_1, abs=1e-14)
 
 
 def test_kinetic_action_zero_and_constant():
-    assert kinetic_action(ClassicalState(1.0), Q_ZERO, 5.0) == 0.0
+    assert kinetic_action(ClassicalState(1.0), F_ZERO, 5.0) == 0.0
     st = ClassicalState(1.0, p0=2.0)
-    assert kinetic_action(st, Q_ZERO, 3.0) == pytest.approx(6.0, abs=1e-14)
-    assert kinetic_action(ClassicalState(1.0), Q_CONST, 2.0) == pytest.approx(
+    assert kinetic_action(st, F_ZERO, 3.0) == pytest.approx(6.0, abs=1e-14)
+    assert kinetic_action(ClassicalState(1.0), F_CONST, 2.0) == pytest.approx(
         4.0 / 3.0, abs=1e-14
     )
 
 
 def test_kinetic_action_sinusoidal_vs_trapezoid_oracle():
     st = ClassicalState(1.0, p0=1.0)
-    val = kinetic_action(st, Q_SIN, 1.0)
+    val = kinetic_action(st, F_SIN, 1.0)
     assert val == pytest.approx(ACTION_SIN_1, abs=1e-12)
     tau = np.linspace(0.0, 1.0, 200_001)
-    oracle = np.trapezoid(np.asarray(p_c(st, Q_SIN, tau)) ** 2 / 2.0, tau)
+    oracle = np.trapezoid(np.asarray(p_c(st, F_SIN, tau)) ** 2 / 2.0, tau)
     assert abs(val - oracle) < 1e-9
 
 
-@pytest.mark.parametrize("q", [Q_ZERO, Q_CONST, Q_SIN])
+@pytest.mark.parametrize("q", [F_ZERO, F_CONST, F_SIN])
 def test_ehrenfest_closed_forms(q):
     st = ClassicalState(m=1.7, x0=0.4, p0=-0.9)
     h = 1e-5
@@ -60,17 +60,17 @@ def test_ehrenfest_closed_forms(q):
         dxdt = (x_c(st, q, t + h) - x_c(st, q, t - h)) / (2 * h)
         assert abs(dxdt - p_c(st, q, t) / st.m) < 1e-8
         dpdt = (p_c(st, q, t + h) - p_c(st, q, t - h)) / (2 * h)
-        assert abs(dpdt - q.profile.force(t)) < 1e-8
+        assert abs(dpdt - q.force(t)) < 1e-8
 
 
 def test_affine_in_initial_conditions():
     base = ClassicalState(m=2.0, x0=0.3, p0=1.1)
     shifted = ClassicalState(m=2.0, x0=0.3 + 0.25, p0=1.1)
     t = 1.7
-    assert x_c(shifted, Q_SIN, t) - x_c(base, Q_SIN, t) == pytest.approx(0.25, abs=0)
+    assert x_c(shifted, F_SIN, t) - x_c(base, F_SIN, t) == pytest.approx(0.25, abs=0)
     boosted = ClassicalState(m=2.0, x0=0.3, p0=1.1 + 0.5)
-    assert p_c(boosted, Q_SIN, t) - p_c(base, Q_SIN, t) == pytest.approx(0.5, abs=0)
-    assert x_c(boosted, Q_SIN, t) - x_c(base, Q_SIN, t) == pytest.approx(
+    assert p_c(boosted, F_SIN, t) - p_c(base, F_SIN, t) == pytest.approx(0.5, abs=0)
+    assert x_c(boosted, F_SIN, t) - x_c(base, F_SIN, t) == pytest.approx(
         0.5 * t / 2.0, abs=1e-14
     )
 

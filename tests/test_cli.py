@@ -58,6 +58,9 @@ def test_config_error_exit_two(tmp_path, capsys):
         # an explicit alpha0 that does not normalize the packet cannot seed the oracles
         ("validate", "[packet]\nF0 = 0-0.5i\nalpha0 = 0\n",
          "line 3: validate mode needs a normalized packet"),
+        # a nan mass would run on into nan CSVs, and an infinite sigma make a plane wave
+        ("analytic", "[system]\nm = nan\n", "line 2: value 'nan' is not finite"),
+        ("analytic", "[packet]\nsigma = inf\n", "line 2: value 'inf' is not finite"),
     ]
     for mode, text, message in cases:
         cfg = _write(tmp_path, text)
@@ -77,6 +80,28 @@ def test_force_ending_before_t_max_exit_two(tmp_path, capsys, mode, kind, key):
     err = capsys.readouterr().err
     assert "line 4: the force is not defined up to t_max = 0.5" in err
     assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize(
+    "case", ["out_is_file", "out_under_file", "config_not_utf8", "t_max_inf", "t_max_overflow"]
+)
+def test_unusable_input_or_output_exit_two(tmp_path, capsys, case):
+    cfg = _write(tmp_path, GOOD)
+    out = tmp_path / "out"
+    if case == "out_is_file":
+        out.write_text("")
+    elif case == "out_under_file":
+        out.write_text("")
+        out = out / "sub"
+    elif case == "config_not_utf8":
+        Path(cfg).write_bytes(GOOD.encode() + b"# caf\xe9\n")
+    else:
+        value = "inf" if case == "t_max_inf" else "1e308"
+        cfg = _write(tmp_path, GOOD.replace("t_max = 0.5", f"t_max = {value}"))
+    assert main(["analytic", "--config", cfg, "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("lrwp: ") and err.count("\n") == 1
+    assert "Traceback" not in err
 
 
 def test_missing_config_exit_two(tmp_path, capsys):

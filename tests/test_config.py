@@ -155,6 +155,27 @@ class TestDiagnostics:
         with pytest.raises(ConfigError, match="expected key = value"):
             parse_config("[system]\njunk\n")
 
+    @pytest.mark.parametrize(
+        "text",
+        [
+            "[system]\nm = nan\n",
+            "[system]\nhbar = inf\n",
+            "[packet]\nsigma = nan\n",
+            "[packet]\nsigma = -inf\n",
+            "[packet]\nF0 = nan-1i\n",
+            "[packet]\nF0 = 0-infi\n",
+            "[force]\nkind = piecewise_linear\nknots = 0:1, 2:nan\n",
+            "[grid]\nt_max = inf\n",
+            "[run]\nmode = sweep\nsweep_axis = sigma\nsweep_values = 1, nan\n",
+        ],
+        ids=["m", "hbar", "sigma_nan", "sigma_-inf", "F0_nan", "F0_inf", "knots", "t_max",
+             "sweep_values"],
+    )
+    def test_non_finite_number(self, text):
+        line = text.count("\n")
+        with pytest.raises(ConfigError, match=f"line {line}: value '.*' is not finite"):
+            parse_config(text)
+
 
 class TestModeValidation:
     def test_validate_rejects_plane_wave(self):

@@ -1,4 +1,5 @@
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -7,10 +8,10 @@ from lrwp.errors import OutOfDomainError
 from lrwp.forcing import (
     ConstantForce,
     PiecewiseLinearForce,
-    Quadratures,
     SinusoidalForce,
     ZeroForce,
 )
+from simpson_reference import simpson_reference
 
 # frozen from the adaptive-Simpson oracles (see test_closed_matches_numeric)
 G_SIN_1 = 0.7080734182735712  # (1 - cos 2)/2
@@ -34,49 +35,43 @@ def test_eval_force_trivia():
 
 
 def test_quad_G_trivia():
-    q = Quadratures.closed_form(ConstantForce(1.0))
-    assert q.G(2.0) == 2.0
-    assert Quadratures.closed_form(ZeroForce()).G(5.0) == 0.0
+    assert ConstantForce(1.0).g(2.0) == 2.0
+    assert ZeroForce().g(5.0) == 0.0
 
 
 def test_quad_G_sinusoidal_frozen():
-    q = Quadratures.closed_form(SinusoidalForce(1.0, 2.0))
-    assert q.G(1.0) == pytest.approx(G_SIN_1, abs=1e-14)
+    assert SinusoidalForce(1.0, 2.0).g(1.0) == pytest.approx(G_SIN_1, abs=1e-14)
 
 
 def test_quad_G1_trivia():
-    q = Quadratures.closed_form(ConstantForce(1.0))
-    assert q.G1(2.0) == pytest.approx(2.0, abs=1e-14)
-    assert Quadratures.closed_form(ZeroForce()).G1(3.0) == 0.0
+    assert ConstantForce(1.0).g1(2.0) == pytest.approx(2.0, abs=1e-14)
+    assert ZeroForce().g1(3.0) == 0.0
 
 
 def test_quad_G1_sinusoidal_frozen():
-    q = Quadratures.closed_form(SinusoidalForce(1.0, 2.0))
-    assert q.G1(1.0) == pytest.approx(G1_SIN_1, abs=1e-14)
+    assert SinusoidalForce(1.0, 2.0).g1(1.0) == pytest.approx(G1_SIN_1, abs=1e-14)
 
 
 @pytest.mark.parametrize("profile", PROFILES)
 def test_zero_at_zero(profile):
-    q = Quadratures.closed_form(profile)
-    assert q.G(0.0) == 0.0
-    assert q.G1(0.0) == 0.0
-    assert q.G2(0.0) == 0.0
+    assert profile.g(0.0) == 0.0
+    assert profile.g1(0.0) == 0.0
+    assert profile.g2(0.0) == 0.0
 
 
 @pytest.mark.parametrize("profile", PROFILES)
 def test_derivative_consistency(profile):
     # d/dt G = F, d/dt G1 = G and d/dt G2 = G² by central differences, scaled by max|F|
-    q = Quadratures.closed_form(profile)
     ts = np.linspace(0.05, 9.5, 23)
     h = 1e-5
     fmax = max(1.0, float(np.max(np.abs(profile.force(ts)))))
     for t in ts:
-        dg = (q.G(t + h) - q.G(t - h)) / (2 * h)
+        dg = (profile.g(t + h) - profile.g(t - h)) / (2 * h)
         assert abs(dg - profile.force(t)) < 1e-8 * fmax
-        dg1 = (q.G1(t + h) - q.G1(t - h)) / (2 * h)
-        assert abs(dg1 - q.G(t)) < 1e-8 * fmax
-        dg2 = (q.G2(t + h) - q.G2(t - h)) / (2 * h)
-        assert abs(dg2 - q.G(t) ** 2) < 1e-8 * fmax * max(1.0, abs(q.G(t)))
+        dg1 = (profile.g1(t + h) - profile.g1(t - h)) / (2 * h)
+        assert abs(dg1 - profile.g(t)) < 1e-8 * fmax
+        dg2 = (profile.g2(t + h) - profile.g2(t - h)) / (2 * h)
+        assert abs(dg2 - profile.g(t) ** 2) < 1e-8 * fmax * max(1.0, abs(profile.g(t)))
 
 
 @pytest.mark.parametrize(
@@ -88,28 +83,42 @@ def test_derivative_consistency(profile):
     ],
 )
 def test_closed_matches_numeric(profile):
-    closed = Quadratures.closed_form(profile)
-    numeric = Quadratures.numeric(profile)
     for t in np.linspace(0.25, 10.0, 12):
-        g_c, g_n = closed.G(t), numeric.G(t)
-        assert abs(g_c - g_n) <= 1e-10 * max(1.0, abs(g_c))
-        g1_c, g1_n = closed.G1(t), numeric.G1(t)
-        assert abs(g1_c - g1_n) <= 1e-10 * max(1.0, abs(g1_c))
-        g2_c, g2_n = closed.G2(t), numeric.G2(t)
-        assert abs(g2_c - g2_n) <= 1e-12 * max(1.0, abs(g2_c))
+        for name, rel in (("g", 1e-10), ("g1", 1e-10), ("g2", 1e-12)):
+            closed = getattr(profile, name)(t)
+            assert abs(closed - simpson_reference(profile, name, t)) <= rel * max(1.0, abs(closed))
+
+
+@pytest.mark.parametrize(
+    "amplitude, omega, phase, t",
+    [(3.0, -0.1, math.pi, 0.1), (1.0, 2.0, 0.4, 7.5e-5), (-2.0, 0.3, -1.2, 1e-3)],
+)
+def test_sinusoidal_small_omega_t_is_relatively_accurate(amplitude, omega, phase, t):
+    # cos φ − cos(ωt+φ) and its integral cancel to ωt of their terms here, which
+    # costs those forms up to 1e-9 relative; against exact rational Taylor sums of
+    # 1 − cos x, sin x and x − sin x, G and G1 must keep full relative accuracy
+    x = Fraction(omega) * Fraction(t)
+    terms = [x ** (k + 2) * (-1) ** (k // 2) / math.factorial(k + 2) for k in range(20)]
+    one_minus_cos, x_minus_sin = sum(terms[0::2]), sum(terms[1::2])
+    c, s = Fraction(math.cos(phase)), Fraction(math.sin(phase))
+    a, w = Fraction(amplitude), Fraction(omega)
+    g = a / w * (c * one_minus_cos + s * (x - x_minus_sin))
+    g1 = a / w**2 * (c * x_minus_sin + s * one_minus_cos)
+    profile = SinusoidalForce(amplitude, omega, phase)
+    assert abs(profile.g(t) / float(g) - 1.0) <= 1e-14
+    assert abs(profile.g1(t) / float(g1) - 1.0) <= 1e-14
 
 
 def test_negative_time_rejected():
     for profile in PROFILES:
         with pytest.raises(ValueError):
             profile.force(-0.1)
-        q = Quadratures.closed_form(profile)
         with pytest.raises(ValueError):
-            q.G(-1.0)
+            profile.g(-1.0)
         with pytest.raises(ValueError):
-            q.G1(np.array([0.5, -0.5]))
+            profile.g1(np.array([0.5, -0.5]))
         with pytest.raises(ValueError):
-            q.G2(-2.0)
+            profile.g2(-2.0)
 
 
 def test_tabulated_out_of_domain():
@@ -117,7 +126,7 @@ def test_tabulated_out_of_domain():
     with pytest.raises(OutOfDomainError):
         prof.force(2.5)
     with pytest.raises(OutOfDomainError):
-        Quadratures.closed_form(prof).G1(3.0)
+        prof.g1(3.0)
 
 
 def test_domain_end_tolerates_step_accumulation_fuzz():
@@ -126,7 +135,7 @@ def test_domain_end_tolerates_step_accumulation_fuzz():
     t = float(np.nextafter(2.0, 3.0))
     assert t > 2.0
     assert prof.force(t) == pytest.approx(3.0, abs=1e-12)
-    assert Quadratures.closed_form(prof).G1(t) == pytest.approx(prof.g1(2.0), rel=1e-12)
+    assert prof.g1(t) == pytest.approx(prof.g1(2.0), rel=1e-12)
     with pytest.raises(OutOfDomainError):
         prof.force(2.0 + 1e-6)
 
@@ -153,10 +162,8 @@ def test_knot_validation():
 def test_vectorized_matches_scalar():
     ts = np.array([0.0, 0.3, 1.1, 2.4, 5.5])
     for profile in PROFILES:
-        q = Quadratures.closed_form(profile)
-        np.testing.assert_allclose(q.G(ts), [q.G(float(t)) for t in ts], rtol=0, atol=0)
-        np.testing.assert_allclose(q.G1(ts), [q.G1(float(t)) for t in ts], rtol=0, atol=0)
-        np.testing.assert_allclose(q.G2(ts), [q.G2(float(t)) for t in ts], rtol=0, atol=0)
+        for g in (profile.g, profile.g1, profile.g2):
+            np.testing.assert_allclose(g(ts), [g(float(t)) for t in ts], rtol=0, atol=0)
         np.testing.assert_allclose(
             profile.force(ts), [profile.force(float(t)) for t in ts], rtol=0, atol=0
         )

@@ -10,6 +10,11 @@ driven plane-wave snapshots (its phase was adaptive Simpson; 19130 cells
 moved, by at most 2.2e-15), the small-b1 momentum comparison (1 cell,
 3.5e-18) and the small-b1 sweep summary (2 cells, 2.1e-17). The last two
 used a Simpson-summed kinetic-action table.
+
+The driven plane-wave observables (1 cell, 2.2e-16) and snapshots (2523
+cells, at most 7.1e-15) were retaken again when the sinusoidal G and G1
+stopped cancelling at small ωt: they are now built from sin²(ωt/2) and
+ωt − sin ωt directly.
 """
 
 import hashlib
@@ -42,9 +47,9 @@ GOLDEN = {
     ("free_gaussian", "snapshots.csv"):
         "b522eda60370d1e06799f5328c3a69c750e460d8f2853d8317887840cbd9ebe3",
     ("driven_plane_wave", "observables.csv"):
-        "a9366aadbc5e85a7ff7962475b21f37d97a3918ffdceb3ca14cb22274bbbda37",
+        "348a48862defce395dfbb8aefbe094fb60baf4a87df3935c5073063b66b41202",
     ("driven_plane_wave", "snapshots.csv"):
-        "f1543ce8d73d87ad9c0ebf2d88fb3e657db90ab18315597b6c75276b67ec2a68",
+        "24c676154dbb735c51f6426de5049dabc7b6b53c04323a2da43ecce75f2e5cd6",
     ("small_b1_validate", "observables.csv"):
         "5a6fa3af057aa0e44842167418a73400b89290f32be908958dcb1b2250ce28f5",
     ("small_b1_momentum", "comparison.csv"):

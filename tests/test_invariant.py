@@ -10,7 +10,7 @@ from lrwp.errors import (
     UnphysicalInvariantError,
 )
 from lrwp.fields import Grid1D, Space, WaveField
-from lrwp.forcing import ConstantForce, Quadratures, SinusoidalForce, ZeroForce
+from lrwp.forcing import ConstantForce, SinusoidalForce, ZeroForce
 from lrwp.invariant import (
     InvariantSpec,
     PacketMode,
@@ -25,9 +25,9 @@ from lrwp.invariant import (
 # lam=0, m=hbar=1; equals (i/2)·log(1+it) at t=1
 ALPHA_1 = complex(-0.39269908169872414, 0.17328679513998632)
 
-Q_ZERO = Quadratures.closed_form(ZeroForce())
-Q_CONST = Quadratures.closed_form(ConstantForce(1.0))
-Q_SIN = Quadratures.closed_form(SinusoidalForce(1.0, 2.0))
+F_ZERO = ZeroForce()
+F_CONST = ConstantForce(1.0)
+F_SIN = SinusoidalForce(1.0, 2.0)
 
 
 class TestSpecValidation:
@@ -60,12 +60,12 @@ class TestSpecValidation:
 class TestCoefficients:
     def test_initial_condition(self):
         spec = InvariantSpec(0.7 + 0.1j, -0.3j, 0.4 + 0j)
-        c = coeffs_at(spec, 1.0, Q_SIN, 0.0)
+        c = coeffs_at(spec, 1.0, F_SIN, 0.0)
         assert (c.A, c.B, c.C) == (spec.A0, spec.B0, spec.C0)
 
     def test_zero_force(self):
         spec = InvariantSpec(1.0, -1j, 0.0)
-        c = coeffs_at(spec, 1.0, Q_ZERO, 2.0)
+        c = coeffs_at(spec, 1.0, F_ZERO, 2.0)
         assert c.A == 1 + 2j
         assert c.B == -1j
         assert c.C == 0
@@ -73,7 +73,7 @@ class TestCoefficients:
     def test_constant_force_derived(self):
         # C cross-checked against C0 − A0·∫F + (B0/m)·∫F·τ dτ by quadrature
         spec = InvariantSpec(1.0, -1j, 0.0)
-        c = coeffs_at(spec, 1.0, Q_CONST, 2.0)
+        c = coeffs_at(spec, 1.0, F_CONST, 2.0)
         assert c.A == 1 + 2j
         assert c.C == pytest.approx(-2 - 2j, abs=1e-14)
         int_f = 2.0
@@ -83,7 +83,7 @@ class TestCoefficients:
     def test_B_constant_for_zero_B0(self):
         spec = InvariantSpec(2.0 + 1j, 0j)
         for t in (0.0, 0.5, 3.0):
-            c = coeffs_at(spec, 1.3, Q_SIN, t)
+            c = coeffs_at(spec, 1.3, F_SIN, t)
             assert c.A == spec.A0  # plane-wave branch keeps A frozen
             assert c.B == 0
 
@@ -96,7 +96,7 @@ class TestEigenvalue:
         spec = InvariantSpec(1.0, -1j)
         assert eigenvalue(spec, ClassicalState(1.0, x0=1.0, p0=2.0)) == 2 - 1j
 
-    @pytest.mark.parametrize("q", [Q_ZERO, Q_CONST, Q_SIN])
+    @pytest.mark.parametrize("q", [F_ZERO, F_CONST, F_SIN])
     def test_time_independence(self, q):
         spec = InvariantSpec(1.0 + 0.2j, 0.4 - 0.8j, 0.1 + 0.3j)
         state = ClassicalState(m=1.4, x0=0.6, p0=-0.8)
@@ -114,16 +114,16 @@ def test_derivation_identities():
     lam = eigenvalue(spec, state)
     h = 1e-5
     for t in rng.uniform(0.1, 5.0, size=20):
-        c = coeffs_at(spec, state.m, Q_SIN, t)
-        pc = p_c(state, Q_SIN, t)
-        xc = x_c(state, Q_SIN, t)
+        c = coeffs_at(spec, state.m, F_SIN, t)
+        pc = p_c(state, F_SIN, t)
+        xc = x_c(state, F_SIN, t)
         assert abs((lam - c.C) / c.A - (pc + spec.B0 / c.A * xc)) < 1e-8
 
-        ratio = lambda tt: spec.B0 / coeffs_at(spec, state.m, Q_SIN, tt).A
+        ratio = lambda tt: spec.B0 / coeffs_at(spec, state.m, F_SIN, tt).A
         d_ratio = (ratio(t + h) - ratio(t - h)) / (2 * h)
         assert abs(d_ratio - spec.B0**2 / (state.m * c.A**2)) < 1e-8
 
-        xc2 = lambda tt: float(x_c(state, Q_SIN, tt)) ** 2
+        xc2 = lambda tt: float(x_c(state, F_SIN, tt)) ** 2
         d_xc2 = (xc2(t + h) - xc2(t - h)) / (2 * h)
         assert abs(d_xc2 - 2.0 / state.m * pc * xc) < 1e-8
 
@@ -153,8 +153,8 @@ class TestApplyInvariant:
 
         grid = Grid1D(-20.0, 20.0, 1024)
         packet = matched_packet(GaussianMomentumParams(sigma=1.0), 1.0, 1.0)
-        field = sample_gtwp(packet, Q_ZERO, grid, 0.0)
-        coeffs = coeffs_at(packet.spec, 1.0, Q_ZERO, 0.0)
+        field = sample_gtwp(packet, F_ZERO, grid, 0.0)
+        coeffs = coeffs_at(packet.spec, 1.0, F_ZERO, 0.0)
         lam = eigenvalue(packet.spec, packet.classical)
         assert eigen_residual(coeffs, field, lam, 1.0) < 1e-6
         out = apply_invariant(coeffs, field, 1.0)
@@ -193,18 +193,18 @@ class TestPhaseAlpha:
         state = ClassicalState(m=1.5, p0=0.8)
         lam = eigenvalue(spec, state)  # = p0
         for t in (0.4, 2.0):
-            val = phase_alpha(spec, state, Q_ZERO, lam, 1.0, t)
+            val = phase_alpha(spec, state, F_ZERO, lam, 1.0, t)
             assert val == pytest.approx(-(0.8**2) * t / (2 * 1.5), abs=1e-12)
 
     def test_initial_value(self):
         spec = InvariantSpec(1.0, -0.3j, 0.2)
-        val = phase_alpha(spec, ClassicalState(1.0), Q_SIN, 0.5j, 1.0, 0.0, alpha0=1.25 - 0.5j)
+        val = phase_alpha(spec, ClassicalState(1.0), F_SIN, 0.5j, 1.0, 0.0, alpha0=1.25 - 0.5j)
         assert val == 1.25 - 0.5j
 
     def test_frozen_derived_value(self):
         spec = InvariantSpec(1.0, -1j)
         state = ClassicalState(1.0)
-        val = phase_alpha(spec, state, Q_ZERO, 0j, 1.0, 1.0)
+        val = phase_alpha(spec, state, F_ZERO, 0j, 1.0, 1.0)
         assert val == pytest.approx(ALPHA_1, abs=1e-9)
         assert val == pytest.approx(0.5j * cmath.log(1 + 1j), abs=1e-12)
 
@@ -213,11 +213,11 @@ class TestPhaseAlpha:
         state = ClassicalState(m=1.3, x0=0.4, p0=0.6)
         lam = eigenvalue(spec, state)
         t = 1.4
-        val = phase_alpha(spec, state, Q_CONST, lam, 1.0, t)
+        val = phase_alpha(spec, state, F_CONST, lam, 1.0, t)
         tau = np.linspace(0.0, t, 200_001)
         a = spec.A0 - spec.B0 / state.m * tau
-        g = Q_CONST.G(tau)
-        g1 = Q_CONST.G1(tau)
+        g = F_CONST.g(tau)
+        g1 = F_CONST.g1(tau)
         c = spec.C0 - a * g - spec.B0 / state.m * g1
         integrand = ((lam - c) ** 2 + 1j * spec.B0 * a) / (2.0 * state.m * a**2)
         oracle = -np.trapezoid(integrand, tau)

@@ -3,7 +3,7 @@ import pytest
 
 from lrwp.errors import AliasingError, DegenerateFieldError, InstabilityError
 from lrwp.fields import Grid1D, Space, WaveField, l2_error
-from lrwp.forcing import ConstantForce, Quadratures, SinusoidalForce, ZeroForce
+from lrwp.forcing import ConstantForce, SinusoidalForce, ZeroForce
 from lrwp.invariant import InvariantCoefficients, coeffs_at
 from lrwp.oracle import (
     GridSpec,
@@ -24,8 +24,7 @@ PACKET = matched_packet(GaussianMomentumParams(sigma=1.0), M, HBAR)
 
 
 def _run(propagator, profile, spec, **kw):
-    q = Quadratures.closed_form(profile)
-    initial = sample_gtwp(PACKET, q, spec.grid, 0.0)
+    initial = sample_gtwp(PACKET, profile, spec.grid, 0.0)
     return list(propagator(initial, profile, M, HBAR, spec, **kw))
 
 
@@ -51,18 +50,17 @@ class TestSplitStep:
         # spectral kinetic step is exact for V = 0: only roundoff remains
         spec = GridSpec(-20.0, 20.0, 2048, 1e-3, 1.0, output_every=1000)
         frames = _run(propagate_splitstep, ZeroForce(), spec)
-        q = Quadratures.closed_form(ZeroForce())
-        analytic = sample_gtwp(PACKET, q, spec.grid, 1.0)
+        profile = ZeroForce()
+        analytic = sample_gtwp(PACKET, profile, spec.grid, 1.0)
         assert l2_error(frames[-1], analytic) < 1e-6
 
     def test_second_order_in_dt(self):
         profile = SinusoidalForce(1.0, 2.0)
-        q = Quadratures.closed_form(profile)
         errs = []
         for dt in (4e-3, 2e-3, 1e-3):
             spec = GridSpec(-20.0, 20.0, 1024, dt, 1.0, output_every=int(round(1.0 / dt)))
             frames = _run(propagate_splitstep, profile, spec)
-            analytic = sample_gtwp(PACKET, q, spec.grid, 1.0)
+            analytic = sample_gtwp(PACKET, profile, spec.grid, 1.0)
             errs.append(l2_error(frames[-1], analytic))
         assert 3.5 < errs[0] / errs[1] < 4.5
         assert 3.5 < errs[1] / errs[2] < 4.5
@@ -92,24 +90,22 @@ class TestCrankNicolson:
     def test_classic_stencil_dispersion_is_second_order_in_dx(self):
         # broad packet: phase-velocity error of the 3pt Laplacian scales dx²
         profile = ZeroForce()
-        q = Quadratures.closed_form(profile)
         packet = matched_packet(GaussianMomentumParams(sigma=4.0, p0=1.0), M, HBAR)
         errs = []
         for n in (256, 512):
             spec = GridSpec(-40.0, 40.0, n, 1e-3, 1.0, output_every=1000)
-            initial = sample_gtwp(packet, q, spec.grid, 0.0)
+            initial = sample_gtwp(packet, profile, spec.grid, 0.0)
             final = list(
                 propagate_cranknicolson(initial, profile, M, HBAR, spec, stencil="3pt")
             )[-1]
-            analytic = sample_gtwp(packet, q, spec.grid, 1.0)
+            analytic = sample_gtwp(packet, profile, spec.grid, 1.0)
             errs.append(l2_error(final, analytic))
         assert 3.0 < errs[0] / errs[1] < 5.0
 
     def test_default_stencil_beats_classic(self):
         spec = GridSpec(-20.0, 20.0, 1024, 1e-3, 1.0, output_every=1000)
         profile = ConstantForce(1.0)
-        q = Quadratures.closed_form(profile)
-        analytic = sample_gtwp(PACKET, q, spec.grid, 1.0)
+        analytic = sample_gtwp(PACKET, profile, spec.grid, 1.0)
         err5 = l2_error(_run(propagate_cranknicolson, profile, spec)[-1], analytic)
         err3 = l2_error(
             _run(propagate_cranknicolson, profile, spec, stencil="3pt")[-1], analytic
@@ -125,16 +121,16 @@ class TestCrankNicolson:
 class TestGuards:
     def test_initial_must_be_normalized(self):
         spec = GridSpec(-20.0, 20.0, 256, 1e-3, 1e-3)
-        q = Quadratures.closed_form(ZeroForce())
-        bad = sample_gtwp(PACKET, q, spec.grid, 0.0)
+        profile = ZeroForce()
+        bad = sample_gtwp(PACKET, profile, spec.grid, 0.0)
         bad = WaveField(grid=bad.grid, t=0.0, values=2.0 * bad.values, space=Space.POSITION)
         with pytest.raises(ValueError, match="normalized"):
             next(propagate_splitstep(bad, ZeroForce(), M, HBAR, spec))
 
     def test_grid_mismatch(self):
         spec = GridSpec(-20.0, 20.0, 256, 1e-3, 1e-3)
-        q = Quadratures.closed_form(ZeroForce())
-        other = sample_gtwp(PACKET, q, Grid1D(-10.0, 10.0, 256), 0.0)
+        profile = ZeroForce()
+        other = sample_gtwp(PACKET, profile, Grid1D(-10.0, 10.0, 256), 0.0)
         with pytest.raises(ValueError, match="grid"):
             next(propagate_splitstep(other, ZeroForce(), M, HBAR, spec))
 
@@ -142,8 +138,7 @@ class TestGuards:
         # strong constant force marches the packet into the wall
         profile = ConstantForce(4.0)
         spec = GridSpec(-8.0, 8.0, 256, 1e-3, 2.0, output_every=100)
-        q = Quadratures.closed_form(profile)
-        initial = sample_gtwp(PACKET, q, spec.grid, 0.0)
+        initial = sample_gtwp(PACKET, profile, spec.grid, 0.0)
         with pytest.raises(AliasingError):
             for _ in propagate_splitstep(initial, profile, M, HBAR, spec):
                 pass
@@ -161,10 +156,10 @@ class TestObservables:
     def test_matched_gaussian_moments(self):
         params = GaussianMomentumParams(sigma=1.0, x0=1.5, p0=0.7)
         packet = matched_packet(params, M, HBAR)
-        q = Quadratures.closed_form(ZeroForce())
+        profile = ZeroForce()
         grid = Grid1D(-20.0, 20.0, 2048)
-        field = sample_gtwp(packet, q, grid, 0.0)
-        rec = observables(field, M, HBAR, coeffs_at(packet.spec, M, q, 0.0))
+        field = sample_gtwp(packet, profile, grid, 0.0)
+        rec = observables(field, M, HBAR, coeffs_at(packet.spec, M, profile, 0.0))
         assert abs(rec.x_mean - 1.5) < 1e-8
         assert abs(rec.p_mean - 0.7) < 1e-8
         assert abs(rec.dx - 1.0) < 1e-8
@@ -173,13 +168,12 @@ class TestObservables:
 
     def test_invariant_expectation_constant_over_run(self):
         profile = ConstantForce(1.0)
-        q = Quadratures.closed_form(profile)
         params = GaussianMomentumParams(sigma=1.0, x0=0.3, p0=-0.4)
         packet = matched_packet(params, M, HBAR)
         spec = GridSpec(-20.0, 20.0, 1024, 1e-3, 1.0, output_every=200)
-        initial = sample_gtwp(packet, q, spec.grid, 0.0)
+        initial = sample_gtwp(packet, profile, spec.grid, 0.0)
         recs = [
-            observables(f, M, HBAR, coeffs_at(packet.spec, M, q, f.t))
+            observables(f, M, HBAR, coeffs_at(packet.spec, M, profile, f.t))
             for f in propagate_splitstep(initial, profile, M, HBAR, spec)
         ]
         lam = recs[0].inv_expect
@@ -189,25 +183,23 @@ class TestObservables:
 
     def test_center_follows_classical_trajectory(self):
         profile = SinusoidalForce(1.0, 2.0)
-        q = Quadratures.closed_form(profile)
         params = GaussianMomentumParams(sigma=1.0, x0=0.5, p0=-0.3)
         packet = matched_packet(params, M, HBAR)
         spec = GridSpec(-20.0, 20.0, 1024, 1e-3, 1.0, output_every=100)
-        initial = sample_gtwp(packet, q, spec.grid, 0.0)
+        initial = sample_gtwp(packet, profile, spec.grid, 0.0)
         from lrwp.classical import p_c, x_c
 
         for f in propagate_splitstep(initial, profile, M, HBAR, spec):
-            rec = observables(f, M, HBAR, coeffs_at(packet.spec, M, q, f.t))
-            assert abs(rec.x_mean - float(x_c(packet.classical, q, f.t))) < 1e-6
-            assert abs(rec.p_mean - float(p_c(packet.classical, q, f.t))) < 1e-6
+            rec = observables(f, M, HBAR, coeffs_at(packet.spec, M, profile, f.t))
+            assert abs(rec.x_mean - float(x_c(packet.classical, profile, f.t))) < 1e-6
+            assert abs(rec.p_mean - float(p_c(packet.classical, profile, f.t))) < 1e-6
 
     def test_uncertainty_floor(self):
         profile = ConstantForce(1.0)
-        q = Quadratures.closed_form(profile)
         spec = GridSpec(-20.0, 20.0, 1024, 1e-3, 1.0, output_every=200)
-        initial = sample_gtwp(PACKET, q, spec.grid, 0.0)
+        initial = sample_gtwp(PACKET, profile, spec.grid, 0.0)
         for f in propagate_splitstep(initial, profile, M, HBAR, spec):
-            rec = observables(f, M, HBAR, coeffs_at(PACKET.spec, M, q, f.t))
+            rec = observables(f, M, HBAR, coeffs_at(PACKET.spec, M, profile, f.t))
             assert rec.dxdp >= 0.5 - 1e-9
 
     def test_degenerate_field(self):
@@ -219,11 +211,10 @@ class TestObservables:
 
 class TestEhrenfest:
     def _records(self, profile, output_every=10, t_max=1.0, n=1024):
-        q = Quadratures.closed_form(profile)
         spec = GridSpec(-20.0, 20.0, n, 1e-3, t_max, output_every=output_every)
-        initial = sample_gtwp(PACKET, q, spec.grid, 0.0)
+        initial = sample_gtwp(PACKET, profile, spec.grid, 0.0)
         return [
-            observables(f, M, HBAR, coeffs_at(PACKET.spec, M, q, f.t))
+            observables(f, M, HBAR, coeffs_at(PACKET.spec, M, profile, f.t))
             for f in propagate_splitstep(initial, profile, M, HBAR, spec)
         ]
 

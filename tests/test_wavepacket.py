@@ -17,7 +17,7 @@ from lrwp.fields import (
     grid_moments,
     l2_error,
 )
-from lrwp.forcing import ConstantForce, Quadratures, SinusoidalForce, ZeroForce
+from lrwp.forcing import ConstantForce, SinusoidalForce, ZeroForce
 from lrwp.invariant import InvariantSpec, coeffs_at, eigenvalue, phase_alpha
 from lrwp.oracle import GridSpec, propagate_cranknicolson
 from lrwp.wavepacket import (
@@ -44,9 +44,9 @@ from lrwp.wavepacket import (
     uncertainty_product,
 )
 
-Q_ZERO = Quadratures.closed_form(ZeroForce())
-Q_CONST = Quadratures.closed_form(ConstantForce(1.0))
-Q_SIN = Quadratures.closed_form(SinusoidalForce(1.0, 2.0))
+F_ZERO = ZeroForce()
+F_CONST = ConstantForce(1.0)
+F_SIN = SinusoidalForce(1.0, 2.0)
 
 MATCHED = matched_packet(GaussianMomentumParams(sigma=1.0), 1.0, 1.0)
 
@@ -55,40 +55,40 @@ CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 
 class TestGtwpPsi:
     def test_peak_normalization(self):
-        assert gtwp_psi(MATCHED, Q_ZERO, 0.0, 0.0) == pytest.approx(
+        assert gtwp_psi(MATCHED, F_ZERO, 0.0, 0.0) == pytest.approx(
             (2 * math.pi) ** -0.25, abs=1e-14
         )
 
     def test_standard_normal_density(self):
-        val = abs(gtwp_psi(MATCHED, Q_ZERO, 1.0, 0.0)) ** 2
+        val = abs(gtwp_psi(MATCHED, F_ZERO, 1.0, 0.0)) ** 2
         assert val == pytest.approx((2 * math.pi) ** -0.5 * math.exp(-0.5), abs=1e-14)
 
     def test_matches_crank_nicolson_oracle(self):
         spec = GridSpec(-15.0, 15.0, 1024, 5e-4, 1.0, output_every=2000)
         grid = spec.grid
-        initial = sample_gtwp(MATCHED, Q_CONST, grid, 0.0)
+        initial = sample_gtwp(MATCHED, F_CONST, grid, 0.0)
         final = list(propagate_cranknicolson(initial, ConstantForce(1.0), 1.0, 1.0, spec))[-1]
-        analytic = sample_gtwp(MATCHED, Q_CONST, grid, 1.0)
+        analytic = sample_gtwp(MATCHED, F_CONST, grid, 1.0)
         assert l2_error(final, analytic) < 1e-6
 
     def test_mode_guard(self):
         plane = PacketState(1.0, 1.0, 0.0, 0.0, InvariantSpec(1.0, 0j))
         with pytest.raises(ModeMismatchError):
-            gtwp_psi(plane, Q_ZERO, 0.0, 0.0)
+            gtwp_psi(plane, F_ZERO, 0.0, 0.0)
 
     def test_branch_continuity_in_time(self):
         # drive Re(A/A0) through zero; psi must stay continuous
         spec = InvariantSpec(1.0, 2.0 - 0.5j)
         pk = PacketState(1.0, 1.0, 0.0, 0.0, spec=spec)
         ts = np.linspace(0.0, 2.0, 4001)
-        vals = np.array([gtwp_psi(pk, Q_ZERO, 0.3, float(t)) for t in ts])
+        vals = np.array([gtwp_psi(pk, F_ZERO, 0.3, float(t)) for t in ts])
         steps = np.abs(np.diff(vals))
         assert steps.max() < 0.01  # a branch flip would jump by O(|psi|)
 
 
 class TestDensity:
     def test_peak_value(self):
-        assert density(MATCHED, Q_CONST, 0.0, 0.0) == pytest.approx(
+        assert density(MATCHED, F_CONST, 0.0, 0.0) == pytest.approx(
             (2 * math.pi) ** -0.5, abs=1e-14
         )
 
@@ -97,8 +97,8 @@ class TestDensity:
         x = np.linspace(-6, 6, 41)
         for t in (0.0, 0.9, 2.2):
             np.testing.assert_allclose(
-                density(pk, Q_SIN, x, t),
-                density_closed_form(pk, Q_SIN, x, t),
+                density(pk, F_SIN, x, t),
+                density_closed_form(pk, F_SIN, x, t),
                 rtol=1e-12,
                 atol=1e-15,
             )
@@ -106,15 +106,15 @@ class TestDensity:
     def test_unit_norm_on_grid(self):
         grid = Grid1D(-20.0, 20.0, 2048)
         for t in (0.0, 1.0, 2.0):
-            rho = density(MATCHED, Q_CONST, grid.points, t)
+            rho = density(MATCHED, F_CONST, grid.points, t)
             assert np.sum(rho) * grid.spacing == pytest.approx(1.0, abs=1e-10)
 
     def test_peak_tracks_classical_center(self):
         grid = Grid1D(-20.0, 20.0, 2048)
         t = 1.3
-        rho = density(MATCHED, Q_CONST, grid.points, t)
+        rho = density(MATCHED, F_CONST, grid.points, t)
         x_peak = grid.points[int(np.argmax(rho))]
-        xc = float(x_c(MATCHED.classical, Q_CONST, t))
+        xc = float(x_c(MATCHED.classical, F_CONST, t))
         assert abs(x_peak - xc) <= grid.spacing
 
 
@@ -126,7 +126,7 @@ class TestWidths:
 
     def test_delta_x_matches_grid_moment(self):
         grid = Grid1D(-20.0, 20.0, 2048)
-        f = sample_gtwp(MATCHED, Q_CONST, grid, 1.3)
+        f = sample_gtwp(MATCHED, F_CONST, grid, 1.3)
         _, dx = grid_moments(f)
         assert abs(dx - delta_x(MATCHED, 1.3)) < 1e-6
 
@@ -139,7 +139,7 @@ class TestWidths:
         params = GaussianMomentumParams(sigma=1.0)
         grid = Grid1D(-20.0, 20.0, 2048)
         pgrid = conjugate_momentum_grid(grid, 1.0)
-        phi = sample_gaussian_momentum(params, 1.0, 1.0, Q_CONST, pgrid, 0.8)
+        phi = sample_gaussian_momentum(params, 1.0, 1.0, F_CONST, pgrid, 0.8)
         _, dp = grid_moments(phi)  # second moment on the momentum axis
         assert abs(dp - delta_p(MATCHED)) < 1e-6
 
@@ -164,37 +164,37 @@ class TestPlaneWave:
     PK = PacketState(1.0, 1.0, 0.0, 2.0, InvariantSpec(1.0, 0j), alpha0=0j)
 
     def test_free_plane_wave(self):
-        val = plane_wave_psi(self.PK, Q_ZERO, 2.0 + 0j, 1.3, 0.7)
+        val = plane_wave_psi(self.PK, F_ZERO, 2.0 + 0j, 1.3, 0.7)
         assert val == pytest.approx(cmath.exp(1j * (2 * 1.3 - 4 * 0.7 / 2)), abs=1e-12)
 
     def test_initial_condition_any_force(self):
-        for q in (Q_CONST, Q_SIN):
-            val = plane_wave_psi(self.PK, q, 2.0 + 0j, 0.9, 0.0)
+        for profile in (F_CONST, F_SIN):
+            val = plane_wave_psi(self.PK, profile, 2.0 + 0j, 0.9, 0.0)
             assert val == pytest.approx(cmath.exp(1j * 2.0 * 0.9), abs=1e-14)
 
     def test_phase_gradient_equals_momentum(self):
         pk = PacketState(1.0, 1.0, 0.0, 0.0, InvariantSpec(1.0, 0j), alpha0=0j)
         h = 1e-6
-        a = plane_wave_psi(pk, Q_CONST, 0j, 0.5 + h, 1.0)
-        b = plane_wave_psi(pk, Q_CONST, 0j, 0.5 - h, 1.0)
+        a = plane_wave_psi(pk, F_CONST, 0j, 0.5 + h, 1.0)
+        b = plane_wave_psi(pk, F_CONST, 0j, 0.5 - h, 1.0)
         grad = cmath.phase(a / b) / (2 * h)
-        assert grad == pytest.approx(float(Q_CONST.G(1.0)), abs=1e-8)
+        assert grad == pytest.approx(float(F_CONST.g(1.0)), abs=1e-8)
 
     def test_unit_modulus(self):
         for t in (0.0, 0.7, 2.0):
-            assert abs(plane_wave_psi(self.PK, Q_SIN, 2.0 + 0j, -1.1, t)) == pytest.approx(
+            assert abs(plane_wave_psi(self.PK, F_SIN, 2.0 + 0j, -1.1, t)) == pytest.approx(
                 1.0, abs=1e-12
             )
 
     def test_mode_guard(self):
         with pytest.raises(ModeMismatchError):
-            plane_wave_psi(MATCHED, Q_ZERO, 0j, 0.0, 0.0)
+            plane_wave_psi(MATCHED, F_ZERO, 0j, 0.0, 0.0)
 
     def test_phase_matches_phase_alpha(self):
         # the exact G2 phase against the general adaptive integral, at the
         # snapshot times of driven_plane_wave.ini and for a complex λ, A0, C0
         cfg = parse_config((CONFIGS / "driven_plane_wave.ini").read_text())
-        q = Quadratures.closed_form(cfg.profile)
+        profile = cfg.profile
         general = PacketState(
             1.0, 1.0, 0.0, 0.0, InvariantSpec(0.8 + 0.3j, 0j, 0.2 - 0.1j), alpha0=0.3 + 0.1j
         )
@@ -204,9 +204,12 @@ class TestPlaneWave:
         for pk, lam in cases:
             for t in g.dt * g.output_every * np.arange(g.n_steps // g.output_every + 1):
                 t = float(t)
-                alpha = phase_alpha(pk.spec, pk.classical, q, lam, pk.hbar, t, alpha0=pk.alpha0)
+                alpha = phase_alpha(
+                    pk.spec, pk.classical, profile, lam, pk.hbar, t, alpha0=pk.alpha0
+                )
                 # at x = 0 the plane wave is e^{iα(t)}
-                assert abs(plane_wave_psi(pk, q, lam, 0.0, t) - cmath.exp(1j * alpha)) <= 1e-13
+                psi = plane_wave_psi(pk, profile, lam, 0.0, t)
+                assert abs(psi - cmath.exp(1j * alpha)) <= 1e-13
 
 
 class TestMomentumSpace:
@@ -235,12 +238,12 @@ class TestMomentumSpace:
         params = GaussianMomentumParams(sigma=1.0)
         phi0 = lambda p: gaussian_phi0(params, 1.0, p)
         p, t = 0.7, 1.9
-        val = momentum_solution(phi0, Q_ZERO, 1.0, 1.0, p, t)
+        val = momentum_solution(phi0, F_ZERO, 1.0, 1.0, p, t)
         assert val == pytest.approx(phi0(p) * cmath.exp(-1j * p * p * t / 2), abs=1e-13)
 
     def test_initial_time(self):
         phi0 = lambda p: 1.0 / (1.0 + p * p)
-        assert momentum_solution(phi0, Q_SIN, 1.0, 1.0, 0.4, 0.0) == pytest.approx(
+        assert momentum_solution(phi0, F_SIN, 1.0, 1.0, 0.4, 0.0) == pytest.approx(
             phi0(0.4), abs=1e-14
         )
 
@@ -251,22 +254,22 @@ class TestMomentumSpace:
         for _ in range(50):
             p = float(rng.uniform(-4, 4))
             t = float(rng.uniform(0, 2))
-            a = momentum_solution(phi0, Q_CONST, 1.0, 1.0, p, t)
-            b = gaussian_phi_pt(params, 1.0, 1.0, Q_CONST, p, t)
+            a = momentum_solution(phi0, F_CONST, 1.0, 1.0, p, t)
+            b = gaussian_phi_pt(params, 1.0, 1.0, F_CONST, p, t)
             assert abs(a - b) < 1e-9
 
     def test_phi_pt_reduces_to_phi0(self):
         params = GaussianMomentumParams(sigma=1.2, x0=-0.5, p0=0.6)
         p = np.linspace(-3, 3, 13)
         np.testing.assert_allclose(
-            gaussian_phi_pt(params, 1.0, 1.0, Q_SIN, p, 0.0),
+            gaussian_phi_pt(params, 1.0, 1.0, F_SIN, p, 0.0),
             gaussian_phi0(params, 1.0, p),
             atol=1e-14,
         )
 
     def test_phi_pt_center_modulus(self):
         params = GaussianMomentumParams(sigma=1.0, p0=0.9)
-        val = gaussian_phi_pt(params, 1.0, 1.0, Q_ZERO, 0.9, 1.7)
+        val = gaussian_phi_pt(params, 1.0, 1.0, F_ZERO, 0.9, 1.7)
         assert abs(val) == pytest.approx((2 / math.pi) ** 0.25, abs=1e-13)
 
 
@@ -275,7 +278,7 @@ class TestFourierBridge:
         params = GaussianMomentumParams(sigma=1.4, x0=0.8, p0=-0.2)
         grid = Grid1D(-25.0, 25.0, 2048)
         pgrid = conjugate_momentum_grid(grid, 1.0)
-        phi = sample_gaussian_momentum(params, 1.0, 1.0, Q_ZERO, pgrid, 0.0)
+        phi = sample_gaussian_momentum(params, 1.0, 1.0, F_ZERO, pgrid, 0.0)
         psi = fourier_bridge(phi, 1.0, position_grid=grid)
         x = grid.points
         expected = (2 * math.pi * params.sigma**2) ** -0.25 * np.exp(
@@ -287,7 +290,7 @@ class TestFourierBridge:
         params = GaussianMomentumParams(sigma=0.7)
         grid = Grid1D(-20.0, 20.0, 1024)
         pgrid = conjugate_momentum_grid(grid, 1.0)
-        phi = sample_gaussian_momentum(params, 1.0, 1.0, Q_CONST, pgrid, 1.1)
+        phi = sample_gaussian_momentum(params, 1.0, 1.0, F_CONST, pgrid, 1.1)
         psi = fourier_bridge(phi, 1.0, position_grid=grid)
         norm_p = np.sum(np.abs(phi.values) ** 2) * pgrid.spacing
         norm_x = np.sum(np.abs(psi.values) ** 2) * grid.spacing
@@ -299,9 +302,9 @@ class TestFourierBridge:
         grid = Grid1D(-20.0, 20.0, 2048)
         pgrid = conjugate_momentum_grid(grid, 1.0)
         for t in (0.0, 1.0):
-            phi = sample_gaussian_momentum(params, 1.0, 1.0, Q_CONST, pgrid, t)
+            phi = sample_gaussian_momentum(params, 1.0, 1.0, F_CONST, pgrid, t)
             bridged = fourier_bridge(phi, 1.0, position_grid=grid)
-            direct = sample_gtwp(packet, Q_CONST, grid, t)
+            direct = sample_gtwp(packet, F_CONST, grid, t)
             assert np.max(np.abs(bridged.values - direct.values)) < 1e-8
             assert "aliasing" not in bridged.flags
 
@@ -310,14 +313,14 @@ class TestFourierBridge:
         params = GaussianMomentumParams(sigma=0.02)
         grid = Grid1D(-20.0, 20.0, 2048)
         pgrid = conjugate_momentum_grid(grid, 1.0)
-        phi = sample_gaussian_momentum(params, 1.0, 1.0, Q_ZERO, pgrid, 0.0)
+        phi = sample_gaussian_momentum(params, 1.0, 1.0, F_ZERO, pgrid, 0.0)
         assert "aliasing" in fourier_bridge(phi, 1.0, position_grid=grid).flags
 
     def test_default_position_grid_is_centered_conjugate(self):
         grid = Grid1D(-20.0, 20.0, 512)
         pgrid = conjugate_momentum_grid(grid, 1.0)
         phi = sample_gaussian_momentum(
-            GaussianMomentumParams(sigma=1.0), 1.0, 1.0, Q_ZERO, pgrid, 0.0
+            GaussianMomentumParams(sigma=1.0), 1.0, 1.0, F_ZERO, pgrid, 0.0
         )
         auto = fourier_bridge(phi, 1.0)
         explicit = fourier_bridge(phi, 1.0, position_grid=grid)
@@ -328,7 +331,7 @@ class TestFourierBridge:
         grid = Grid1D(-20.0, 20.0, 512)
         pgrid = conjugate_momentum_grid(grid, 1.0)
         phi = sample_gaussian_momentum(
-            GaussianMomentumParams(sigma=1.0), 1.0, 1.0, Q_ZERO, pgrid, 0.0
+            GaussianMomentumParams(sigma=1.0), 1.0, 1.0, F_ZERO, pgrid, 0.0
         )
         with pytest.raises(ValueError):
             fourier_bridge(phi, 1.0, position_grid=Grid1D(-10.0, 10.0, 512))
@@ -347,7 +350,7 @@ class TestMatching:
         expected = (2 * math.pi * params.sigma**2) ** -0.25 * np.exp(
             -((x + 0.4) ** 2) / (4 * params.sigma**2) + 1j * 1.1 * x
         )
-        np.testing.assert_allclose(gtwp_psi(packet, Q_SIN, x, 0.0), expected, atol=1e-12)
+        np.testing.assert_allclose(gtwp_psi(packet, F_SIN, x, 0.0), expected, atol=1e-12)
 
     def test_width_at_t0_is_sigma(self):
         for sigma in (0.5, 1.0, 2.3):
@@ -372,11 +375,11 @@ def test_alpha_route_reproduces_packet():
     offset = spec.B0 * pk.x0**2 / (2.0 * pk.hbar * spec.A0)
     x = np.linspace(-3, 3, 11)
     for t in (0.0, 0.7, 1.9):
-        alpha = phase_alpha(spec, pk.classical, Q_CONST, lam, 1.0, t, pk.alpha0 - offset)
-        c = coeffs_at(spec, 1.0, Q_CONST, t)
+        alpha = phase_alpha(spec, pk.classical, F_CONST, lam, 1.0, t, pk.alpha0 - offset)
+        c = coeffs_at(spec, 1.0, F_CONST, t)
         phi = np.exp(1j * ((2 * (lam - c.C) * x - spec.B0 * x**2) / (2 * c.A)))
         np.testing.assert_allclose(
-            np.exp(1j * alpha) * phi, gtwp_psi(pk, Q_CONST, x, t), atol=1e-12
+            np.exp(1j * alpha) * phi, gtwp_psi(pk, F_CONST, x, t), atol=1e-12
         )
 
 
@@ -387,9 +390,9 @@ def test_plane_wave_superposition_rebuilds_packet():
     x = np.linspace(-15.0, 15.0, 101)
     t = 1.5
     total = plane_wave_superposition(
-        1.0, 1.0, Q_ZERO, lambda p: gaussian_phi0(params, 1.0, p), p0s, x, t
+        1.0, 1.0, F_ZERO, lambda p: gaussian_phi0(params, 1.0, p), p0s, x, t
     )
-    direct = gtwp_psi(packet, Q_ZERO, x, t)
+    direct = gtwp_psi(packet, F_ZERO, x, t)
     rel = np.linalg.norm(total - direct) / np.linalg.norm(direct)
     assert rel < 1e-6
 
@@ -404,6 +407,6 @@ def test_analytic_norm():
 
 def test_negative_time_rejected():
     with pytest.raises(ValueError):
-        gtwp_psi(MATCHED, Q_ZERO, 0.0, -0.5)
+        gtwp_psi(MATCHED, F_ZERO, 0.0, -0.5)
     with pytest.raises(ValueError):
-        momentum_solution(lambda p: p, Q_ZERO, 1.0, 1.0, 0.0, -1.0)
+        momentum_solution(lambda p: p, F_ZERO, 1.0, 1.0, 0.0, -1.0)
