@@ -14,8 +14,6 @@ from .errors import (
     ModeMismatchError,
     OutOfDomainError,
     PositionBranchError,
-    QuadratureError,
-    SingularIntegrandError,
     UnphysicalInvariantError,
 )
 from .fields import Grid1D, Space, WaveField, conjugate_momentum_grid
@@ -45,7 +43,6 @@ from .oracle import (
     propagate_cranknicolson,
     propagate_splitstep,
 )
-from .quadrature import adaptive_simpson
 from .wavepacket import (
     GaussianMomentumParams,
     MatchedParameters,

@@ -9,17 +9,6 @@ class OutOfDomainError(LrwpError):
     """Evaluation time lies outside a tabulated profile's domain."""
 
 
-class QuadratureError(LrwpError):
-    """Adaptive quadrature could not reach the requested tolerance.
-
-    ``residual`` holds the error estimate that was actually achieved.
-    """
-
-    def __init__(self, message: str, residual: float | None = None):
-        super().__init__(message)
-        self.residual = residual
-
-
 class PositionBranchError(LrwpError):
     """A0 = 0 selects position eigenfunctions, which this solver does not support."""
 
@@ -34,10 +23,6 @@ class DivergentDensityError(LrwpError):
 
 class ModeMismatchError(LrwpError):
     """Operation invoked on a packet of the wrong kind (wave packet vs plane wave)."""
-
-
-class SingularIntegrandError(LrwpError):
-    """A(t) crosses zero inside an integration range."""
 
 
 class InstabilityError(LrwpError):

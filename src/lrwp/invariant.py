@@ -11,23 +11,21 @@ Gaussian packets, F0 = 0 gives driven plane waves, and Im(F0) = 0 with
 F0 ≠ 0 is rejected because the density would collapse and diverge at
 t = m/F0. The operator is deliberately allowed to be non-Hermitian; no
 Hermiticity is ever assumed or enforced.
+
+An eigenfunction φ_λ of I(t) times e^{iα(t)} solves the Schrödinger equation;
+:func:`phase_alpha` is this Lewis–Riesenfeld phase α(t), in closed form.
 """
 
+import cmath
 import enum
 from dataclasses import dataclass
 
 import numpy as np
 
 from .classical import ClassicalState
-from .errors import (
-    DivergentDensityError,
-    PositionBranchError,
-    SingularIntegrandError,
-    UnphysicalInvariantError,
-)
+from .errors import DivergentDensityError, PositionBranchError, UnphysicalInvariantError
 from .fields import WaveField, boundary_amplitude, spectral_derivative
 from .forcing import ForceProfile
-from .quadrature import adaptive_simpson
 
 __all__ = [
     "PacketMode",
@@ -156,26 +154,33 @@ def phase_alpha(
     hbar: float,
     t: float,
     alpha0: complex = 0j,
-    tol: float = 1e-12,
 ) -> complex:
-    """Time-dependent phase α(t) of the evolving eigenfunction.
+    """Time-dependent phase α(t) of the evolving eigenfunction, in closed form.
 
-    α(t) = α(0) − ∫₀ᵗ [(λ − C(τ))² + iħ·B0·A(τ)] / (2mħ·A(τ)²) dτ,
-    with the complex integrand integrated adaptively (real and imaginary
-    parts share one subdivision). In general α(t) is complex.
+    α(t) = α(0) − ∫₀ᵗ [(λ − C(τ))² + iħ·B0·A(τ)] / (2mħ·A(τ)²) dτ.
+
+    With u = (λ − C0)/A0 and a = A(t)/A0 = 1 − F0·t/m, λ − C(τ) equals
+    A(τ)·p̃ + B0·x̃ along the classical path p̃ = u + G, x̃ = (u·τ + G1)/m.
+    The integrand then splits into p̃²/(2mħ), (B0/2ħ)·d/dτ[x̃²/A] and
+    iB0/(2mA), so
+
+    α(t) = α(0) − (u²t + 2u·G1 + G2)/(2mħ) − F0·(u·t + G1)²/(2m²ħ·a)
+           + (i/2)·ln a.
+
+    Im F0 ≤ 0 keeps a in the closed upper half plane, where the principal
+    logarithm is the continuous branch from ln 1 = 0; and a ≠ 0 because a
+    real F0 ≠ 0 is rejected. At F0 = 0 the last two terms vanish. In
+    general α(t) is complex.
     """
     if t < 0:
         raise ValueError("negative time")
     m = state.m
-    if spec.B0 != 0:
-        t_zero = m * spec.A0 / spec.B0  # A(t_zero) = 0
-        if abs(t_zero.imag) < 1e-15 * max(1.0, abs(t_zero.real)) and 0.0 <= t_zero.real <= t:
-            raise SingularIntegrandError(
-                f"A(t) vanishes at t = {t_zero.real:g} inside [0, {t:g}]"
-            )
-
-    def integrand(tau: float) -> complex:
-        c = coeffs_at(spec, m, profile, tau)
-        return ((lam - c.C) ** 2 + 1j * hbar * spec.B0 * c.A) / (2.0 * m * hbar * c.A**2)
-
-    return alpha0 - adaptive_simpson(integrand, 0.0, t, tol)
+    u = (lam - spec.C0) / spec.A0
+    g1 = profile.g1(t)
+    a = 1.0 - spec.F0 * t / m
+    return (
+        alpha0
+        - (u * u * t + 2.0 * u * g1 + profile.g2(t)) / (2.0 * m * hbar)
+        - spec.F0 * (u * t + g1) ** 2 / (2.0 * m * m * hbar * a)
+        + 0.5j * cmath.log(a)
+    )

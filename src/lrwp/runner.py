@@ -294,8 +294,9 @@ def run_sweep(cfg: RunConfig, out_dir, jobs: int | None = None) -> list[list]:
     axis = cfg.sweep_axis
     tasks = [(axis, value, cfg, str(out / sweep_case_name(axis, value)))
              for value in cfg.sweep_values]
-    jobs = jobs or os.cpu_count() or 1
-    if jobs == 1 or len(tasks) == 1:
+    # the pool forks all of its workers up front, so never ask for more than cases
+    jobs = min(jobs or os.cpu_count() or 1, len(tasks))
+    if jobs <= 1:
         results = [_run_sweep_case(t) for t in tasks]
     else:
         results = []

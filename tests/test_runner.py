@@ -1,3 +1,4 @@
+import concurrent.futures
 import math
 import os
 import stat
@@ -300,6 +301,37 @@ class TestSweep:
         assert rows[1][-1] == "error:BrokenProcessPool"
         assert all(r[-1] in ("ok", "error:BrokenProcessPool") for r in rows)
         assert [r[-1] for r in results] == [r[-1] for r in rows]
+
+    @pytest.mark.parametrize("jobs, cpus, workers", [(10_000, 1, 4), (None, 64, 4), (2, 1, 2)])
+    def test_pool_never_outnumbers_the_cases(self, tmp_path, monkeypatch, jobs, cpus, workers):
+        # the fake pool runs each case inline, so no process is ever started
+        started = []
+
+        class InlinePool:
+            def __init__(self, max_workers):
+                started.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def submit(self, fn, *args):
+                future = concurrent.futures.Future()
+                future.set_result(fn(*args))
+                return future
+
+        monkeypatch.setattr(runner.concurrent.futures, "ProcessPoolExecutor", InlinePool)
+        monkeypatch.setattr(runner.os, "cpu_count", lambda: cpus)
+        cfg = parse_config(
+            SMALL_GRID
+            + "[run]\nmode = sweep\nsweep_axis = sigma\nsweep_values = 0.5, 1, 1.5, 2\n"
+            "sweep_mode = analytic\n"
+        )
+        results = run_sweep(cfg, tmp_path, jobs=jobs)
+        assert started == [workers]
+        assert [r[-1] for r in results] == ["ok"] * 4
 
     def test_threshold_violations_keep_their_metrics(self, tmp_path):
         # dt = 5e-2 completes but breaks the L2 gate; the sweep should still

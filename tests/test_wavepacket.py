@@ -43,6 +43,7 @@ from lrwp.wavepacket import (
     spreading_time,
     uncertainty_product,
 )
+from simpson_reference import adaptive_simpson, phase_reference
 
 F_ZERO = ZeroForce()
 F_CONST = ConstantForce(1.0)
@@ -191,8 +192,9 @@ class TestPlaneWave:
             plane_wave_psi(MATCHED, F_ZERO, 0j, 0.0, 0.0)
 
     def test_phase_matches_phase_alpha(self):
-        # the exact G2 phase against the general adaptive integral, at the
-        # snapshot times of driven_plane_wave.ini and for a complex λ, A0, C0
+        # the plane wave's closed-form phase against the adaptive integral of
+        # the LR phase, at the snapshot times of driven_plane_wave.ini and for
+        # a complex λ, A0, C0
         cfg = parse_config((CONFIGS / "driven_plane_wave.ini").read_text())
         profile = cfg.profile
         general = PacketState(
@@ -204,7 +206,7 @@ class TestPlaneWave:
         for pk, lam in cases:
             for t in g.dt * g.output_every * np.arange(g.n_steps // g.output_every + 1):
                 t = float(t)
-                alpha = phase_alpha(
+                alpha = phase_reference(
                     pk.spec, pk.classical, profile, lam, pk.hbar, t, alpha0=pk.alpha0
                 )
                 # at x = 0 the plane wave is e^{iα(t)}
@@ -226,8 +228,6 @@ class TestMomentumSpace:
         )
 
     def test_phi0_unit_norm_by_quadrature(self):
-        from lrwp.quadrature import adaptive_simpson
-
         params = GaussianMomentumParams(sigma=0.8, x0=0.2, p0=-0.4)
         val = adaptive_simpson(
             lambda p: abs(gaussian_phi0(params, 1.0, p)) ** 2, -12.0, 12.0, 1e-13
