@@ -30,10 +30,13 @@ from .oracle import INITIAL_NORM_TOL, GridSpec
 from .wavepacket import (GaussianMomentumParams, PacketState, analytic_norm_sq, delta_x,
                          matched_packet)
 
-__all__ = ["RunMode", "RunConfig", "parse_config", "check_containment", "apply_sweep_value",
-           "sweep_case_name"]
+__all__ = ["MAX_ROWS", "RunMode", "RunConfig", "parse_config", "check_containment",
+           "apply_sweep_value", "sweep_case_name"]
 
 CONTAINMENT_WIDTHS = 8.0
+# b1 `analytic` writes 411 648 CSV rows, 48 MB in about 2 s. 10⁸ rows, summed over
+# sweep cases, are some 12 GB and 10 min of formatting on a 2-vCPU x86 VM.
+MAX_ROWS = 10**8
 
 
 class RunMode(enum.Enum):
@@ -334,7 +337,28 @@ def parse_config(text: str, mode_override: str | None = None) -> RunConfig:
             raise ConfigError("sweep mode needs sweep_axis and sweep_values")
         if sweep_axis not in {"sigma", "F0_imag", "dt", "n", "force_amplitude"}:
             raise ConfigError(f"unknown sweep axis {sweep_axis!r}")
+    rows = _rows_to_write(cfg)
+    if rows > MAX_ROWS:
+        line = min((ln for _, ln in gsec.values()), default=0)
+        raise ConfigError(
+            f"the run writes {rows:.6g} CSV rows, above the limit of {MAX_ROWS}", line or None
+        )
     return cfg
+
+
+def _rows_to_write(cfg: RunConfig) -> int:
+    """CSV rows a run writes: snapshots × n in analytic mode, snapshots otherwise,
+    summed over the sweep cases that can be built."""
+    if cfg.mode is RunMode.SWEEP:
+        total = 0
+        for value in cfg.sweep_values:
+            try:
+                total += _rows_to_write(apply_sweep_value(cfg, cfg.sweep_axis, value))
+            except (LrwpError, ValueError):
+                pass
+        return total
+    snapshots = cfg.grid.n_steps // cfg.grid.output_every + 1
+    return snapshots * cfg.grid.n if cfg.mode is RunMode.ANALYTIC else snapshots
 
 
 def sweep_case_name(axis: str, value: float) -> str:

@@ -68,6 +68,9 @@ def test_config_error_exit_two(tmp_path, capsys):
          "line 2: t_max / dt is 1e+12 steps, above the limit of 10000000"),
         ("validate", "[grid]\ndt = 1e-300\nt_max = 1\noutput_every = 1\n",
          "line 2: t_max / dt is 1e+300 steps, above the limit of 10000000"),
+        # 10⁷ steps pass, but 10⁷ + 1 snapshots of 256 rows are some 300 GB of CSV
+        ("analytic", "[grid]\nn = 256\ndt = 1e-7\nt_max = 1\noutput_every = 1\n",
+         "line 2: the run writes 2.56e+09 CSV rows, above the limit of 100000000"),
     ]
     for mode, text, message in cases:
         cfg = _write(tmp_path, text)

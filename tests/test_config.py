@@ -1,6 +1,6 @@
 import pytest
 
-from lrwp.config import RunMode, apply_sweep_value, parse_config
+from lrwp.config import MAX_ROWS, RunMode, apply_sweep_value, parse_config
 from lrwp.errors import ConfigError
 from lrwp.forcing import (
     ConstantForce,
@@ -209,6 +209,39 @@ class TestModeValidation:
         text = f"[run]\nmode = sweep\nsweep_axis = dt\nsweep_values = {values}\n"
         with pytest.raises(ConfigError, match=r"line 4: sweep values \[.*\] share a case"):
             parse_config(text)
+
+
+class TestRowBound:
+    # 10⁷ steps with a snapshot each: 10⁷ + 1 rows in every mode but analytic
+    LONG = "[grid]\nn = 256\ndt = 1e-7\nt_max = 1\noutput_every = 1\n"
+
+    def test_analytic_counts_snapshots_times_n(self):
+        with pytest.raises(ConfigError, match=r"line 2: the run writes 2\.56e\+09 CSV rows"):
+            parse_config(self.LONG + "[run]\nmode = analytic\n")
+        assert parse_config(self.LONG + "[run]\nmode = momentum\n").grid.n_steps == 10**7
+
+    def test_sweep_multiplies_by_cases(self):
+        # validate cases write only their snapshots: 9·(10⁷ + 1) rows pass, 10 cases do not
+        def sweep(cases):
+            values = ", ".join(str(1.0 + 0.1 * k) for k in range(cases))
+            run = f"[run]\nmode = sweep\nsweep_axis = sigma\nsweep_values = {values}\n"
+            return self.LONG + run
+
+        assert 9 * (10**7 + 1) <= MAX_ROWS < 10 * (10**7 + 1)
+        parse_config(sweep(9))
+        with pytest.raises(ConfigError, match=r"line 2: the run writes 1e\+08 CSV rows"):
+            parse_config(sweep(10))
+
+    def test_sweep_counts_each_case_grid(self):
+        # three times the base grid's 1001 × 256 rows would pass; dt = 1e-6 alone
+        # writes 2.56e8, and the invalid dt = -0.0 writes no snapshots
+        text = (
+            "[grid]\nn = 256\nt_max = 1\noutput_every = 1\n[run]\nmode = sweep\n"
+            "sweep_axis = dt\nsweep_mode = analytic\nsweep_values = 1e-3, -0.0, "
+        )
+        parse_config(text + "1e-5\n")
+        with pytest.raises(ConfigError, match=r"line 2: the run writes 2\.56257e\+08 CSV rows"):
+            parse_config(text + "1e-6\n")
 
 
 def test_mode_override_applies():

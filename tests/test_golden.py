@@ -15,6 +15,11 @@ The driven plane-wave observables (1 cell, 2.2e-16) and snapshots (2523
 cells, at most 7.1e-15) were retaken again when the sinusoidal G and G1
 stopped cancelling at small ωt: they are now built from sin²(ωt/2) and
 ωt − sin ωt directly.
+
+Two validate runs pin the oracles under a force that depends on time: a
+sinusoidal one, whose Crank–Nicolson matrix changes every step, and a
+tabulated one that is flat up to t = 0.25 and then slopes, so the run has
+steps where the force stays the same and steps where it changes.
 """
 
 import hashlib
@@ -35,6 +40,11 @@ SMALL_B1 = (
     .replace("t_max = 2.0", "t_max = 0.5")
     .replace("output_every = 10", "output_every = 50")
 )
+CONSTANT = "kind = constant\namplitude = 1.0"
+SMALL_SINUSOIDAL = SMALL_B1.replace(
+    CONSTANT, "kind = sinusoidal\namplitude = 1.0\nomega = 2.0\nphase = 0.3"
+)
+SMALL_TABULATED = SMALL_B1.replace(CONSTANT, "kind = tabulated\nsamples = 0:1, 0.25:1, 0.5:0.5")
 # -0.0 is an invalid dt: its row carries nan cells and a -0.0 value
 SMALL_B1_SWEEP = SMALL_B1.replace(
     "mode = validate",
@@ -52,6 +62,10 @@ GOLDEN = {
         "24c676154dbb735c51f6426de5049dabc7b6b53c04323a2da43ecce75f2e5cd6",
     ("small_b1_validate", "observables.csv"):
         "5a6fa3af057aa0e44842167418a73400b89290f32be908958dcb1b2250ce28f5",
+    ("small_sinusoidal_validate", "observables.csv"):
+        "b975364efd278b50d9126e07280a27774b4793938153f81689e54aba7e810692",
+    ("small_tabulated_validate", "observables.csv"):
+        "ca09814f594cb860af926f81c9c24f394161df954a93d8ceb933f08622cf8b06",
     ("small_b1_momentum", "comparison.csv"):
         "93b69bb1c4adb9ed60c69eed3ad838dab3379aca17561f5c5c0114690e777e76",
     ("small_b1_sweep", "sweep_summary.csv"):
@@ -64,6 +78,10 @@ def _run(run: str, out: Path) -> None:
         run_analytic(parse_config((CONFIGS / f"{run}.ini").read_text()), out)
     elif run == "small_b1_validate":
         run_validate(parse_config(SMALL_B1), out)
+    elif run == "small_sinusoidal_validate":
+        run_validate(parse_config(SMALL_SINUSOIDAL), out)
+    elif run == "small_tabulated_validate":
+        run_validate(parse_config(SMALL_TABULATED), out)
     elif run == "small_b1_momentum":
         run_momentum(parse_config(SMALL_B1, mode_override="momentum"), out)
     else:

@@ -1,9 +1,16 @@
 import numpy as np
 import pytest
 
+from lrwp import oracle
 from lrwp.errors import AliasingError, DegenerateFieldError, InstabilityError
 from lrwp.fields import Grid1D, Space, WaveField, l2_error
-from lrwp.forcing import ConstantForce, SinusoidalForce, ZeroForce
+from lrwp.forcing import (
+    ConstantForce,
+    ForceProfile,
+    PiecewiseLinearForce,
+    SinusoidalForce,
+    ZeroForce,
+)
 from lrwp.invariant import InvariantCoefficients, coeffs_at
 from lrwp.oracle import (
     MAX_STEPS,
@@ -13,7 +20,8 @@ from lrwp.oracle import (
     propagate_cranknicolson,
     propagate_splitstep,
 )
-from lrwp.oracle import _checked  # exercised directly: unreachable via unitary runs
+# exercised directly: unreachable via unitary runs
+from lrwp.oracle import _check_boundary, _checked
 from lrwp.wavepacket import (
     GaussianMomentumParams,
     matched_packet,
@@ -132,6 +140,91 @@ class TestGuards:
         field = WaveField(grid=grid, t=0.5, values=psi, space=Space.POSITION)
         with pytest.raises(InstabilityError):
             _checked(field, norm0=1.0)
+
+
+class NanAfter(ForceProfile):
+    """F = 1 up to t = 0.004, nan after it."""
+
+    def force(self, t):
+        return np.where(np.asarray(t, dtype=float) > 0.004, np.nan, 1.0)
+
+
+class TestNonFinite:
+    @pytest.mark.parametrize("propagator", [propagate_splitstep, propagate_cranknicolson])
+    def test_nan_force_raises_at_the_step_it_appears(self, propagator):
+        # split-step kicks with F(0.005) at the end of step 5, CN samples F(0.0045) in it
+        spec = GridSpec(-20.0, 20.0, 256, 1e-3, 0.01)
+        initial = sample_gtwp(PACKET, ConstantForce(1.0), spec.grid, 0.0)
+        frames = propagator(initial, NanAfter(), M, HBAR, spec)
+        with pytest.raises(InstabilityError, match=r"^non-finite field at t=0\.005$"):
+            for f in frames:
+                assert f.t < 0.0045
+
+    def test_guards_reject_nan(self):
+        with pytest.raises(InstabilityError, match="non-finite"):
+            _check_boundary(np.array([0.0, np.nan]), 0.5)
+        with pytest.raises(InstabilityError, match="non-finite"):
+            _check_boundary(np.array([np.inf, 1.0]), 0.5)  # not an aliasing report
+        grid = Grid1D(-10.0, 10.0, 256)
+        psi = np.exp(-(grid.points**2)).astype(complex)
+        psi[128] = np.nan  # the boundary is clean, the norm is not
+        field = WaveField(grid=grid, t=0.5, values=psi, space=Space.POSITION)
+        with pytest.raises(InstabilityError, match="norm drift nan"):
+            _checked(field, norm0=1.0)
+
+
+class TestFactorOnChange:
+    SPEC = GridSpec(-20.0, 20.0, 256, 1e-3, 0.5, output_every=100)
+
+    def _factorizations(self, monkeypatch, profile):
+        calls = []
+        factor = oracle.zgbtrf
+
+        def counting(*args, **kwargs):
+            calls.append(args)
+            return factor(*args, **kwargs)
+
+        monkeypatch.setattr(oracle, "zgbtrf", counting)
+        _run(propagate_cranknicolson, profile, self.SPEC)
+        return len(calls)
+
+    @pytest.mark.parametrize("profile", [ConstantForce(1.0), ZeroForce()], ids=repr)
+    def test_constant_force_factors_once(self, monkeypatch, profile):
+        assert self._factorizations(monkeypatch, profile) == 1
+
+    def test_sinusoidal_force_factors_every_step(self, monkeypatch):
+        count = self._factorizations(monkeypatch, SinusoidalForce(1.0, 2.0, 0.3))
+        assert count == self.SPEC.n_steps
+
+    @pytest.mark.parametrize("block", [oracle.FORCE_BLOCK, 7])
+    def test_flat_then_sloped_force_factors_once_per_sloped_step(self, monkeypatch, block):
+        monkeypatch.setattr(oracle, "FORCE_BLOCK", block)
+        profile = PiecewiseLinearForce(((0.0, 1.0), (0.25, 1.0), (0.5, 0.5)))
+        t_mid = (np.arange(self.SPEC.n_steps) + 0.5) * self.SPEC.dt
+        sloped = int(np.sum(t_mid > 0.25))
+        assert sloped == 250
+        assert self._factorizations(monkeypatch, profile) == 1 + sloped
+
+    @pytest.mark.parametrize("propagator", [propagate_splitstep, propagate_cranknicolson])
+    def test_force_block_seams_change_nothing(self, monkeypatch, propagator):
+        # blocks of 7 steps put seams inside both the flat and the sloped segment
+        profile = PiecewiseLinearForce(((0.0, 1.0), (0.25, 1.0), (0.5, 0.5)))
+        initial = sample_gtwp(PACKET, profile, self.SPEC.grid, 0.0)
+        whole = list(propagator(initial, profile, M, HBAR, self.SPEC))
+        monkeypatch.setattr(oracle, "FORCE_BLOCK", 7)
+        blocks = list(propagator(initial, profile, M, HBAR, self.SPEC))
+        assert [f.values.tobytes() for f in whole] == [f.values.tobytes() for f in blocks]
+
+    @pytest.mark.parametrize("propagator", [propagate_splitstep, propagate_cranknicolson])
+    def test_constant_and_flat_piecewise_give_the_same_bytes(self, propagator):
+        initial = sample_gtwp(PACKET, ZeroForce(), self.SPEC.grid, 0.0)
+        flat = PiecewiseLinearForce(((0.0, 0.7), (self.SPEC.t_max, 0.7)))
+        a = list(propagator(initial, ConstantForce(0.7), M, HBAR, self.SPEC))
+        b = list(propagator(initial, flat, M, HBAR, self.SPEC))
+        assert len(a) == len(b) == 6
+        for fa, fb in zip(a, b):
+            assert fa.t == fb.t
+            assert fa.values.tobytes() == fb.values.tobytes()
 
 
 class TestObservables:

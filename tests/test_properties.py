@@ -1,4 +1,8 @@
-"""Property tests over randomly drawn force profiles and packets."""
+"""Property tests over randomly drawn force profiles and packets.
+
+``conftest.py`` loads the Hypothesis profile: derandomized, no deadline, and
+no examples drawn from literals in the loaded modules.
+"""
 
 import cmath
 import math
@@ -69,7 +73,7 @@ def _time(profile, fraction):
     return fraction * end
 
 
-@settings(max_examples=100, deadline=None, derandomize=True)
+@settings(max_examples=100)
 @given(profile=profiles, fraction=st.floats(0.0, 1.0))
 # ω = 0.1, φ = π, t = 3: expanding (cos φ − cos(ωt+φ))² term by term loses 2.7e-12 here
 @example(profile=SinusoidalForce(3.0, 0.1, math.pi), fraction=0.3)
@@ -80,7 +84,7 @@ def test_g2_closed_form_matches_simpson(profile, fraction):
     assert abs(closed - numeric) <= 1e-12 * max(1.0, abs(closed))
 
 
-@settings(max_examples=100, deadline=None, derandomize=True)
+@settings(max_examples=100)
 @given(profile=profiles, fraction=st.floats(0.0, 1.0))
 # ω = −0.1, φ = π, t = 0.1: cos φ − cos(ωt+φ) and its integral cancel to 1e-4 of a term
 @example(profile=SinusoidalForce(3.0, -0.1, math.pi), fraction=0.01)
@@ -91,7 +95,7 @@ def test_g_and_g1_closed_forms_match_simpson(profile, fraction):
         assert abs(closed - simpson_reference(profile, name, t)) <= 1e-12 * max(1.0, abs(closed))
 
 
-@settings(max_examples=100, deadline=None, derandomize=True)
+@settings(max_examples=100)
 @given(
     m=st.floats(0.1, 10.0),
     hbar=st.floats(0.1, 10.0),
@@ -116,8 +120,7 @@ def test_uncertainty_product_is_minimal_at_re_m_over_f0(m, hbar, f0_re, f0_im, x
 
 # The Simpson reference costs about 0.2 s an example: 15 keep the test near 5 s,
 # and shrinking a failure would run it for minutes, so a failure is reported as drawn.
-@settings(max_examples=15, deadline=None, derandomize=True,
-          phases=(Phase.explicit, Phase.reuse, Phase.generate))
+@settings(max_examples=15, phases=(Phase.explicit, Phase.reuse, Phase.generate))
 @given(
     profile=profiles,
     fraction=st.floats(0.0, 1.0),
@@ -140,7 +143,7 @@ def test_phase_alpha_matches_simpson(profile, fraction, a0, c0, f0, lam, m, hbar
     assert abs(alpha - reference) <= 1e-12 * max(1.0, abs(alpha))
 
 
-@settings(max_examples=100, deadline=None, derandomize=True)
+@settings(max_examples=100)
 @given(
     profile=profiles,
     fraction=st.floats(0.0, 1.0),
