@@ -30,38 +30,29 @@ from .invariant import (
     PacketMode,
     apply_invariant,
     coeffs_at,
-    eigen_residual,
     eigenvalue,
     phase_alpha,
 )
 from .oracle import (
-    EhrenfestReport,
     GridSpec,
     ObservableRecord,
-    ehrenfest_check,
     observables,
     propagate_cranknicolson,
     propagate_splitstep,
 )
 from .wavepacket import (
     GaussianMomentumParams,
-    MatchedParameters,
     PacketState,
     analytic_norm_sq,
     delta_p,
     delta_x,
-    density,
-    density_closed_form,
     fourier_bridge,
     gaussian_phi0,
-    gaussian_phi_pt,
     gtwp_psi,
-    match_parameters,
     matched_packet,
     min_uncertainty_time,
     momentum_solution,
     plane_wave_psi,
-    plane_wave_superposition,
     sample_gaussian_momentum,
     sample_gtwp,
     spreading_time,

@@ -16,7 +16,7 @@ import enum
 import math
 from dataclasses import dataclass, replace
 
-from .classical import ClassicalState, x_c
+from .classical import x_c
 from .errors import ConfigError, ContainmentError, LrwpError, OutOfDomainError
 from .forcing import (
     ConstantForce,
@@ -227,8 +227,7 @@ def check_containment(cfg: RunConfig) -> None:
     """Validate-mode guard: the box must hold x_c(t_max) ± 8·Δx(t_max)."""
     if cfg.packet.mode is not PacketMode.GTWP:
         return
-    cl = ClassicalState(m=cfg.m, x0=cfg.packet.x0, p0=cfg.packet.p0)
-    xc = float(x_c(cl, cfg.profile, cfg.grid.t_max))
+    xc = float(x_c(cfg.packet.classical, cfg.profile, cfg.grid.t_max))
     margin = CONTAINMENT_WIDTHS * delta_x(cfg.packet, cfg.grid.t_max)
     if xc - margin < cfg.grid.x_min or xc + margin > cfg.grid.x_max:
         raise ContainmentError(

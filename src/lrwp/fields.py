@@ -19,7 +19,6 @@ __all__ = [
     "wavenumbers",
     "spectral_derivative",
     "field_norm",
-    "l2_distance",
     "l2_error",
     "grid_moments",
     "momentum_moments",
@@ -99,10 +98,6 @@ def field_norm(f: WaveField) -> float:
     return float(np.sqrt(np.sum(np.abs(f.values) ** 2) * f.grid.spacing))
 
 
-def l2_distance(a: WaveField, b: WaveField) -> float:
-    return float(np.sqrt(np.sum(np.abs(a.values - b.values) ** 2) * a.grid.spacing))
-
-
 def l2_error(f: WaveField, reference: WaveField) -> float:
     """‖f − ref‖ / ‖ref‖ on a shared grid."""
     if f.grid != reference.grid:
@@ -110,7 +105,8 @@ def l2_error(f: WaveField, reference: WaveField) -> float:
     ref_norm = field_norm(reference)
     if ref_norm == 0.0:
         raise DegenerateFieldError("reference field has zero norm")
-    return l2_distance(f, reference) / ref_norm
+    diff = np.sqrt(np.sum(np.abs(f.values - reference.values) ** 2) * f.grid.spacing)
+    return float(diff) / ref_norm
 
 
 def grid_moments(f: WaveField) -> tuple[float, float]:

@@ -20,8 +20,6 @@ import cmath
 import enum
 from dataclasses import dataclass
 
-import numpy as np
-
 from .classical import ClassicalState
 from .errors import DivergentDensityError, PositionBranchError, UnphysicalInvariantError
 from .fields import WaveField, boundary_amplitude, spectral_derivative
@@ -34,7 +32,6 @@ __all__ = [
     "coeffs_at",
     "eigenvalue",
     "apply_invariant",
-    "eigen_residual",
     "phase_alpha",
 ]
 
@@ -120,30 +117,6 @@ def apply_invariant(coeffs: InvariantCoefficients, field: WaveField, hbar: float
     if boundary_amplitude(field) >= BOUNDARY_SUPPORT_TOL and "boundary_contamination" not in flags:
         flags = flags + ("boundary_contamination",)
     return WaveField(grid=field.grid, t=field.t, values=values, space=field.space, flags=flags)
-
-
-def eigen_residual(
-    coeffs: InvariantCoefficients, field: WaveField, lam: complex, hbar: float
-) -> float:
-    """Relative eigen-equation residual ‖Iψ − λψ‖ / scale.
-
-    The scale is max(‖λψ‖, ‖A·p̂ψ‖ + ‖B·x̂ψ‖ + |C|·‖ψ‖) so the measure stays
-    meaningful when λ = 0 (which happens for packets launched from the
-    phase-space origin with C0 = 0).
-    """
-    dx = field.grid.spacing
-    x = field.grid.points
-    dpsi = spectral_derivative(field.values, field.grid)
-
-    def l2(v):
-        return float(np.sqrt(np.sum(np.abs(v) ** 2) * dx))
-
-    norm_psi = l2(field.values)
-    term_p = abs(coeffs.A) * hbar * l2(dpsi)
-    term_x = abs(coeffs.B) * l2(x * field.values)
-    scale = max(abs(lam) * norm_psi, term_p + term_x + abs(coeffs.C) * norm_psi)
-    iv = apply_invariant(coeffs, field, hbar)
-    return l2(iv.values - lam * field.values) / scale
 
 
 def phase_alpha(

@@ -12,7 +12,7 @@ Both methods have O(dt²) global time error. The linear potential is
 unbounded, so runs must end before the packet nears the box edge; the
 boundary amplitude is checked every step and norm drift at every snapshot.
 A field that turns nan or inf fails the same checks. ``GridSpec`` caps a run
-at ``MAX_STEPS`` time steps.
+at ``MAX_STEPS`` time steps and ``MAX_POINTS`` grid points.
 
 Each step does only the work that changes. The force is sampled in blocks of
 ``FORCE_BLOCK`` steps, one vectorized ``profile.force`` call per block, and
@@ -51,11 +51,9 @@ from .invariant import InvariantCoefficients, apply_invariant
 __all__ = [
     "GridSpec",
     "ObservableRecord",
-    "EhrenfestReport",
     "propagate_splitstep",
     "propagate_cranknicolson",
     "observables",
-    "ehrenfest_check",
 ]
 
 NORM_DRIFT_TOL = 1e-8
@@ -65,6 +63,10 @@ BOUNDARY_TOL = 1e-10
 # about 100 µs of CPU under a constant force and 300–400 µs under one that changes
 # every step, so 10⁷ steps would run 15 min to 1 h; the snapshot count grows with them.
 MAX_STEPS = 10**7
+# The Crank–Nicolson operands (bands, LU factors with fill-in, right-hand side and
+# temporaries) take about 440 B per point, a whole validate run about 570 B (peaks
+# measured with tracemalloc), so 2²⁰ points need some 0.6 GB. b1 uses 2048.
+MAX_POINTS = 2**20
 # steps whose force samples come from one profile.force call: O(1) memory at MAX_STEPS
 FORCE_BLOCK = 4096
 
@@ -85,6 +87,8 @@ class GridSpec:
             raise ValueError("x_min must be below x_max")
         if self.n < 64 or not _is_pow2(self.n):
             raise ValueError("n must be a power of two, at least 64")
+        if self.n > MAX_POINTS:
+            raise ValueError(f"n = {self.n} points, above the limit of {MAX_POINTS}")
         if self.dt <= 0:
             raise ValueError("dt must be positive")
         if self.t_max < self.dt:
@@ -127,12 +131,6 @@ class ObservableRecord:
             raise DegenerateFieldError("record with non-positive norm")
         if self.dx < 0 or self.dp < 0:
             raise ValueError("uncertainties cannot be negative")
-
-
-@dataclass(frozen=True)
-class EhrenfestReport:
-    max_dev_x: float  # max |d⟨x⟩/dt − ⟨p⟩/m|
-    max_dev_p: float  # max |d⟨p⟩/dt − F(t)|
 
 
 def _check_boundary(psi: np.ndarray, t: float) -> None:
@@ -296,26 +294,4 @@ def observables(
         dxdp=dx * dp,
         inv_expect=inv_expect,
         l2_err_vs_analytic=l2,
-    )
-
-
-def ehrenfest_check(
-    records: list[ObservableRecord], profile: ForceProfile, m: float
-) -> EhrenfestReport:
-    """Central-difference check of d⟨x⟩/dt = ⟨p⟩/m and d⟨p⟩/dt = F(t)."""
-    if len(records) < 3:
-        raise ValueError("need at least three records")
-    t = np.array([r.t for r in records])
-    dts = np.diff(t)
-    if not np.allclose(dts, dts[0], rtol=1e-9, atol=0.0):
-        raise ValueError("records must be uniformly spaced in time")
-    xm = np.array([r.x_mean for r in records])
-    pm = np.array([r.p_mean for r in records])
-    h = dts[0]
-    dxdt = (xm[2:] - xm[:-2]) / (2.0 * h)
-    dpdt = (pm[2:] - pm[:-2]) / (2.0 * h)
-    f_mid = np.asarray(profile.force(t[1:-1]), dtype=float)
-    return EhrenfestReport(
-        max_dev_x=float(np.max(np.abs(dxdt - pm[1:-1] / m))),
-        max_dev_p=float(np.max(np.abs(dpdt - f_mid))),
     )

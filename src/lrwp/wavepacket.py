@@ -17,6 +17,8 @@ Momentum space: the same dynamics is a shift p → p − G(t) plus a phase,
 
 and a Gaussian φ0 reproduces the packet above once F0 = −i·m/T and
 e^{iα(0)} = (2πσ²)^{−1/4}, where T = 2mσ²/ħ is the spreading time.
+:func:`momentum_solution` is that one route for any φ0; momentum mode feeds
+it the Gaussian :func:`gaussian_phi0`.
 """
 
 import cmath
@@ -28,31 +30,25 @@ import numpy as np
 
 from .classical import ClassicalState, kinetic_action, p_c, x_c
 from .errors import ModeMismatchError
-from .fields import Grid1D, Space, WaveField, boundary_amplitude, conjugate_momentum_grid
+from .fields import Grid1D, Space, WaveField, boundary_amplitude
 from .forcing import ForceProfile
 from .invariant import InvariantSpec, PacketMode, coeffs_at, phase_alpha
 
 __all__ = [
     "PacketState",
     "GaussianMomentumParams",
-    "MatchedParameters",
     "gtwp_psi",
     "plane_wave_psi",
-    "density",
-    "density_closed_form",
     "analytic_norm_sq",
     "delta_x",
     "delta_p",
     "uncertainty_product",
     "min_uncertainty_time",
     "gaussian_phi0",
-    "gaussian_phi_pt",
     "momentum_solution",
     "fourier_bridge",
-    "match_parameters",
     "matched_packet",
     "spreading_time",
-    "plane_wave_superposition",
     "sample_gtwp",
     "sample_gaussian_momentum",
 ]
@@ -107,12 +103,6 @@ class GaussianMomentumParams:
     def __post_init__(self):
         if self.sigma <= 0:
             raise ValueError("sigma must be positive")
-
-
-@dataclass(frozen=True)
-class MatchedParameters:
-    F0: complex
-    alpha0: complex
 
 
 def spreading_time(params: GaussianMomentumParams, m: float, hbar: float) -> float:
@@ -179,30 +169,6 @@ def plane_wave_psi(state: PacketState, profile: ForceProfile, lam: complex, x, t
     return out if out.ndim else complex(out)
 
 
-def density(state: PacketState, profile: ForceProfile, x, t: float):
-    """|ψ(x,t)|², evaluated from the packet itself."""
-    return np.abs(gtwp_psi(state, profile, x, t)) ** 2
-
-
-def density_closed_form(state: PacketState, profile: ForceProfile, x, t: float):
-    """Modulus-squared of the packet written directly:
-
-    |ψ|² = e^{−2 Im α(0)} · exp[Im(F0)·(x−x_c)²/(ħ·|A/A0|²)] / |A/A0|.
-
-    Kept as an independent cross-check of :func:`density`.
-    """
-    _require_gtwp(state)
-    xc = x_c(state.classical, profile, t)
-    r = abs(_ratio_a(state, t))
-    x = np.asarray(x, dtype=float)
-    out = (
-        math.exp(-2.0 * state.alpha0.imag)
-        * np.exp(state.spec.F0.imag * (x - xc) ** 2 / (state.hbar * r * r))
-        / r
-    )
-    return out if out.ndim else float(out)
-
-
 def analytic_norm_sq(state: PacketState) -> float:
     """∫|ψ|²dx of the packet (time-independent)."""
     _require_gtwp(state)
@@ -260,33 +226,6 @@ def gaussian_phi0(params: GaussianMomentumParams, hbar: float, p):
     p = np.asarray(p, dtype=float)
     out = (2.0 * s * s / (math.pi * hbar * hbar)) ** 0.25 * np.exp(
         -(s * s) * (p - p0) ** 2 / hbar**2 - 1j * (p - p0) * x0 / hbar
-    )
-    return out if out.ndim else complex(out)
-
-
-def gaussian_phi_pt(
-    params: GaussianMomentumParams,
-    m: float,
-    hbar: float,
-    profile: ForceProfile,
-    p,
-    t: float,
-):
-    """Momentum-space Gaussian at time t (closed three-factor form)."""
-    if t < 0:
-        raise ValueError("negative time")
-    cl = ClassicalState(m=m, x0=params.x0, p0=params.p0)
-    action = kinetic_action(cl, profile, t)
-    bigT = spreading_time(params, m, hbar)
-    pc = p_c(cl, profile, t)
-    xc = x_c(cl, profile, t)
-    s = params.sigma
-    p = np.asarray(p, dtype=float)
-    out = (
-        (2.0 * s * s / (math.pi * hbar * hbar)) ** 0.25
-        * cmath.exp(-1j * action / hbar)
-        * np.exp(-(s * s) * (1.0 + 1j * t / bigT) * (p - pc) ** 2 / hbar**2)
-        * np.exp(-1j * (p - pc) * xc / hbar)
     )
     return out if out.ndim else complex(out)
 
@@ -353,48 +292,13 @@ def fourier_bridge(
     return WaveField(grid=position_grid, t=field.t, values=psi, space=Space.POSITION, flags=flags)
 
 
-def match_parameters(params: GaussianMomentumParams, m: float, hbar: float) -> MatchedParameters:
-    """Invariant ratio and initial phase that make the packet equal the
-    transformed momentum-space Gaussian: F0 = −i·m/T, e^{iα(0)} = (2πσ²)^{−1/4}."""
-    bigT = spreading_time(params, m, hbar)
-    f0 = -1j * m / bigT
-    alpha0 = 0.25j * math.log(2.0 * math.pi * params.sigma**2)
-    return MatchedParameters(F0=f0, alpha0=alpha0)
-
-
 def matched_packet(params: GaussianMomentumParams, m: float, hbar: float) -> PacketState:
-    """Packet state equivalent to the momentum-space Gaussian description."""
-    mp = match_parameters(params, m, hbar)
-    spec = InvariantSpec(A0=1.0 + 0j, B0=mp.F0, C0=0j)
-    return PacketState(m=m, hbar=hbar, x0=params.x0, p0=params.p0, spec=spec, alpha0=mp.alpha0)
-
-
-def plane_wave_superposition(
-    m: float,
-    hbar: float,
-    profile: ForceProfile,
-    phi0: Callable,
-    p0_values: np.ndarray,
-    x,
-    t: float,
-):
-    """Finite weighted sum of plane-wave solutions over launch momenta.
-
-    Discretizes ψ = (2πħ)^{−1/2} ∫ φ0(p0)·ψ_{p0}(x,t) dp0 on a uniform p0
-    grid; with a Gaussian weight this rebuilds the packet solution.
-    """
-    p0_values = np.asarray(p0_values, dtype=float)
-    dp = np.diff(p0_values)
-    if len(dp) < 1 or not np.allclose(dp, dp[0], rtol=1e-12, atol=0.0):
-        raise ValueError("p0_values must be a uniform grid")
-    spec = InvariantSpec(A0=1.0 + 0j, B0=0j, C0=0j)
-    x = np.asarray(x, dtype=float)
-    out = np.zeros(x.shape if x.ndim else (), dtype=complex)
-    for p0 in p0_values:
-        state = PacketState(m=m, hbar=hbar, x0=0.0, p0=float(p0), spec=spec, alpha0=0j)
-        out = out + complex(phi0(p0)) * plane_wave_psi(state, profile, complex(p0), x, t)
-    out = out * dp[0] / np.sqrt(2.0 * np.pi * hbar)
-    return out if np.ndim(out) else complex(out)
+    """Packet state equal to the transformed momentum-space Gaussian: the invariant
+    ratio F0 = −i·m/T and the initial phase e^{iα(0)} = (2πσ²)^{−1/4}."""
+    f0 = -1j * m / spreading_time(params, m, hbar)
+    spec = InvariantSpec(A0=1.0 + 0j, B0=f0, C0=0j)
+    alpha0 = 0.25j * math.log(2.0 * math.pi * params.sigma**2)
+    return PacketState(m=m, hbar=hbar, x0=params.x0, p0=params.p0, spec=spec, alpha0=alpha0)
 
 
 def sample_gtwp(state: PacketState, profile: ForceProfile, grid: Grid1D, t: float) -> WaveField:
@@ -410,5 +314,9 @@ def sample_gaussian_momentum(
     grid: Grid1D,
     t: float,
 ) -> WaveField:
-    values = gaussian_phi_pt(params, m, hbar, profile, grid.points, t)
+    """φ(p,t) of the Gaussian φ0 on a momentum grid, by the general route
+    :func:`momentum_solution`."""
+    values = momentum_solution(
+        lambda p: gaussian_phi0(params, hbar, p), profile, m, hbar, grid.points, t
+    )
     return WaveField(grid=grid, t=t, values=values, space=Space.MOMENTUM)

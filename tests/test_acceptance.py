@@ -16,10 +16,9 @@ from lrwp.config import parse_config
 from lrwp.errors import ConfigError
 from lrwp.fields import field_norm, l2_error
 from lrwp.forcing import ConstantForce, SinusoidalForce, ZeroForce
-from lrwp.invariant import coeffs_at, eigen_residual, eigenvalue
+from lrwp.invariant import coeffs_at, eigenvalue
 from lrwp.oracle import (
     GridSpec,
-    ehrenfest_check,
     observables,
     propagate_cranknicolson,
     propagate_splitstep,
@@ -36,12 +35,12 @@ from lrwp.wavepacket import (
     gtwp_psi,
     matched_packet,
     min_uncertainty_time,
-    plane_wave_superposition,
     sample_gaussian_momentum,
     sample_gtwp,
     uncertainty_product,
 )
 from lrwp.fields import conjugate_momentum_grid
+from cross_checks import eigen_residual, ehrenfest_check, plane_wave_superposition
 
 M = HBAR = 1.0
 B1_FORCE = ConstantForce(1.0)

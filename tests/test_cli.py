@@ -71,6 +71,12 @@ def test_config_error_exit_two(tmp_path, capsys):
         # 10⁷ steps pass, but 10⁷ + 1 snapshots of 256 rows are some 300 GB of CSV
         ("analytic", "[grid]\nn = 256\ndt = 1e-7\nt_max = 1\noutput_every = 1\n",
          "line 2: the run writes 2.56e+09 CSV rows, above the limit of 100000000"),
+        # validate and momentum write one row per snapshot, so only the point limit stops
+        # a 2⁴⁰-point grid before it is allocated
+        ("validate", "[grid]\nn = 1099511627776\n",
+         "line 2: n = 1099511627776 points, above the limit of 1048576"),
+        ("momentum", "[grid]\nn = 1099511627776\n",
+         "line 2: n = 1099511627776 points, above the limit of 1048576"),
     ]
     for mode, text, message in cases:
         cfg = _write(tmp_path, text)

@@ -16,6 +16,11 @@ cells, at most 7.1e-15) were retaken again when the sinusoidal G and G1
 stopped cancelling at small ωt: they are now built from sin²(ωt/2) and
 ωt − sin ωt directly.
 
+The small-b1 momentum comparison was retaken again when momentum mode began
+sampling φ(p,t) through the general route φ0(p − G)·exp{…}
+(``momentum_solution``) instead of the Gaussian's three-factor closed form:
+6 of its 22 cells moved, by at most 1.4e-17.
+
 Two validate runs pin the oracles under a force that depends on time: a
 sinusoidal one, whose Crank–Nicolson matrix changes every step, and a
 tabulated one that is flat up to t = 0.25 and then slopes, so the run has
@@ -67,7 +72,7 @@ GOLDEN = {
     ("small_tabulated_validate", "observables.csv"):
         "ca09814f594cb860af926f81c9c24f394161df954a93d8ceb933f08622cf8b06",
     ("small_b1_momentum", "comparison.csv"):
-        "93b69bb1c4adb9ed60c69eed3ad838dab3379aca17561f5c5c0114690e777e76",
+        "56d7cf1c2fbb74d14cfa981e4de6e564261456616cff71253ed3be0571ff6b9a",
     ("small_b1_sweep", "sweep_summary.csv"):
         "e43d90281f62d391aded7b7141bae070630a630ec3e016be615c757bb4e69a99",
 }

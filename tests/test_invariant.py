@@ -16,10 +16,10 @@ from lrwp.invariant import (
     PacketMode,
     apply_invariant,
     coeffs_at,
-    eigen_residual,
     eigenvalue,
     phase_alpha,
 )
+from cross_checks import eigen_residual
 
 # frozen: trapezoid oracle of the alpha integrand for A0=1, B0=-i, zero force,
 # lam=0, m=hbar=1; equals (i/2)·log(1+it) at t=1

@@ -13,9 +13,9 @@ from lrwp.forcing import (
 )
 from lrwp.invariant import InvariantCoefficients, coeffs_at
 from lrwp.oracle import (
+    MAX_POINTS,
     MAX_STEPS,
     GridSpec,
-    ehrenfest_check,
     observables,
     propagate_cranknicolson,
     propagate_splitstep,
@@ -27,6 +27,7 @@ from lrwp.wavepacket import (
     matched_packet,
     sample_gtwp,
 )
+from cross_checks import ehrenfest_check
 
 M = HBAR = 1.0
 PACKET = matched_packet(GaussianMomentumParams(sigma=1.0), M, HBAR)
@@ -52,6 +53,14 @@ class TestGridSpec:
         for dt in (1e-300, 1e-12, 1.0 / (MAX_STEPS + 1)):
             with pytest.raises(ValueError, match="above the limit"):
                 GridSpec(-10.0, 10.0, 128, dt, 1.0)  # too many steps
+
+    def test_point_limit(self):
+        # constructing a GridSpec allocates nothing, so the limit itself is cheap to check
+        assert GridSpec(-10.0, 10.0, MAX_POINTS, 1e-3, 1.0).n == MAX_POINTS
+        with pytest.raises(ValueError):
+            GridSpec(-10.0, 10.0, MAX_POINTS + 1, 1e-3, 1.0)
+        with pytest.raises(ValueError, match=f"n = {2 * MAX_POINTS} points, above the limit"):
+            GridSpec(-10.0, 10.0, 2 * MAX_POINTS, 1e-3, 1.0)  # the next power of two
 
     def test_n_steps(self):
         assert GridSpec(-10.0, 10.0, 128, 1e-3, 2.0).n_steps == 2000

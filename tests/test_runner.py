@@ -288,6 +288,15 @@ class TestSweep:
         assert results[0][-1].startswith("error:")
         assert results[1][-1] == "ok"
 
+    def test_n_above_point_limit_is_an_error_row(self, tmp_path):
+        cfg = parse_config(
+            SMALL_GRID
+            + "[run]\nmode = sweep\nsweep_axis = n\nsweep_values = 256, 2097152\n"
+            "sweep_mode = analytic\n"
+        )
+        results = run_sweep(cfg, tmp_path, jobs=1)
+        assert [r[-1] for r in results] == ["ok", "error:ValueError"]
+
     def test_crashed_worker_keeps_the_summary(self, tmp_path, monkeypatch):
         monkeypatch.setattr(runner, "_run_sweep_case", _crash_on_sigma_one)
         cfg = parse_config(

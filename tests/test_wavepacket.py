@@ -26,23 +26,19 @@ from lrwp.wavepacket import (
     analytic_norm_sq,
     delta_p,
     delta_x,
-    density,
-    density_closed_form,
     fourier_bridge,
     gaussian_phi0,
-    gaussian_phi_pt,
     gtwp_psi,
-    match_parameters,
     matched_packet,
     min_uncertainty_time,
     momentum_solution,
     plane_wave_psi,
-    plane_wave_superposition,
     sample_gaussian_momentum,
     sample_gtwp,
     spreading_time,
     uncertainty_product,
 )
+from cross_checks import density_closed_form, gaussian_phi_pt, plane_wave_superposition
 from simpson_reference import adaptive_simpson, phase_reference
 
 F_ZERO = ZeroForce()
@@ -89,7 +85,7 @@ class TestGtwpPsi:
 
 class TestDensity:
     def test_peak_value(self):
-        assert density(MATCHED, F_CONST, 0.0, 0.0) == pytest.approx(
+        assert abs(gtwp_psi(MATCHED, F_CONST, 0.0, 0.0)) ** 2 == pytest.approx(
             (2 * math.pi) ** -0.5, abs=1e-14
         )
 
@@ -98,7 +94,7 @@ class TestDensity:
         x = np.linspace(-6, 6, 41)
         for t in (0.0, 0.9, 2.2):
             np.testing.assert_allclose(
-                density(pk, F_SIN, x, t),
+                abs(gtwp_psi(pk, F_SIN, x, t)) ** 2,
                 density_closed_form(pk, F_SIN, x, t),
                 rtol=1e-12,
                 atol=1e-15,
@@ -107,13 +103,13 @@ class TestDensity:
     def test_unit_norm_on_grid(self):
         grid = Grid1D(-20.0, 20.0, 2048)
         for t in (0.0, 1.0, 2.0):
-            rho = density(MATCHED, F_CONST, grid.points, t)
+            rho = abs(gtwp_psi(MATCHED, F_CONST, grid.points, t)) ** 2
             assert np.sum(rho) * grid.spacing == pytest.approx(1.0, abs=1e-10)
 
     def test_peak_tracks_classical_center(self):
         grid = Grid1D(-20.0, 20.0, 2048)
         t = 1.3
-        rho = density(MATCHED, F_CONST, grid.points, t)
+        rho = abs(gtwp_psi(MATCHED, F_CONST, grid.points, t)) ** 2
         x_peak = grid.points[int(np.argmax(rho))]
         xc = float(x_c(MATCHED.classical, F_CONST, t))
         assert abs(x_peak - xc) <= grid.spacing
@@ -339,9 +335,9 @@ class TestFourierBridge:
 
 class TestMatching:
     def test_direct_substitution(self):
-        mp = match_parameters(GaussianMomentumParams(sigma=1.0), 1.0, 1.0)
-        assert mp.F0 == pytest.approx(-0.5j, abs=1e-15)
-        assert mp.alpha0 == pytest.approx(0.25j * math.log(2 * math.pi), abs=1e-15)
+        packet = matched_packet(GaussianMomentumParams(sigma=1.0), 1.0, 1.0)
+        assert packet.spec.F0 == pytest.approx(-0.5j, abs=1e-15)
+        assert packet.alpha0 == pytest.approx(0.25j * math.log(2 * math.pi), abs=1e-15)
 
     def test_position_space_gaussian_at_t0(self):
         params = GaussianMomentumParams(sigma=0.7, x0=-0.4, p0=1.1)
