@@ -17,13 +17,7 @@ from .errors import (
     UnphysicalInvariantError,
 )
 from .fields import Grid1D, Space, WaveField, conjugate_momentum_grid
-from .forcing import (
-    ConstantForce,
-    ForceProfile,
-    PiecewiseLinearForce,
-    SinusoidalForce,
-    ZeroForce,
-)
+from .forcing import ConstantForce, ForceProfile, PiecewiseLinearForce, SinusoidalForce
 from .invariant import (
     InvariantCoefficients,
     InvariantSpec,

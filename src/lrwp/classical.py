@@ -7,6 +7,9 @@ The center of the packet follows Newton's equations for the driving force:
 
 and the accumulated kinetic phase uses S(t) = ∫₀ᵗ p_c(τ)²/(2m) dτ, which
 expands into the exact quadratures G1 and G2 = ∫₀ᵗ G² dτ of the force.
+:func:`kinetic_action` is that expansion's one source, for any momentum p:
+the packet, the momentum route and the Lewis–Riesenfeld phase all call it.
+The force profile, which every function here calls, rejects negative times.
 """
 
 from dataclasses import dataclass
@@ -37,9 +40,7 @@ def p_c(state: ClassicalState, profile: ForceProfile, t):
     return state.p0 + profile.g(t)
 
 
-def kinetic_action(state: ClassicalState, profile: ForceProfile, t: float) -> float:
-    """S(t) = ∫₀ᵗ p_c²/(2m) dτ = (p0²·t + 2·p0·G1(t) + G2(t)) / (2m)."""
-    if t < 0:
-        raise ValueError("negative time")
-    p0 = state.p0
-    return (p0 * p0 * t + 2.0 * p0 * profile.g1(t) + profile.g2(t)) / (2.0 * state.m)
+def kinetic_action(m: float, p, profile: ForceProfile, t: float):
+    """∫₀ᵗ (p + G(τ))²/(2m) dτ = (p²·t + 2·p·G1(t) + G2(t)) / (2m), for a scalar
+    or an array of momenta p (real or complex)."""
+    return (p * p * t + 2.0 * p * profile.g1(t) + profile.g2(t)) / (2.0 * m)

@@ -18,13 +18,7 @@ from dataclasses import dataclass, replace
 
 from .classical import x_c
 from .errors import ConfigError, ContainmentError, LrwpError, OutOfDomainError
-from .forcing import (
-    ConstantForce,
-    ForceProfile,
-    PiecewiseLinearForce,
-    SinusoidalForce,
-    ZeroForce,
-)
+from .forcing import ConstantForce, ForceProfile, PiecewiseLinearForce, SinusoidalForce
 from .invariant import InvariantSpec, PacketMode
 from .oracle import INITIAL_NORM_TOL, GridSpec
 from .wavepacket import (GaussianMomentumParams, PacketState, analytic_norm_sq, delta_x,
@@ -156,7 +150,7 @@ def _build_profile(sec: dict[str, tuple[str, int]]) -> ForceProfile:
 
     try:
         if kind == "zero":
-            return ZeroForce()
+            return ConstantForce(amplitude=0.0)
         if kind == "constant":
             return ConstantForce(amplitude=_parse_float(*need("amplitude")))
         if kind == "sinusoidal":
@@ -192,9 +186,9 @@ def _build_packet(
         line = sec["sigma"][1] if gaussian_given else 0
         try:
             params = GaussianMomentumParams(sigma=sigma, x0=x0, p0=p0)
+            return matched_packet(params, m, hbar), params
         except ValueError as exc:
             raise ConfigError(str(exc), line)
-        return matched_packet(params, m, hbar), params
 
     if "F0" in sec and any(k in sec for k in ("A0", "B0", "C0")):
         raise ConfigError("F0 shorthand conflicts with explicit A0/B0/C0", sec["F0"][1])
@@ -336,6 +330,9 @@ def parse_config(text: str, mode_override: str | None = None) -> RunConfig:
             raise ConfigError("sweep mode needs sweep_axis and sweep_values")
         if sweep_axis not in {"sigma", "F0_imag", "dt", "n", "force_amplitude"}:
             raise ConfigError(f"unknown sweep axis {sweep_axis!r}")
+        if sweep_mode is RunMode.MOMENTUM and gaussian is None:
+            message = "sweep_mode momentum requires the gaussian packet parameterization"
+            raise ConfigError(message, rsec["sweep_mode"][1])
     rows = _rows_to_write(cfg)
     if rows > MAX_ROWS:
         line = min((ln for _, ln in gsec.values()), default=0)

@@ -14,7 +14,9 @@ needs nested numeric quadrature. The tests cross-check all three against
 adaptive Simpson.
 
 All evaluations accept a scalar or an ndarray of times. Negative times are
-rejected everywhere; the lower integration limit is always 0.
+rejected here, and only here: every closed form downstream evaluates its
+profile at its own t. The lower integration limit is always 0. F ≡ 0 is
+``ConstantForce(0.0)``, which the config kind ``zero`` builds.
 """
 
 import math
@@ -26,7 +28,6 @@ from .errors import OutOfDomainError
 
 __all__ = [
     "ForceProfile",
-    "ZeroForce",
     "ConstantForce",
     "SinusoidalForce",
     "PiecewiseLinearForce",
@@ -58,21 +59,6 @@ class ForceProfile:
 
 
 @dataclass(frozen=True)
-class ZeroForce(ForceProfile):
-    def force(self, t):
-        return _check_time(t) * 0.0
-
-    def g(self, t):
-        return _check_time(t) * 0.0
-
-    def g1(self, t):
-        return _check_time(t) * 0.0
-
-    def g2(self, t):
-        return _check_time(t) * 0.0
-
-
-@dataclass(frozen=True)
 class ConstantForce(ForceProfile):
     amplitude: float
 
@@ -100,8 +86,12 @@ class SinusoidalForce(ForceProfile):
     phase: float = 0.0
 
     def __post_init__(self):
-        if self.omega == 0.0:
-            raise ValueError("omega must be nonzero (use ConstantForce instead)")
+        try:  # G1 divides by ω², G2 by ω³; ω = 0 is ConstantForce
+            powers = (self.omega**2, self.omega**3)
+        except OverflowError:
+            powers = (math.inf,)
+        if not all(0.0 < abs(w) < math.inf for w in powers):
+            raise ValueError(f"omega = {self.omega:g}: omega^2 and omega^3 must be finite, not 0")
 
     def force(self, t):
         return self.amplitude * np.sin(self.omega * _check_time(t) + self.phase)

@@ -20,7 +20,7 @@ import cmath
 import enum
 from dataclasses import dataclass
 
-from .classical import ClassicalState
+from .classical import ClassicalState, kinetic_action
 from .errors import DivergentDensityError, PositionBranchError, UnphysicalInvariantError
 from .fields import WaveField, boundary_amplitude, spectral_derivative
 from .forcing import ForceProfile
@@ -89,8 +89,6 @@ def coeffs_at(
     spec: InvariantSpec, m: float, profile: ForceProfile, t: float
 ) -> InvariantCoefficients:
     """Coefficients of the invariant at time t."""
-    if t < 0:
-        raise ValueError("negative time")
     a = spec.A0 - spec.B0 / m * t
     c = spec.C0 - a * profile.g(t) - spec.B0 / m * profile.g1(t)
     return InvariantCoefficients(A=a, B=spec.B0, C=c, t=t)
@@ -135,7 +133,7 @@ def phase_alpha(
     With u = (λ − C0)/A0 and a = A(t)/A0 = 1 − F0·t/m, λ − C(τ) equals
     A(τ)·p̃ + B0·x̃ along the classical path p̃ = u + G, x̃ = (u·τ + G1)/m.
     The integrand then splits into p̃²/(2mħ), (B0/2ħ)·d/dτ[x̃²/A] and
-    iB0/(2mA), so
+    iB0/(2mA); the first integrates to :func:`kinetic_action` at p = u over ħ:
 
     α(t) = α(0) − (u²t + 2u·G1 + G2)/(2mħ) − F0·(u·t + G1)²/(2m²ħ·a)
            + (i/2)·ln a.
@@ -145,15 +143,12 @@ def phase_alpha(
     real F0 ≠ 0 is rejected. At F0 = 0 the last two terms vanish. In
     general α(t) is complex.
     """
-    if t < 0:
-        raise ValueError("negative time")
     m = state.m
     u = (lam - spec.C0) / spec.A0
-    g1 = profile.g1(t)
     a = 1.0 - spec.F0 * t / m
     return (
         alpha0
-        - (u * u * t + 2.0 * u * g1 + profile.g2(t)) / (2.0 * m * hbar)
-        - spec.F0 * (u * t + g1) ** 2 / (2.0 * m * m * hbar * a)
+        - kinetic_action(m, u, profile, t) / hbar
+        - spec.F0 * (u * t + profile.g1(t)) ** 2 / (2.0 * m * m * hbar * a)
         + 0.5j * cmath.log(a)
     )

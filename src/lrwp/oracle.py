@@ -85,6 +85,8 @@ class GridSpec:
     def __post_init__(self):
         if not self.x_min < self.x_max:
             raise ValueError("x_min must be below x_max")
+        if not math.isfinite(self.x_max - self.x_min):
+            raise ValueError("x_max - x_min overflows a float")
         if self.n < 64 or not _is_pow2(self.n):
             raise ValueError("n must be a power of two, at least 64")
         if self.n > MAX_POINTS:

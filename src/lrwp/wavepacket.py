@@ -131,10 +131,8 @@ def _branch_sqrt(z: complex) -> complex:
 def gtwp_psi(state: PacketState, profile: ForceProfile, x, t: float):
     """Gaussian-type wave packet at position(s) x and time t."""
     _require_gtwp(state)
-    if t < 0:
-        raise ValueError("negative time")
     cl = state.classical
-    action = kinetic_action(cl, profile, t)
+    action = kinetic_action(state.m, state.p0, profile, t)
     xc = x_c(cl, profile, t)
     pc = p_c(cl, profile, t)
     hbar = state.hbar
@@ -157,8 +155,6 @@ def plane_wave_psi(state: PacketState, profile: ForceProfile, lam: complex, x, t
     """
     if state.mode is not PacketMode.PLANE_WAVE:
         raise ModeMismatchError("packet-mode spec: use gtwp_psi")
-    if t < 0:
-        raise ValueError("negative time")
     spec = state.spec
     coeffs = coeffs_at(spec, state.m, profile, t)
     alpha = phase_alpha(spec, state.classical, profile, lam, state.hbar, t, state.alpha0)
@@ -200,21 +196,13 @@ def uncertainty_product(state: PacketState, t: float) -> float:
 
 
 def min_uncertainty_time(state: PacketState, t_hi: float) -> float:
-    """Locate argmin over [0, t_hi] of the uncertainty product numerically.
+    """argmin over [0, t_hi] of the uncertainty product, in closed form.
 
-    The squared product is exactly quadratic in t, so the vertex of the
-    parabola through its values at 0, t_hi/2 and t_hi is the minimum. Points
-    that span the whole interval keep the fit well conditioned even where
-    the product is nearly flat.
+    |1 − F0·t/m| = |F0/m|·|m/F0 − t| is smallest over real t at
+    t* = Re(m/F0), so the answer is t* clamped to [0, t_hi].
     """
     _require_gtwp(state)
-    t_hi = float(t_hi)
-    f0, f1, f2 = (uncertainty_product(state, t) ** 2 for t in (0.0, 0.5 * t_hi, t_hi))
-    curvature = f2 - 2.0 * f1 + f0
-    t_star = t_hi * (0.25 - 0.5 * (f1 - f0) / curvature) if curvature > 0.0 else 0.0
-    if t_star < 1e-9 * max(1.0, t_hi):
-        return 0.0  # boundary minimum: the product only grows for t > 0
-    return min(t_star, t_hi)
+    return min(max(0.0, (state.m / state.spec.F0).real), float(t_hi))
 
 
 def gaussian_phi0(params: GaussianMomentumParams, hbar: float, p):
@@ -242,45 +230,32 @@ def momentum_solution(
 
     φ(p,t) = φ0(p−G(t)) · exp{−(i/ħ)∫₀ᵗ [p−G(t)+G(τ)]²/(2m) dτ}.
 
-    With u = p−G(t) the inner integral splits into u²t/2m + u·G1(t)/m plus
-    G2(t)/2m, all three exact closed forms for every force profile.
+    With u = p−G(t) the inner integral is :func:`kinetic_action` at p = u.
     """
-    if t < 0:
-        raise ValueError("negative time")
-    g = profile.g(t)
-    g1 = profile.g1(t)
-    s0 = profile.g2(t) / (2.0 * m)
-    p = np.asarray(p, dtype=float)
-    u = p - g
-    phase = u * u * t / (2.0 * m) + u * g1 / m + s0
-    out = np.asarray(phi0(u)) * np.exp(-1j * phase / hbar)
+    u = np.asarray(p, dtype=float) - profile.g(t)
+    out = np.asarray(phi0(u)) * np.exp(-1j * kinetic_action(m, u, profile, t) / hbar)
     return out if out.ndim else complex(out)
 
 
-def fourier_bridge(
-    field: WaveField, hbar: float, position_grid: Grid1D | None = None
-) -> WaveField:
+def fourier_bridge(field: WaveField, hbar: float, position_grid: Grid1D) -> WaveField:
     """Transform a momentum-space field to position space:
 
     ψ(x) = (2πħ)^{−1/2} ∫ φ(p) e^{ipx/ħ} dp,
 
-    realized as a DFT with phase factors for the grid offsets. The transform
-    is exactly unitary on the grid (Σ|ψ|²Δx = Σ|φ|²Δp). If the momentum
-    samples do not vanish at the grid edges the result carries an
-    ``aliasing`` flag.
+    realized as a DFT onto ``position_grid``, with phase factors for the grid
+    offsets. The field's grid must be Fourier-conjugate to it, as
+    ``conjugate_momentum_grid(position_grid, hbar)`` is. The transform is
+    exactly unitary on the grid (Σ|ψ|²Δx = Σ|φ|²Δp). If the momentum samples
+    do not vanish at the grid edges the result carries an ``aliasing`` flag.
     """
     if field.space is not Space.MOMENTUM:
         raise ValueError("fourier_bridge expects a momentum-space field")
     pgrid = field.grid
     n, dp, p_lo = pgrid.n, pgrid.spacing, pgrid.lo
-    if position_grid is None:
-        dx = 2.0 * np.pi * hbar / (n * dp)
-        position_grid = Grid1D(lo=-0.5 * n * dx, hi=0.5 * n * dx, n=n)
-    else:
-        if position_grid.n != n:
-            raise ValueError("position grid size must match the momentum grid")
-        if abs(position_grid.spacing * dp * n / (2.0 * np.pi * hbar) - 1.0) > 1e-9:
-            raise ValueError("grids are not Fourier-conjugate: Δp·Δx must equal 2πħ/n")
+    if position_grid.n != n:
+        raise ValueError("position grid size must match the momentum grid")
+    if abs(position_grid.spacing * dp * n / (2.0 * np.pi * hbar) - 1.0) > 1e-9:
+        raise ValueError("grids are not Fourier-conjugate: Δp·Δx must equal 2πħ/n")
     x = position_grid.points
     twisted = field.values * np.exp(1j * np.arange(n) * dp * position_grid.lo / hbar)
     psi = (n * dp / np.sqrt(2.0 * np.pi * hbar)) * np.exp(1j * p_lo * x / hbar) * np.fft.ifft(
@@ -295,7 +270,13 @@ def fourier_bridge(
 def matched_packet(params: GaussianMomentumParams, m: float, hbar: float) -> PacketState:
     """Packet state equal to the transformed momentum-space Gaussian: the invariant
     ratio F0 = −i·m/T and the initial phase e^{iα(0)} = (2πσ²)^{−1/4}."""
-    f0 = -1j * m / spreading_time(params, m, hbar)
+    try:
+        t_spread = spreading_time(params, m, hbar)
+    except OverflowError:  # σ² beyond the float range
+        t_spread = math.inf
+    if not 0.0 < t_spread < math.inf:
+        raise ValueError(f"spreading time 2m*sigma^2/hbar = {t_spread:g}, not finite and positive")
+    f0 = -1j * m / t_spread
     spec = InvariantSpec(A0=1.0 + 0j, B0=f0, C0=0j)
     alpha0 = 0.25j * math.log(2.0 * math.pi * params.sigma**2)
     return PacketState(m=m, hbar=hbar, x0=params.x0, p0=params.p0, spec=spec, alpha0=alpha0)

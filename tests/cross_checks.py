@@ -43,7 +43,7 @@ def gaussian_phi_pt(
     if t < 0:
         raise ValueError("negative time")
     cl = ClassicalState(m=m, x0=params.x0, p0=params.p0)
-    action = kinetic_action(cl, profile, t)
+    action = kinetic_action(m, params.p0, profile, t)
     bigT = spreading_time(params, m, hbar)
     pc = p_c(cl, profile, t)
     xc = x_c(cl, profile, t)

@@ -15,7 +15,7 @@ from lrwp.classical import p_c, x_c
 from lrwp.config import parse_config
 from lrwp.errors import ConfigError
 from lrwp.fields import field_norm, l2_error
-from lrwp.forcing import ConstantForce, SinusoidalForce, ZeroForce
+from lrwp.forcing import ConstantForce, SinusoidalForce
 from lrwp.invariant import coeffs_at, eigenvalue
 from lrwp.oracle import (
     GridSpec,
@@ -204,7 +204,7 @@ def test_criterion_06_ehrenfest(b1):
 def test_criterion_07_free_particle_reduction():
     sigma, bigT = 1.0, 2.0
     packet = B1_PACKET
-    profile = ZeroForce()
+    profile = ConstantForce(0.0)
     worst_analytic = max(
         abs(delta_x(packet, float(t)) - sigma * np.sqrt(1 + (t / bigT) ** 2))
         for t in np.linspace(0.0, 2.0, 41)
@@ -212,7 +212,7 @@ def test_criterion_07_free_particle_reduction():
     spec = GridSpec(-20.0, 20.0, 2048, 1e-3, 2.0, output_every=200)
     initial = sample_gtwp(packet, profile, spec.grid, 0.0)
     worst_grid = 0.0
-    for f in propagate_splitstep(initial, ZeroForce(), M, HBAR, spec):
+    for f in propagate_splitstep(initial, ConstantForce(0.0), M, HBAR, spec):
         rec = observables(f, M, HBAR, coeffs_at(packet.spec, M, profile, f.t))
         law = sigma * np.sqrt(1 + (f.t / bigT) ** 2)
         worst_grid = max(worst_grid, abs(rec.dx - law))
@@ -245,7 +245,7 @@ def test_criterion_08_physicality_gate():
 def test_criterion_09_superposition_consistency():
     params = GaussianMomentumParams(sigma=1.0)
     packet = B1_PACKET
-    profile = ZeroForce()
+    profile = ConstantForce(0.0)
     x = B1_GRID.grid.points
     p0s = np.linspace(-6.0, 6.0, 257)
     worst = 0.0

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from lrwp.classical import ClassicalState, kinetic_action, p_c, x_c
-from lrwp.forcing import ConstantForce, SinusoidalForce, ZeroForce
+from lrwp.forcing import ConstantForce, SinusoidalForce
 
 # frozen oracle values for Sinusoidal(amplitude=1, omega=2): nested adaptive
 # quadrature for G1 and a 2e6-point trapezoid rule for the action integral
@@ -10,7 +10,7 @@ G1_SIN_1 = 0.2726756432935796
 G_SIN_1 = 0.7080734182735712
 ACTION_SIN_1 = 0.8346884259511830  # m=1, p0=1, t=1
 
-F_ZERO = ZeroForce()
+F_ZERO = ConstantForce(0.0)
 F_CONST = ConstantForce(1.0)
 F_SIN = SinusoidalForce(1.0, 2.0)
 
@@ -35,21 +35,25 @@ def test_p_c_derived():
 
 
 def test_kinetic_action_zero_and_constant():
-    assert kinetic_action(ClassicalState(1.0), F_ZERO, 5.0) == 0.0
-    st = ClassicalState(1.0, p0=2.0)
-    assert kinetic_action(st, F_ZERO, 3.0) == pytest.approx(6.0, abs=1e-14)
-    assert kinetic_action(ClassicalState(1.0), F_CONST, 2.0) == pytest.approx(
-        4.0 / 3.0, abs=1e-14
-    )
+    assert kinetic_action(1.0, 0.0, F_ZERO, 5.0) == 0.0
+    assert kinetic_action(1.0, 2.0, F_ZERO, 3.0) == pytest.approx(6.0, abs=1e-14)
+    assert kinetic_action(1.0, 0.0, F_CONST, 2.0) == pytest.approx(4.0 / 3.0, abs=1e-14)
 
 
 def test_kinetic_action_sinusoidal_vs_trapezoid_oracle():
     st = ClassicalState(1.0, p0=1.0)
-    val = kinetic_action(st, F_SIN, 1.0)
+    val = kinetic_action(st.m, st.p0, F_SIN, 1.0)
     assert val == pytest.approx(ACTION_SIN_1, abs=1e-12)
     tau = np.linspace(0.0, 1.0, 200_001)
     oracle = np.trapezoid(np.asarray(p_c(st, F_SIN, tau)) ** 2 / 2.0, tau)
     assert abs(val - oracle) < 1e-9
+
+
+@pytest.mark.parametrize("q", [F_ZERO, F_CONST, F_SIN])
+def test_kinetic_action_of_an_array_is_the_scalar_calls(q):
+    p = np.linspace(-3.0, 3.0, 13)
+    values = kinetic_action(1.7, p, q, 2.3)
+    np.testing.assert_array_equal(values, [kinetic_action(1.7, float(v), q, 2.3) for v in p])
 
 
 @pytest.mark.parametrize("q", [F_ZERO, F_CONST, F_SIN])

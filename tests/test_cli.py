@@ -77,6 +77,25 @@ def test_config_error_exit_two(tmp_path, capsys):
          "line 2: n = 1099511627776 points, above the limit of 1048576"),
         ("momentum", "[grid]\nn = 1099511627776\n",
          "line 2: n = 1099511627776 points, above the limit of 1048576"),
+        # a sweep in momentum mode needs the gaussian packet as much as a momentum run does
+        ("sweep", "[packet]\nF0 = 0-1i\n[run]\nsweep_axis = F0_imag\nsweep_values = -1\n"
+         "sweep_mode = momentum\n",
+         "line 6: sweep_mode momentum requires the gaussian packet parameterization"),
+        ("sweep", "[packet]\nF0 = 0\n[run]\nsweep_axis = F0_imag\nsweep_values = -1\n"
+         "sweep_mode = momentum\n",
+         "line 6: sweep_mode momentum requires the gaussian packet parameterization"),
+        # σ² overflows or underflows, so the spreading time T = 2mσ²/ħ is inf or 0
+        ("analytic", "[packet]\nsigma = 1e300\n",
+         "line 2: spreading time 2m*sigma^2/hbar = inf, not finite and positive"),
+        ("analytic", "[packet]\nsigma = 1e-300\n",
+         "line 2: spreading time 2m*sigma^2/hbar = 0, not finite and positive"),
+        # G1 divides by ω² and G2 by ω³
+        *[("analytic", f"[force]\nkind = sinusoidal\namplitude = 1\nomega = {omega}\n",
+           f"line 2: omega = {float(omega):g}: omega^2 and omega^3 must be finite, not 0")
+          for omega in ("1e308", "1e-300", "1e-110")],
+        # the conjugate momentum grid of an infinitely wide box has zero width
+        ("momentum", "[grid]\nx_min = -1e308\nx_max = 1e308\n",
+         "line 2: x_max - x_min overflows a float"),
     ]
     for mode, text, message in cases:
         cfg = _write(tmp_path, text)

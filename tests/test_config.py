@@ -2,19 +2,14 @@ import pytest
 
 from lrwp.config import MAX_ROWS, RunMode, apply_sweep_value, parse_config
 from lrwp.errors import ConfigError
-from lrwp.forcing import (
-    ConstantForce,
-    PiecewiseLinearForce,
-    SinusoidalForce,
-    ZeroForce,
-)
+from lrwp.forcing import ConstantForce, PiecewiseLinearForce, SinusoidalForce
 from lrwp.invariant import PacketMode
 
 
 def test_empty_document_gets_defaults():
     cfg = parse_config("")
     assert cfg.m == 1.0 and cfg.hbar == 1.0
-    assert isinstance(cfg.profile, ZeroForce)
+    assert cfg.profile == ConstantForce(0.0)
     assert cfg.gaussian is not None and cfg.gaussian.sigma == 1.0
     assert cfg.packet.spec.F0 == pytest.approx(-0.5j)
     assert cfg.grid.n == 2048 and cfg.grid.t_max == 2.0
@@ -268,11 +263,13 @@ class TestSweepDerivation:
         assert apply_sweep_value(cfg, "n", 1024).grid.n == 1024
 
     def test_force_amplitude_axis(self):
-        cfg = parse_config(self.BASE.format(axis="force-amplitude", values="0.5"))
-        assert cfg.sweep_axis == "force_amplitude"
-        derived = apply_sweep_value(cfg, "force_amplitude", 0.5)
-        assert isinstance(derived.profile, ConstantForce)
-        assert derived.profile.amplitude == 0.5
+        # kind = zero is ConstantForce(0.0), so its amplitude sweeps too
+        for force in ("kind = constant\namplitude = 1\n", "kind = zero\n"):
+            text = self.BASE.format(axis="force-amplitude", values="0.5")
+            cfg = parse_config(text.replace("kind = constant\namplitude = 1\n", force))
+            assert cfg.sweep_axis == "force_amplitude"
+            derived = apply_sweep_value(cfg, "force_amplitude", 0.5)
+            assert derived.profile == ConstantForce(0.5)
 
     def test_f0_imag_axis(self):
         text = (

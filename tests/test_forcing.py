@@ -5,12 +5,7 @@ import numpy as np
 import pytest
 
 from lrwp.errors import OutOfDomainError
-from lrwp.forcing import (
-    ConstantForce,
-    PiecewiseLinearForce,
-    SinusoidalForce,
-    ZeroForce,
-)
+from lrwp.forcing import ConstantForce, PiecewiseLinearForce, SinusoidalForce
 from simpson_reference import simpson_reference
 
 # frozen from the adaptive-Simpson oracles (see test_closed_matches_numeric)
@@ -18,7 +13,7 @@ G_SIN_1 = 0.7080734182735712  # (1 - cos 2)/2
 G1_SIN_1 = 0.2726756432935796  # (1 - sin(2)/2)/2
 
 PROFILES = [
-    ZeroForce(),
+    ConstantForce(0.0),
     ConstantForce(1.0),
     ConstantForce(-2.5),
     SinusoidalForce(1.0, 2.0),
@@ -30,13 +25,13 @@ PROFILES = [
 
 def test_eval_force_trivia():
     assert ConstantForce(1.0).force(0.7) == 1.0
-    assert ZeroForce().force(3.1) == 0.0
+    assert ConstantForce(0.0).force(3.1) == 0.0
     assert SinusoidalForce(2.0, 3.0).force(math.pi / 6) == pytest.approx(2.0, abs=1e-14)
 
 
 def test_quad_G_trivia():
     assert ConstantForce(1.0).g(2.0) == 2.0
-    assert ZeroForce().g(5.0) == 0.0
+    assert ConstantForce(0.0).g(5.0) == 0.0
 
 
 def test_quad_G_sinusoidal_frozen():
@@ -45,7 +40,7 @@ def test_quad_G_sinusoidal_frozen():
 
 def test_quad_G1_trivia():
     assert ConstantForce(1.0).g1(2.0) == pytest.approx(2.0, abs=1e-14)
-    assert ZeroForce().g1(3.0) == 0.0
+    assert ConstantForce(0.0).g1(3.0) == 0.0
 
 
 def test_quad_G1_sinusoidal_frozen():

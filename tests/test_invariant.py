@@ -10,7 +10,7 @@ from lrwp.errors import (
     UnphysicalInvariantError,
 )
 from lrwp.fields import Grid1D, Space, WaveField
-from lrwp.forcing import ConstantForce, SinusoidalForce, ZeroForce
+from lrwp.forcing import ConstantForce, SinusoidalForce
 from lrwp.invariant import (
     InvariantSpec,
     PacketMode,
@@ -25,7 +25,7 @@ from cross_checks import eigen_residual
 # lam=0, m=hbar=1; equals (i/2)·log(1+it) at t=1
 ALPHA_1 = complex(-0.39269908169872414, 0.17328679513998632)
 
-F_ZERO = ZeroForce()
+F_ZERO = ConstantForce(0.0)
 F_CONST = ConstantForce(1.0)
 F_SIN = SinusoidalForce(1.0, 2.0)
 

@@ -9,7 +9,6 @@ from lrwp.forcing import (
     ForceProfile,
     PiecewiseLinearForce,
     SinusoidalForce,
-    ZeroForce,
 )
 from lrwp.invariant import InvariantCoefficients, coeffs_at
 from lrwp.oracle import (
@@ -71,8 +70,8 @@ class TestSplitStep:
     def test_free_packet_error(self):
         # spectral kinetic step is exact for V = 0: only roundoff remains
         spec = GridSpec(-20.0, 20.0, 2048, 1e-3, 1.0, output_every=1000)
-        frames = _run(propagate_splitstep, ZeroForce(), spec)
-        profile = ZeroForce()
+        frames = _run(propagate_splitstep, ConstantForce(0.0), spec)
+        profile = ConstantForce(0.0)
         analytic = sample_gtwp(PACKET, profile, spec.grid, 1.0)
         assert l2_error(frames[-1], analytic) < 1e-6
 
@@ -120,18 +119,18 @@ class TestCrankNicolson:
 class TestGuards:
     def test_initial_must_be_normalized(self):
         spec = GridSpec(-20.0, 20.0, 256, 1e-3, 1e-3)
-        profile = ZeroForce()
+        profile = ConstantForce(0.0)
         bad = sample_gtwp(PACKET, profile, spec.grid, 0.0)
         bad = WaveField(grid=bad.grid, t=0.0, values=2.0 * bad.values, space=Space.POSITION)
         with pytest.raises(ValueError, match="normalized"):
-            next(propagate_splitstep(bad, ZeroForce(), M, HBAR, spec))
+            next(propagate_splitstep(bad, ConstantForce(0.0), M, HBAR, spec))
 
     def test_grid_mismatch(self):
         spec = GridSpec(-20.0, 20.0, 256, 1e-3, 1e-3)
-        profile = ZeroForce()
+        profile = ConstantForce(0.0)
         other = sample_gtwp(PACKET, profile, Grid1D(-10.0, 10.0, 256), 0.0)
         with pytest.raises(ValueError, match="grid"):
-            next(propagate_splitstep(other, ZeroForce(), M, HBAR, spec))
+            next(propagate_splitstep(other, ConstantForce(0.0), M, HBAR, spec))
 
     def test_aliasing_error_when_packet_escapes(self):
         # strong constant force marches the packet into the wall
@@ -197,7 +196,7 @@ class TestFactorOnChange:
         _run(propagate_cranknicolson, profile, self.SPEC)
         return len(calls)
 
-    @pytest.mark.parametrize("profile", [ConstantForce(1.0), ZeroForce()], ids=repr)
+    @pytest.mark.parametrize("profile", [ConstantForce(1.0), ConstantForce(0.0)], ids=repr)
     def test_constant_force_factors_once(self, monkeypatch, profile):
         assert self._factorizations(monkeypatch, profile) == 1
 
@@ -226,7 +225,7 @@ class TestFactorOnChange:
 
     @pytest.mark.parametrize("propagator", [propagate_splitstep, propagate_cranknicolson])
     def test_constant_and_flat_piecewise_give_the_same_bytes(self, propagator):
-        initial = sample_gtwp(PACKET, ZeroForce(), self.SPEC.grid, 0.0)
+        initial = sample_gtwp(PACKET, ConstantForce(0.0), self.SPEC.grid, 0.0)
         flat = PiecewiseLinearForce(((0.0, 0.7), (self.SPEC.t_max, 0.7)))
         a = list(propagator(initial, ConstantForce(0.7), M, HBAR, self.SPEC))
         b = list(propagator(initial, flat, M, HBAR, self.SPEC))
@@ -240,7 +239,7 @@ class TestObservables:
     def test_matched_gaussian_moments(self):
         params = GaussianMomentumParams(sigma=1.0, x0=1.5, p0=0.7)
         packet = matched_packet(params, M, HBAR)
-        profile = ZeroForce()
+        profile = ConstantForce(0.0)
         grid = Grid1D(-20.0, 20.0, 2048)
         field = sample_gtwp(packet, profile, grid, 0.0)
         rec = observables(field, M, HBAR, coeffs_at(packet.spec, M, profile, 0.0))
@@ -303,7 +302,7 @@ class TestEhrenfest:
         ]
 
     def test_zero_force(self):
-        rep = ehrenfest_check(self._records(ZeroForce()), ZeroForce(), M)
+        rep = ehrenfest_check(self._records(ConstantForce(0.0)), ConstantForce(0.0), M)
         assert rep.max_dev_x < 1e-8
         assert rep.max_dev_p < 1e-8
 
@@ -319,6 +318,6 @@ class TestEhrenfest:
         assert rep.max_dev_x < 1e-5
 
     def test_needs_uniform_records(self):
-        recs = self._records(ZeroForce(), output_every=250)
+        recs = self._records(ConstantForce(0.0), output_every=250)
         with pytest.raises(ValueError):
-            ehrenfest_check(recs[:2], ZeroForce(), M)
+            ehrenfest_check(recs[:2], ConstantForce(0.0), M)

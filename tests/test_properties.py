@@ -18,7 +18,6 @@ from lrwp.forcing import (  # noqa: E402
     ConstantForce,
     PiecewiseLinearForce,
     SinusoidalForce,
-    ZeroForce,
 )
 from lrwp.classical import ClassicalState, p_c, x_c  # noqa: E402
 from lrwp.invariant import InvariantSpec, coeffs_at, eigenvalue, phase_alpha  # noqa: E402
@@ -56,7 +55,7 @@ def piecewise(draw):
 
 
 profiles = st.one_of(
-    st.just(ZeroForce()),
+    st.just(ConstantForce(0.0)),
     amplitudes.map(ConstantForce),
     sinusoidal(),
     piecewise(),

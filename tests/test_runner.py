@@ -297,6 +297,16 @@ class TestSweep:
         results = run_sweep(cfg, tmp_path, jobs=1)
         assert [r[-1] for r in results] == ["ok", "error:ValueError"]
 
+    def test_sigma_without_a_finite_spreading_time_is_an_error_row(self, tmp_path):
+        # σ² overflows at 1e300 and underflows to 0 at 1e-300, so T = 2mσ²/ħ is not usable
+        cfg = parse_config(
+            SMALL_GRID
+            + "[run]\nmode = sweep\nsweep_axis = sigma\nsweep_values = 1e300, 1, 1e-300\n"
+            "sweep_mode = analytic\n"
+        )
+        results = run_sweep(cfg, tmp_path, jobs=1)
+        assert [r[-1] for r in results] == ["error:ValueError", "ok", "error:ValueError"]
+
     def test_crashed_worker_keeps_the_summary(self, tmp_path, monkeypatch):
         monkeypatch.setattr(runner, "_run_sweep_case", _crash_on_sigma_one)
         cfg = parse_config(

@@ -5,7 +5,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from lrwp.classical import ClassicalState, p_c, x_c
+from lrwp.classical import ClassicalState, kinetic_action, p_c, x_c
 from lrwp.config import parse_config
 from lrwp.errors import ModeMismatchError
 from lrwp.fields import (
@@ -17,7 +17,7 @@ from lrwp.fields import (
     grid_moments,
     l2_error,
 )
-from lrwp.forcing import ConstantForce, SinusoidalForce, ZeroForce
+from lrwp.forcing import ConstantForce, SinusoidalForce
 from lrwp.invariant import InvariantSpec, coeffs_at, eigenvalue, phase_alpha
 from lrwp.oracle import GridSpec, propagate_cranknicolson
 from lrwp.wavepacket import (
@@ -41,7 +41,7 @@ from lrwp.wavepacket import (
 from cross_checks import density_closed_form, gaussian_phi_pt, plane_wave_superposition
 from simpson_reference import adaptive_simpson, phase_reference
 
-F_ZERO = ZeroForce()
+F_ZERO = ConstantForce(0.0)
 F_CONST = ConstantForce(1.0)
 F_SIN = SinusoidalForce(1.0, 2.0)
 
@@ -151,6 +151,9 @@ class TestWidths:
         t_star = min_uncertainty_time(pk, 3.0)
         assert abs(t_star - 1.0) < 1e-8
         assert uncertainty_product(pk, t_star) == pytest.approx(0.5, abs=1e-12)
+        # t* = Re(m/F0) = 1 is exact here, and clamped to [0, t_hi]
+        assert (t_star, min_uncertainty_time(pk, 0.5)) == (1.0, 0.5)
+        assert min_uncertainty_time(MATCHED, 3.0) == 0.0
 
     def test_lower_bound(self):
         for t in np.linspace(0.0, 5.0, 64):
@@ -312,17 +315,6 @@ class TestFourierBridge:
         phi = sample_gaussian_momentum(params, 1.0, 1.0, F_ZERO, pgrid, 0.0)
         assert "aliasing" in fourier_bridge(phi, 1.0, position_grid=grid).flags
 
-    def test_default_position_grid_is_centered_conjugate(self):
-        grid = Grid1D(-20.0, 20.0, 512)
-        pgrid = conjugate_momentum_grid(grid, 1.0)
-        phi = sample_gaussian_momentum(
-            GaussianMomentumParams(sigma=1.0), 1.0, 1.0, F_ZERO, pgrid, 0.0
-        )
-        auto = fourier_bridge(phi, 1.0)
-        explicit = fourier_bridge(phi, 1.0, position_grid=grid)
-        assert auto.grid == grid  # conjugate of the conjugate, centered at 0
-        np.testing.assert_allclose(auto.values, explicit.values, atol=1e-14)
-
     def test_rejects_mismatched_grids(self):
         grid = Grid1D(-20.0, 20.0, 512)
         pgrid = conjugate_momentum_grid(grid, 1.0)
@@ -406,3 +398,24 @@ def test_negative_time_rejected():
         gtwp_psi(MATCHED, F_ZERO, 0.0, -0.5)
     with pytest.raises(ValueError):
         momentum_solution(lambda p: p, F_ZERO, 1.0, 1.0, 0.0, -1.0)
+
+
+PLANE = PacketState(1.0, 1.0, 0.0, 0.5, InvariantSpec(1.0, 0j))
+# each closed form reaches the force profile at its own t, and only the profile checks t ≥ 0
+AT_TIME = {
+    "x_c": lambda t: x_c(MATCHED.classical, F_CONST, t),
+    "p_c": lambda t: p_c(MATCHED.classical, F_CONST, t),
+    "kinetic_action": lambda t: kinetic_action(1.0, 0.5, F_CONST, t),
+    "coeffs_at": lambda t: coeffs_at(MATCHED.spec, 1.0, F_CONST, t),
+    "phase_alpha": lambda t: phase_alpha(PLANE.spec, PLANE.classical, F_CONST, 0.5, 1.0, t),
+    "gtwp_psi": lambda t: gtwp_psi(MATCHED, F_CONST, 0.3, t),
+    "plane_wave_psi": lambda t: plane_wave_psi(PLANE, F_CONST, 0.5, 0.3, t),
+    "momentum_solution": lambda t: momentum_solution(np.exp, F_CONST, 1.0, 1.0, 0.3, t),
+}
+
+
+@pytest.mark.parametrize("name", list(AT_TIME))
+def test_closed_forms_reject_the_smallest_negative_time(name):
+    AT_TIME[name](0.0)  # defined at t = 0
+    with pytest.raises(ValueError, match="negative time"):
+        AT_TIME[name](-1e-300)
