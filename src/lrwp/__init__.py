@@ -25,7 +25,6 @@ from .invariant import (
     apply_invariant,
     coeffs_at,
     eigenvalue,
-    phase_alpha,
 )
 from .oracle import (
     GridSpec,
@@ -46,7 +45,6 @@ from .wavepacket import (
     matched_packet,
     min_uncertainty_time,
     momentum_solution,
-    plane_wave_psi,
     sample_gaussian_momentum,
     sample_gtwp,
     spreading_time,

@@ -8,7 +8,7 @@ The center of the packet follows Newton's equations for the driving force:
 and the accumulated kinetic phase uses S(t) = ∫₀ᵗ p_c(τ)²/(2m) dτ, which
 expands into the exact quadratures G1 and G2 = ∫₀ᵗ G² dτ of the force.
 :func:`kinetic_action` is that expansion's one source, for any momentum p:
-the packet, the momentum route and the Lewis–Riesenfeld phase all call it.
+the packet (and with it the plane wave) and the momentum route both call it.
 The force profile, which every function here calls, rejects negative times.
 """
 

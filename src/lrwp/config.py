@@ -14,6 +14,7 @@ The packet section accepts exactly one parameterization:
 import cmath
 import enum
 import math
+import sys
 from dataclasses import dataclass, replace
 
 from .classical import x_c
@@ -325,6 +326,14 @@ def parse_config(text: str, mode_override: str | None = None) -> RunConfig:
             raise ConfigError(str(exc))
     if mode is RunMode.MOMENTUM and gaussian is None:
         raise ConfigError("momentum mode requires the gaussian packet parameterization")
+    # gaussian_phi0 divides by ħ²; where ħ² underflows to 0 that ends in ZeroDivisionError,
+    # and where it is subnormal the prefactor (2σ²/πħ²)^{1/4} overflows and φ turns nan
+    momentum_route = mode is RunMode.MOMENTUM or (
+        mode is RunMode.SWEEP and sweep_mode is RunMode.MOMENTUM
+    )
+    if momentum_route and hbar * hbar < sys.float_info.min:
+        message = f"hbar = {hbar:g}: the momentum route divides by hbar^2, which underflows"
+        raise ConfigError(message, system["hbar"][1])
     if mode is RunMode.SWEEP:
         if sweep_axis is None or not sweep_values:
             raise ConfigError("sweep mode needs sweep_axis and sweep_values")

@@ -4,8 +4,8 @@ Every closed-form result downstream is built from the three quadratures
 
     G(t)  = ∫₀ᵗ F(τ) dτ          (momentum delivered by the force)
     G1(t) = ∫₀ᵗ G(τ) dτ          (enters the drift of the packet center)
-    G2(t) = ∫₀ᵗ G(τ)² dτ         (enters every phase: action, momentum route,
-                                  plane wave)
+    G2(t) = ∫₀ᵗ G(τ)² dτ         (enters every phase: packet action and
+                                  momentum route)
 
 so each profile kind carries exact antiderivatives. Piecewise-linear profiles
 (the config kind ``tabulated`` builds one too) integrate segment-by-segment to
@@ -86,12 +86,16 @@ class SinusoidalForce(ForceProfile):
     phase: float = 0.0
 
     def __post_init__(self):
-        try:  # G1 divides by ω², G2 by ω³; ω = 0 is ConstantForce
-            powers = (self.omega**2, self.omega**3)
-        except OverflowError:
-            powers = (math.inf,)
-        if not all(0.0 < abs(w) < math.inf for w in powers):
-            raise ValueError(f"omega = {self.omega:g}: omega^2 and omega^3 must be finite, not 0")
+        a, w = self.amplitude, self.omega
+        try:  # the prefactors of G, G1 and G2, as they compute them; ω = 0 is ConstantForce
+            scales = (a / w, a / w**2, a**2 / w**3)
+        except (OverflowError, ZeroDivisionError):
+            scales = (math.inf,)
+        if not all(math.isfinite(k) for k in scales):
+            raise ValueError(
+                f"amplitude = {a:g}, omega = {w:g}: "
+                "a/omega, a/omega^2 and a^2/omega^3 must be finite"
+            )
 
     def force(self, t):
         return self.amplitude * np.sin(self.omega * _check_time(t) + self.phase)

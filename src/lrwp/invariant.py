@@ -12,15 +12,16 @@ F0 ≠ 0 is rejected because the density would collapse and diverge at
 t = m/F0. The operator is deliberately allowed to be non-Hermitian; no
 Hermiticity is ever assumed or enforced.
 
-An eigenfunction φ_λ of I(t) times e^{iα(t)} solves the Schrödinger equation;
-:func:`phase_alpha` is this Lewis–Riesenfeld phase α(t), in closed form.
+An eigenfunction φ_λ of I(t) times e^{iα(t)} solves the Schrödinger equation.
+For the eigenvalue of a classical launch point, that product is the packet of
+``lrwp.wavepacket.gtwp_psi``, which carries α(t) inside its closed form; the
+tests keep the Lewis–Riesenfeld phase α(t) itself as a cross-check.
 """
 
-import cmath
 import enum
 from dataclasses import dataclass
 
-from .classical import ClassicalState, kinetic_action
+from .classical import ClassicalState
 from .errors import DivergentDensityError, PositionBranchError, UnphysicalInvariantError
 from .fields import WaveField, boundary_amplitude, spectral_derivative
 from .forcing import ForceProfile
@@ -32,7 +33,6 @@ __all__ = [
     "coeffs_at",
     "eigenvalue",
     "apply_invariant",
-    "phase_alpha",
 ]
 
 BOUNDARY_SUPPORT_TOL = 1e-12
@@ -116,39 +116,3 @@ def apply_invariant(coeffs: InvariantCoefficients, field: WaveField, hbar: float
         flags = flags + ("boundary_contamination",)
     return WaveField(grid=field.grid, t=field.t, values=values, space=field.space, flags=flags)
 
-
-def phase_alpha(
-    spec: InvariantSpec,
-    state: ClassicalState,
-    profile: ForceProfile,
-    lam: complex,
-    hbar: float,
-    t: float,
-    alpha0: complex = 0j,
-) -> complex:
-    """Time-dependent phase α(t) of the evolving eigenfunction, in closed form.
-
-    α(t) = α(0) − ∫₀ᵗ [(λ − C(τ))² + iħ·B0·A(τ)] / (2mħ·A(τ)²) dτ.
-
-    With u = (λ − C0)/A0 and a = A(t)/A0 = 1 − F0·t/m, λ − C(τ) equals
-    A(τ)·p̃ + B0·x̃ along the classical path p̃ = u + G, x̃ = (u·τ + G1)/m.
-    The integrand then splits into p̃²/(2mħ), (B0/2ħ)·d/dτ[x̃²/A] and
-    iB0/(2mA); the first integrates to :func:`kinetic_action` at p = u over ħ:
-
-    α(t) = α(0) − (u²t + 2u·G1 + G2)/(2mħ) − F0·(u·t + G1)²/(2m²ħ·a)
-           + (i/2)·ln a.
-
-    Im F0 ≤ 0 keeps a in the closed upper half plane, where the principal
-    logarithm is the continuous branch from ln 1 = 0; and a ≠ 0 because a
-    real F0 ≠ 0 is rejected. At F0 = 0 the last two terms vanish. In
-    general α(t) is complex.
-    """
-    m = state.m
-    u = (lam - spec.C0) / spec.A0
-    a = 1.0 - spec.F0 * t / m
-    return (
-        alpha0
-        - kinetic_action(m, u, profile, t) / hbar
-        - spec.F0 * (u * t + profile.g1(t)) ** 2 / (2.0 * m * m * hbar * a)
-        + 0.5j * cmath.log(a)
-    )

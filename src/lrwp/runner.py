@@ -34,7 +34,6 @@ from .wavepacket import (
     delta_x,
     fourier_bridge,
     min_uncertainty_time,
-    plane_wave_psi,
     sample_gaussian_momentum,
     sample_gtwp,
     uncertainty_product,
@@ -141,10 +140,7 @@ def run_analytic(cfg: RunConfig, out_dir) -> dict:
     def snapshots():
         for t in times:
             t = float(t)
-            if gtwp:
-                values = sample_gtwp(packet, cfg.profile, grid, t).values
-            else:
-                values = plane_wave_psi(packet, cfg.profile, lam, x, t)
+            values = sample_gtwp(packet, cfg.profile, grid, t).values
             yield np.column_stack(
                 [np.full(len(x), t), x, values.real, values.imag, np.abs(values) ** 2]
             )
@@ -175,6 +171,13 @@ def run_validate(cfg: RunConfig, out_dir) -> ValidateSummary:
     check_containment(cfg)
     packet = cfg.packet
     lam = eigenvalue(packet.spec, packet.classical)
+    # invariant drift is relative to |lambda| or, when that vanishes, to the
+    # natural operator scale |A0|·dp + |B0|·dx at t = 0; a plane wave has no
+    # dp or dx, so it is rejected here, before any propagation
+    spec = packet.spec
+    scale = max(
+        abs(lam), abs(spec.A0) * delta_p(packet) + abs(spec.B0) * delta_x(packet, 0.0)
+    )
     grid = cfg.grid.grid
     initial = sample_gtwp(packet, cfg.profile, grid, 0.0)
 
@@ -198,12 +201,6 @@ def run_validate(cfg: RunConfig, out_dir) -> ValidateSummary:
     write_csv_atomic(out / "observables.csv", OBSERVABLES_HEADER, rows)
 
     max_l2_ss = max(r.l2_err_vs_analytic for r in records)
-    # invariant drift relative to |lambda| or, when that vanishes, to the
-    # natural operator scale |A0|·dp + |B0|·dx at t = 0
-    spec = packet.spec
-    scale = max(
-        abs(lam), abs(spec.A0) * delta_p(packet) + abs(spec.B0) * delta_x(packet, 0.0)
-    )
     inv0 = records[0].inv_expect
     inv_drift = max(abs(r.inv_expect - inv0) for r in records) / scale
     max_norm_dev = max(abs(r.norm - 1.0) for r in records)

@@ -9,7 +9,10 @@ their time-dependent phase, give the Gaussian-type wave packet
 
 with S(t) the kinetic action of the packet center. Its width follows
 Δx(t) = √(ħ/2)·|A(t)/A0|/√(−Im F0) while Δp stays constant, and the
-uncertainty product dips to exactly ħ/2 at t* = Re(m/F0).
+uncertainty product dips to exactly ħ/2 at t* = Re(m/F0). At F0 = 0 the
+width is infinite: A(t) = A0, and the same formula is the driven plane wave
+e^{iα(0)}·e^{−iS(t)/ħ}·e^{i·p_c·x/ħ}, so :func:`gtwp_psi` samples both
+packet modes. The width, norm and uncertainty figures need Im F0 < 0.
 
 Momentum space: the same dynamics is a shift p → p − G(t) plus a phase,
 
@@ -32,13 +35,12 @@ from .classical import ClassicalState, kinetic_action, p_c, x_c
 from .errors import ModeMismatchError
 from .fields import Grid1D, Space, WaveField, boundary_amplitude
 from .forcing import ForceProfile
-from .invariant import InvariantSpec, PacketMode, coeffs_at, phase_alpha
+from .invariant import InvariantSpec, PacketMode
 
 __all__ = [
     "PacketState",
     "GaussianMomentumParams",
     "gtwp_psi",
-    "plane_wave_psi",
     "analytic_norm_sq",
     "delta_x",
     "delta_p",
@@ -112,7 +114,7 @@ def spreading_time(params: GaussianMomentumParams, m: float, hbar: float) -> flo
 
 def _require_gtwp(state: PacketState):
     if state.mode is not PacketMode.GTWP:
-        raise ModeMismatchError("plane-wave-mode packet: use plane_wave_psi")
+        raise ModeMismatchError("plane-wave packet (F0 = 0): it has no finite width or norm")
 
 
 def _ratio_a(state: PacketState, t: float) -> complex:
@@ -129,39 +131,25 @@ def _branch_sqrt(z: complex) -> complex:
 
 
 def gtwp_psi(state: PacketState, profile: ForceProfile, x, t: float):
-    """Gaussian-type wave packet at position(s) x and time t."""
-    _require_gtwp(state)
+    """Packet at position(s) x and time t, for both packet modes.
+
+    At F0 = 0 (B0 = 0) the Gaussian factor is dropped rather than formed as
+    0·(x − x_c)², which would turn nan where (x − x_c)² overflows; what is
+    left is the driven plane wave.
+    """
     cl = state.classical
     action = kinetic_action(state.m, state.p0, profile, t)
-    xc = x_c(cl, profile, t)
     pc = p_c(cl, profile, t)
     hbar = state.hbar
-    at = state.spec.A0 * _ratio_a(state, t)
     pref = cmath.exp(1j * state.alpha0) / _branch_sqrt(_ratio_a(state, t))
     pref *= cmath.exp(-1j * action / hbar)
     x = np.asarray(x, dtype=float)
-    out = pref * np.exp(
-        -1j * state.spec.B0 * (x - xc) ** 2 / (2.0 * hbar * at) + 1j * pc * x / hbar
-    )
-    return out if out.ndim else complex(out)
-
-
-def plane_wave_psi(state: PacketState, profile: ForceProfile, lam: complex, x, t: float):
-    """Driven plane-wave solution (F0 = 0 branch) with eigenvalue ``lam``:
-    e^{iα(t)}·exp[i(λ − C(t))·x/(ħA0)], with α(t) from :func:`phase_alpha`.
-
-    With B0 = 0 the coefficient A stays A0 and λ − C(τ) = A0·(u + G(τ)) for
-    u = (λ − C0)/A0, so α(t) = α(0) − (u²·t + 2u·G1(t) + G2(t)) / (2mħ).
-    """
-    if state.mode is not PacketMode.PLANE_WAVE:
-        raise ModeMismatchError("packet-mode spec: use gtwp_psi")
-    spec = state.spec
-    coeffs = coeffs_at(spec, state.m, profile, t)
-    alpha = phase_alpha(spec, state.classical, profile, lam, state.hbar, t, state.alpha0)
-    x = np.asarray(x, dtype=float)
-    out = cmath.exp(1j * alpha) * np.exp(
-        1j * (lam - coeffs.C) * x / (state.hbar * state.spec.A0)
-    )
+    arg = 1j * pc * x / hbar
+    if state.spec.B0 != 0:
+        xc = x_c(cl, profile, t)
+        at = state.spec.A0 * _ratio_a(state, t)
+        arg = -1j * state.spec.B0 * (x - xc) ** 2 / (2.0 * hbar * at) + arg
+    out = pref * np.exp(arg)
     return out if out.ndim else complex(out)
 
 
@@ -276,6 +264,8 @@ def matched_packet(params: GaussianMomentumParams, m: float, hbar: float) -> Pac
         t_spread = math.inf
     if not 0.0 < t_spread < math.inf:
         raise ValueError(f"spreading time 2m*sigma^2/hbar = {t_spread:g}, not finite and positive")
+    if not math.isfinite(m / t_spread):
+        raise ValueError(f"spreading time 2m*sigma^2/hbar = {t_spread:g}: F0 = -i*m/T overflows")
     f0 = -1j * m / t_spread
     spec = InvariantSpec(A0=1.0 + 0j, B0=f0, C0=0j)
     alpha0 = 0.25j * math.log(2.0 * math.pi * params.sigma**2)
@@ -283,6 +273,7 @@ def matched_packet(params: GaussianMomentumParams, m: float, hbar: float) -> Pac
 
 
 def sample_gtwp(state: PacketState, profile: ForceProfile, grid: Grid1D, t: float) -> WaveField:
+    """:func:`gtwp_psi` on a position grid: the packet, or at F0 = 0 the plane wave."""
     values = gtwp_psi(state, profile, grid.points, t)
     return WaveField(grid=grid, t=t, values=values, space=Space.POSITION)
 

@@ -5,6 +5,8 @@
 * ``density_closed_form``: |ψ|² written directly, against ``|gtwp_psi|²``.
 * ``plane_wave_superposition``: driven plane waves summed over launch momenta,
   against the packet they rebuild.
+* ``phase_alpha``: the Lewis–Riesenfeld phase α(t) in closed form, against its
+  adaptive integral and, times the invariant's eigenfunction, against the packet.
 * ``eigen_residual``: how far a sampled field is from an eigenfunction of the
   invariant.
 * ``ehrenfest_check``: Ehrenfest's theorem on a run's observable records.
@@ -12,7 +14,7 @@
 
 import cmath
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Callable
 
 import numpy as np
@@ -26,7 +28,7 @@ from lrwp.oracle import ObservableRecord
 from lrwp.wavepacket import (
     GaussianMomentumParams,
     PacketState,
-    plane_wave_psi,
+    gtwp_psi,
     spreading_time,
 )
 
@@ -64,7 +66,7 @@ def density_closed_form(state: PacketState, profile: ForceProfile, x, t: float):
     |ψ|² = e^{−2 Im α(0)} · exp[Im(F0)·(x−x_c)²/(ħ·|A/A0|²)] / |A/A0|.
     """
     if state.mode is not PacketMode.GTWP:
-        raise ModeMismatchError("plane-wave-mode packet: use plane_wave_psi")
+        raise ModeMismatchError("plane-wave packet (F0 = 0): its density is flat")
     xc = x_c(state.classical, profile, t)
     r = abs(1.0 - state.spec.F0 * t / state.m)
     x = np.asarray(x, dtype=float)
@@ -94,14 +96,51 @@ def plane_wave_superposition(
     dp = np.diff(p0_values)
     if len(dp) < 1 or not np.allclose(dp, dp[0], rtol=1e-12, atol=0.0):
         raise ValueError("p0_values must be a uniform grid")
-    spec = InvariantSpec(A0=1.0 + 0j, B0=0j, C0=0j)
+    plane = PacketState(m=m, hbar=hbar, x0=0.0, p0=0.0, spec=InvariantSpec(1.0, 0j), alpha0=0j)
     x = np.asarray(x, dtype=float)
     out = np.zeros(x.shape if x.ndim else (), dtype=complex)
     for p0 in p0_values:
-        state = PacketState(m=m, hbar=hbar, x0=0.0, p0=float(p0), spec=spec, alpha0=0j)
-        out = out + complex(phi0(p0)) * plane_wave_psi(state, profile, complex(p0), x, t)
+        state = replace(plane, p0=float(p0))
+        out = out + complex(phi0(p0)) * gtwp_psi(state, profile, x, t)
     out = out * dp[0] / np.sqrt(2.0 * np.pi * hbar)
     return out if np.ndim(out) else complex(out)
+
+
+def phase_alpha(
+    spec: InvariantSpec,
+    state: ClassicalState,
+    profile: ForceProfile,
+    lam: complex,
+    hbar: float,
+    t: float,
+    alpha0: complex = 0j,
+) -> complex:
+    """Time-dependent phase α(t) of the evolving eigenfunction, in closed form.
+
+    α(t) = α(0) − ∫₀ᵗ [(λ − C(τ))² + iħ·B0·A(τ)] / (2mħ·A(τ)²) dτ.
+
+    With u = (λ − C0)/A0 and a = A(t)/A0 = 1 − F0·t/m, λ − C(τ) equals
+    A(τ)·p̃ + B0·x̃ along the classical path p̃ = u + G, x̃ = (u·τ + G1)/m.
+    The integrand then splits into p̃²/(2mħ), (B0/2ħ)·d/dτ[x̃²/A] and
+    iB0/(2mA); the first integrates to ``kinetic_action`` at p = u over ħ:
+
+    α(t) = α(0) − (u²t + 2u·G1 + G2)/(2mħ) − F0·(u·t + G1)²/(2m²ħ·a)
+           + (i/2)·ln a.
+
+    Im F0 ≤ 0 keeps a in the closed upper half plane, where the principal
+    logarithm is the continuous branch from ln 1 = 0; and a ≠ 0 because a
+    real F0 ≠ 0 is rejected. At F0 = 0 the last two terms vanish. In
+    general α(t) is complex.
+    """
+    m = state.m
+    u = (lam - spec.C0) / spec.A0
+    a = 1.0 - spec.F0 * t / m
+    return (
+        alpha0
+        - kinetic_action(m, u, profile, t) / hbar
+        - spec.F0 * (u * t + profile.g1(t)) ** 2 / (2.0 * m * m * hbar * a)
+        + 0.5j * cmath.log(a)
+    )
 
 
 def eigen_residual(

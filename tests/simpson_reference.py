@@ -1,6 +1,6 @@
 """Adaptive-Simpson reference values of G, G1, G2 and the phase α(t).
 
-The closed forms in ``lrwp.forcing`` and ``lrwp.invariant.phase_alpha`` are
+The closed forms in ``lrwp.forcing`` and ``cross_checks.phase_alpha`` are
 checked against these; the package itself never integrates numerically.
 """
 
@@ -103,7 +103,7 @@ def simpson_reference(profile, name, t):
 def phase_reference(spec, state, profile, lam, hbar, t, alpha0=0j):
     """α(t) = α(0) − ∫₀ᵗ [(λ − C(τ))² + iħ·B0·A(τ)] / (2mħ·A(τ)²) dτ by
     adaptive Simpson to an absolute tolerance of 1e-12, with A(τ) and C(τ)
-    from ``coeffs_at``. Same arguments as ``lrwp.invariant.phase_alpha``.
+    from ``coeffs_at``. Same arguments as ``cross_checks.phase_alpha``.
     """
     m = state.m
 

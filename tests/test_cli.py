@@ -89,10 +89,20 @@ def test_config_error_exit_two(tmp_path, capsys):
          "line 2: spreading time 2m*sigma^2/hbar = inf, not finite and positive"),
         ("analytic", "[packet]\nsigma = 1e-300\n",
          "line 2: spreading time 2m*sigma^2/hbar = 0, not finite and positive"),
-        # G1 divides by ω² and G2 by ω³
-        *[("analytic", f"[force]\nkind = sinusoidal\namplitude = 1\nomega = {omega}\n",
-           f"line 2: omega = {float(omega):g}: omega^2 and omega^3 must be finite, not 0")
-          for omega in ("1e308", "1e-300", "1e-110")],
+        # T = 2e-320 (a subnormal) is finite and positive, but F0 = -i·m/T is not
+        ("analytic", "[packet]\nsigma = 1e-160\n",
+         "line 2: spreading time 2m*sigma^2/hbar = 1.99998e-320: F0 = -i*m/T overflows"),
+        # G, G1 and G2 carry a/ω, a/ω² and a²/ω³; at ω = 1e-105, ω³ is subnormal and a²/ω³ inf
+        *[(mode, f"[force]\nkind = sinusoidal\namplitude = 1\nomega = {omega}\n",
+           f"line 2: amplitude = 1, omega = {float(omega):g}: "
+           "a/omega, a/omega^2 and a^2/omega^3 must be finite")
+          for omega in ("1e308", "1e-300", "1e-110", "1e-105") for mode in ("analytic", "validate")],
+        # the momentum route divides by ħ², which underflows to 0 at ħ = 1e-300
+        ("momentum", "[system]\nhbar = 1e-300\n",
+         "line 2: hbar = 1e-300: the momentum route divides by hbar^2, which underflows"),
+        ("sweep", "[system]\nhbar = 1e-300\n[run]\nsweep_axis = sigma\nsweep_values = 1\n"
+         "sweep_mode = momentum\n",
+         "line 2: hbar = 1e-300: the momentum route divides by hbar^2, which underflows"),
         # the conjugate momentum grid of an infinitely wide box has zero width
         ("momentum", "[grid]\nx_min = -1e308\nx_max = 1e308\n",
          "line 2: x_max - x_min overflows a float"),
@@ -102,7 +112,8 @@ def test_config_error_exit_two(tmp_path, capsys):
         assert main([mode, "--config", cfg, "--out", str(tmp_path / "out")]) == 2
         err = capsys.readouterr().err
         assert message in err
-        assert "Traceback" not in err
+        assert "Traceback" not in err and err.count("\n") == 1
+        assert not (tmp_path / "out").exists()
 
 
 @pytest.mark.parametrize("mode", ["analytic", "validate", "momentum", "sweep"])

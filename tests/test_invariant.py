@@ -17,9 +17,8 @@ from lrwp.invariant import (
     apply_invariant,
     coeffs_at,
     eigenvalue,
-    phase_alpha,
 )
-from cross_checks import eigen_residual
+from cross_checks import eigen_residual, phase_alpha
 
 # frozen: trapezoid oracle of the alpha integrand for A0=1, B0=-i, zero force,
 # lam=0, m=hbar=1; equals (i/2)·log(1+it) at t=1

@@ -20,7 +20,7 @@ from lrwp.forcing import (  # noqa: E402
     SinusoidalForce,
 )
 from lrwp.classical import ClassicalState, p_c, x_c  # noqa: E402
-from lrwp.invariant import InvariantSpec, coeffs_at, eigenvalue, phase_alpha  # noqa: E402
+from lrwp.invariant import InvariantSpec, coeffs_at, eigenvalue  # noqa: E402
 from lrwp.wavepacket import (  # noqa: E402
     GaussianMomentumParams,
     PacketState,
@@ -31,7 +31,7 @@ from lrwp.wavepacket import (  # noqa: E402
     momentum_solution,
     uncertainty_product,
 )
-from cross_checks import gaussian_phi_pt  # noqa: E402
+from cross_checks import gaussian_phi_pt, phase_alpha  # noqa: E402
 from simpson_reference import phase_reference, simpson_reference  # noqa: E402
 
 amplitudes = st.floats(-3.0, 3.0)

@@ -183,6 +183,19 @@ class TestAnalytic:
         assert _col(oh, orows, "dx")[0] == "nan"
         assert float(_col(oh, orows, "p_mean")[-1]) == pytest.approx(1.5, abs=1e-12)
 
+    def test_plane_wave_on_a_huge_box_stays_finite(self, tmp_path):
+        # (x − x_c)² overflows from |x| ≈ 1e154 on; the plane wave never forms it
+        cfg = parse_config(
+            "[packet]\nF0 = 0\np0 = 1\n[grid]\nx_min = -1e200\nx_max = 1e200\nn = 64\n"
+            "dt = 1e-3\nt_max = 0.1\noutput_every = 50\n"
+        )
+        run_analytic(cfg, tmp_path)
+        header, rows = _read(tmp_path / "snapshots.csv")
+        assert len(rows) == 3 * 64
+        assert "nan" not in (tmp_path / "snapshots.csv").read_text()
+        prob = np.array(_col(header, rows, "prob"), dtype=float)
+        np.testing.assert_allclose(prob, 1.0, atol=1e-12)
+
     def test_byte_identical_reruns(self, tmp_path):
         cfg = parse_config("[force]\nkind = constant\namplitude = 1\n" + SMALL_GRID)
         a, b = tmp_path / "a", tmp_path / "b"
@@ -301,11 +314,26 @@ class TestSweep:
         # σ² overflows at 1e300 and underflows to 0 at 1e-300, so T = 2mσ²/ħ is not usable
         cfg = parse_config(
             SMALL_GRID
-            + "[run]\nmode = sweep\nsweep_axis = sigma\nsweep_values = 1e300, 1, 1e-300\n"
+            + "[run]\nmode = sweep\nsweep_axis = sigma\nsweep_values = 1e300, 1, 1e-300, 1e-160\n"
             "sweep_mode = analytic\n"
         )
         results = run_sweep(cfg, tmp_path, jobs=1)
-        assert [r[-1] for r in results] == ["error:ValueError", "ok", "error:ValueError"]
+        # at 1e-160, T = 2e-320 is finite and positive but F0 = -i·m/T overflows
+        assert [r[-1] for r in results] == [
+            "error:ValueError", "ok", "error:ValueError", "error:ValueError"
+        ]
+
+    def test_plane_wave_case_of_a_validate_sweep_stops_before_propagating(self, tmp_path):
+        # F0_imag = 0 makes the case a plane wave, which has no width to validate against
+        cfg = parse_config(
+            "[packet]\nF0 = 0-0.5i\n" + SMALL_GRID
+            + "[run]\nmode = sweep\nsweep_axis = F0_imag\nsweep_values = -0.5, 0\n"
+            "sweep_mode = validate\n"
+        )
+        results = run_sweep(cfg, tmp_path, jobs=1)
+        assert results[1][-1] == "error:ModeMismatchError"
+        assert results[0][-1] != "error:ModeMismatchError"
+        assert not (tmp_path / "F0_imag=0" / "observables.csv").exists()
 
     def test_crashed_worker_keeps_the_summary(self, tmp_path, monkeypatch):
         monkeypatch.setattr(runner, "_run_sweep_case", _crash_on_sigma_one)

@@ -7,7 +7,6 @@ import pytest
 
 from lrwp.classical import ClassicalState, kinetic_action, p_c, x_c
 from lrwp.config import parse_config
-from lrwp.errors import ModeMismatchError
 from lrwp.fields import (
     Grid1D,
     Space,
@@ -18,7 +17,7 @@ from lrwp.fields import (
     l2_error,
 )
 from lrwp.forcing import ConstantForce, SinusoidalForce
-from lrwp.invariant import InvariantSpec, coeffs_at, eigenvalue, phase_alpha
+from lrwp.invariant import InvariantSpec, coeffs_at, eigenvalue
 from lrwp.oracle import GridSpec, propagate_cranknicolson
 from lrwp.wavepacket import (
     GaussianMomentumParams,
@@ -32,13 +31,17 @@ from lrwp.wavepacket import (
     matched_packet,
     min_uncertainty_time,
     momentum_solution,
-    plane_wave_psi,
     sample_gaussian_momentum,
     sample_gtwp,
     spreading_time,
     uncertainty_product,
 )
-from cross_checks import density_closed_form, gaussian_phi_pt, plane_wave_superposition
+from cross_checks import (
+    density_closed_form,
+    gaussian_phi_pt,
+    phase_alpha,
+    plane_wave_superposition,
+)
 from simpson_reference import adaptive_simpson, phase_reference
 
 F_ZERO = ConstantForce(0.0)
@@ -68,10 +71,14 @@ class TestGtwpPsi:
         analytic = sample_gtwp(MATCHED, F_CONST, grid, 1.0)
         assert l2_error(final, analytic) < 1e-6
 
-    def test_mode_guard(self):
-        plane = PacketState(1.0, 1.0, 0.0, 0.0, InvariantSpec(1.0, 0j))
-        with pytest.raises(ModeMismatchError):
-            gtwp_psi(plane, F_ZERO, 0.0, 0.0)
+    def test_packet_formula_at_f0_zero_is_the_free_plane_wave(self):
+        # F0 = 0: no width, A(t) = A0, and ψ = exp[i(p0·x − p0²t/2m)/ħ]
+        m, hbar, p0 = 1.5, 0.7, -0.9
+        plane = PacketState(m, hbar, 0.4, p0, InvariantSpec(0.8 + 0.3j, 0j, 0.2 - 0.1j))
+        x = np.linspace(-5.0, 5.0, 21)
+        for t in (0.0, 0.6, 2.5):
+            expected = np.exp(1j * (p0 * x - p0 * p0 * t / (2.0 * m)) / hbar)
+            np.testing.assert_allclose(gtwp_psi(plane, F_ZERO, x, t), expected, atol=1e-13)
 
     def test_branch_continuity_in_time(self):
         # drive Re(A/A0) through zero; psi must stay continuous
@@ -164,53 +171,52 @@ class TestPlaneWave:
     PK = PacketState(1.0, 1.0, 0.0, 2.0, InvariantSpec(1.0, 0j), alpha0=0j)
 
     def test_free_plane_wave(self):
-        val = plane_wave_psi(self.PK, F_ZERO, 2.0 + 0j, 1.3, 0.7)
+        val = gtwp_psi(self.PK, F_ZERO, 1.3, 0.7)
         assert val == pytest.approx(cmath.exp(1j * (2 * 1.3 - 4 * 0.7 / 2)), abs=1e-12)
 
     def test_initial_condition_any_force(self):
         for profile in (F_CONST, F_SIN):
-            val = plane_wave_psi(self.PK, profile, 2.0 + 0j, 0.9, 0.0)
+            val = gtwp_psi(self.PK, profile, 0.9, 0.0)
             assert val == pytest.approx(cmath.exp(1j * 2.0 * 0.9), abs=1e-14)
 
     def test_phase_gradient_equals_momentum(self):
         pk = PacketState(1.0, 1.0, 0.0, 0.0, InvariantSpec(1.0, 0j), alpha0=0j)
         h = 1e-6
-        a = plane_wave_psi(pk, F_CONST, 0j, 0.5 + h, 1.0)
-        b = plane_wave_psi(pk, F_CONST, 0j, 0.5 - h, 1.0)
+        a = gtwp_psi(pk, F_CONST, 0.5 + h, 1.0)
+        b = gtwp_psi(pk, F_CONST, 0.5 - h, 1.0)
         grad = cmath.phase(a / b) / (2 * h)
         assert grad == pytest.approx(float(F_CONST.g(1.0)), abs=1e-8)
 
     def test_unit_modulus(self):
         for t in (0.0, 0.7, 2.0):
-            assert abs(plane_wave_psi(self.PK, F_SIN, 2.0 + 0j, -1.1, t)) == pytest.approx(
+            assert abs(gtwp_psi(self.PK, F_SIN, -1.1, t)) == pytest.approx(
                 1.0, abs=1e-12
             )
-
-    def test_mode_guard(self):
-        with pytest.raises(ModeMismatchError):
-            plane_wave_psi(MATCHED, F_ZERO, 0j, 0.0, 0.0)
 
     def test_phase_matches_phase_alpha(self):
         # the plane wave's closed-form phase against the adaptive integral of
         # the LR phase, at the snapshot times of driven_plane_wave.ini and for
-        # a complex λ, A0, C0
+        # a complex A0, C0; the closed-form LR phase for a complex λ too
         cfg = parse_config((CONFIGS / "driven_plane_wave.ini").read_text())
         profile = cfg.profile
         general = PacketState(
             1.0, 1.0, 0.0, 0.0, InvariantSpec(0.8 + 0.3j, 0j, 0.2 - 0.1j), alpha0=0.3 + 0.1j
         )
-        cases = [(cfg.packet, eigenvalue(cfg.packet.spec, cfg.packet.classical)),
-                 (general, 1.1 + 0.05j)]
         g = cfg.grid
-        for pk, lam in cases:
-            for t in g.dt * g.output_every * np.arange(g.n_steps // g.output_every + 1):
-                t = float(t)
+        for t in g.dt * g.output_every * np.arange(g.n_steps // g.output_every + 1):
+            t = float(t)
+            for pk in (cfg.packet, general):
+                lam = eigenvalue(pk.spec, pk.classical)
                 alpha = phase_reference(
                     pk.spec, pk.classical, profile, lam, pk.hbar, t, alpha0=pk.alpha0
                 )
                 # at x = 0 the plane wave is e^{iα(t)}
-                psi = plane_wave_psi(pk, profile, lam, 0.0, t)
+                psi = gtwp_psi(pk, profile, 0.0, t)
                 assert abs(psi - cmath.exp(1j * alpha)) <= 1e-13
+            lam = 1.1 + 0.05j
+            args = (general.spec, general.classical, profile, lam, general.hbar, t, general.alpha0)
+            alpha = phase_alpha(*args)
+            assert abs(cmath.exp(1j * alpha) - cmath.exp(1j * phase_reference(*args))) <= 1e-13
 
 
 class TestMomentumSpace:
@@ -409,7 +415,7 @@ AT_TIME = {
     "coeffs_at": lambda t: coeffs_at(MATCHED.spec, 1.0, F_CONST, t),
     "phase_alpha": lambda t: phase_alpha(PLANE.spec, PLANE.classical, F_CONST, 0.5, 1.0, t),
     "gtwp_psi": lambda t: gtwp_psi(MATCHED, F_CONST, 0.3, t),
-    "plane_wave_psi": lambda t: plane_wave_psi(PLANE, F_CONST, 0.5, 0.3, t),
+    "gtwp_psi_plane_wave": lambda t: gtwp_psi(PLANE, F_CONST, 0.3, t),
     "momentum_solution": lambda t: momentum_solution(np.exp, F_CONST, 1.0, 1.0, 0.3, t),
 }
 
