@@ -1,7 +1,7 @@
 """Closed-form wave packets for a particle driven by a time-dependent linear
 potential, with two independent numerical propagators for cross-validation."""
 
-from .classical import ClassicalState, kinetic_action, p_c, x_c
+from .classical import kinetic_action, p_c, x_c
 from .errors import (
     AcceptanceViolation,
     AliasingError,
@@ -18,14 +18,7 @@ from .errors import (
 )
 from .fields import Grid1D, Space, WaveField, conjugate_momentum_grid
 from .forcing import ConstantForce, ForceProfile, PiecewiseLinearForce, SinusoidalForce
-from .invariant import (
-    InvariantCoefficients,
-    InvariantSpec,
-    PacketMode,
-    apply_invariant,
-    coeffs_at,
-    eigenvalue,
-)
+from .invariant import InvariantSpec, PacketState, apply_invariant, coeffs_at, eigenvalue
 from .oracle import (
     GridSpec,
     ObservableRecord,
@@ -35,7 +28,6 @@ from .oracle import (
 )
 from .wavepacket import (
     GaussianMomentumParams,
-    PacketState,
     analytic_norm_sq,
     delta_p,
     delta_x,

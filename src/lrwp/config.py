@@ -20,10 +20,9 @@ from dataclasses import dataclass, replace
 from .classical import x_c
 from .errors import ConfigError, ContainmentError, LrwpError, OutOfDomainError
 from .forcing import ConstantForce, ForceProfile, PiecewiseLinearForce, SinusoidalForce
-from .invariant import InvariantSpec, PacketMode
+from .invariant import InvariantSpec, PacketState
 from .oracle import INITIAL_NORM_TOL, GridSpec
-from .wavepacket import (GaussianMomentumParams, PacketState, analytic_norm_sq, delta_x,
-                         matched_packet)
+from .wavepacket import GaussianMomentumParams, analytic_norm_sq, delta_x, matched_packet
 
 __all__ = ["MAX_ROWS", "RunMode", "RunConfig", "parse_config", "check_containment",
            "apply_sweep_value", "sweep_case_name"]
@@ -220,9 +219,9 @@ def _build_packet(
 
 def check_containment(cfg: RunConfig) -> None:
     """Validate-mode guard: the box must hold x_c(t_max) ± 8·Δx(t_max)."""
-    if cfg.packet.mode is not PacketMode.GTWP:
+    if not cfg.packet.spec.is_packet:
         return
-    xc = float(x_c(cfg.packet.classical, cfg.profile, cfg.grid.t_max))
+    xc = float(x_c(cfg.packet, cfg.profile, cfg.grid.t_max))
     margin = CONTAINMENT_WIDTHS * delta_x(cfg.packet, cfg.grid.t_max)
     if xc - margin < cfg.grid.x_min or xc + margin > cfg.grid.x_max:
         raise ContainmentError(
@@ -314,7 +313,7 @@ def parse_config(text: str, mode_override: str | None = None) -> RunConfig:
     )
 
     if mode is RunMode.VALIDATE:
-        if packet.mode is not PacketMode.GTWP:
+        if not packet.spec.is_packet:
             raise ConfigError("validate mode needs a packet (Im(F0) < 0), not a plane wave")
         norm_sq = analytic_norm_sq(packet)
         if abs(norm_sq - 1.0) > INITIAL_NORM_TOL:  # only an explicit alpha0 can do this

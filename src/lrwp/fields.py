@@ -6,7 +6,7 @@ masked out of momentum observables and spectral derivatives.
 """
 
 import enum
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -32,10 +32,6 @@ class Space(enum.Enum):
     MOMENTUM = "momentum"
 
 
-def _is_pow2(n: int) -> bool:
-    return n >= 1 and (n & (n - 1)) == 0
-
-
 @dataclass(frozen=True)
 class Grid1D:
     lo: float
@@ -45,7 +41,7 @@ class Grid1D:
     def __post_init__(self):
         if not self.lo < self.hi:
             raise ValueError("grid needs lo < hi")
-        if self.n < 16 or not _is_pow2(self.n):
+        if self.n < 16 or self.n & (self.n - 1):
             raise ValueError("grid size must be a power of two, at least 16")
 
     @property
@@ -59,17 +55,13 @@ class Grid1D:
 
 @dataclass(frozen=True)
 class WaveField:
-    """One snapshot of a complex field, in position or momentum space.
-
-    ``flags`` accumulates non-fatal quality warnings (e.g. boundary
-    contamination) raised by operations along the way.
-    """
+    """One snapshot of a complex field, in position or momentum space. It carries no
+    quality flags: an operation that cannot trust its input raises instead."""
 
     grid: Grid1D
     t: float
     values: np.ndarray
     space: Space = Space.POSITION
-    flags: tuple[str, ...] = field(default=())
 
     def __post_init__(self):
         values = np.asarray(self.values, dtype=complex)

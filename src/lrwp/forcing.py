@@ -180,11 +180,13 @@ class PiecewiseLinearForce(ForceProfile):
         if np.any(dts <= 0):
             raise ValueError("knot times must be strictly increasing")
         slopes = np.diff(fs) / dts
-        # cumulative exact integrals at the knots
-        g = np.concatenate(([0.0], np.cumsum(0.5 * (fs[:-1] + fs[1:]) * dts)))
-        seg_g1 = g[:-1] * dts + 0.5 * fs[:-1] * dts**2 + slopes * dts**3 / 6.0
-        g1 = np.concatenate(([0.0], np.cumsum(seg_g1)))
-        g2 = np.concatenate(([0.0], np.cumsum(_g2_segment(g[:-1], fs[:-1], slopes, dts))))
+        # cumulative exact integrals at the knots; one that overflows stays inf
+        # or nan, and the runners refuse the non-finite samples it leads to
+        with np.errstate(over="ignore", invalid="ignore"):
+            g = np.concatenate(([0.0], np.cumsum(0.5 * (fs[:-1] + fs[1:]) * dts)))
+            seg_g1 = g[:-1] * dts + 0.5 * fs[:-1] * dts**2 + slopes * dts**3 / 6.0
+            g1 = np.concatenate(([0.0], np.cumsum(seg_g1)))
+            g2 = np.concatenate(([0.0], np.cumsum(_g2_segment(g[:-1], fs[:-1], slopes, dts))))
         object.__setattr__(self, "_ts", ts)
         object.__setattr__(self, "_fs", fs)
         object.__setattr__(self, "_slopes", slopes)

@@ -2,45 +2,32 @@
 
 The coefficients evolve as
 
-    A(t) = A0 − (B0/m)·t,   B(t) = B0,
+    A(t) = A0·(1 − F0·t/m),   B(t) = B0,
     C(t) = C0 − A(t)·G(t) − (B0/m)·G1(t),
 
 so that I(t) equals A0·p̂(0) + B0·x̂(0) + C0 for all times. The complex ratio
 F0 = B0/A0 classifies the eigenfunctions: Im(F0) < 0 gives normalizable
-Gaussian packets, F0 = 0 gives driven plane waves, and Im(F0) = 0 with
-F0 ≠ 0 is rejected because the density would collapse and diverge at
-t = m/F0. The operator is deliberately allowed to be non-Hermitian; no
-Hermiticity is ever assumed or enforced.
+Gaussian packets, F0 = 0 gives driven plane waves (the infinite-width end of
+the same family), and Im(F0) = 0 with F0 ≠ 0 is rejected because the density
+would collapse and diverge at t = m/F0. The operator is deliberately allowed
+to be non-Hermitian; no Hermiticity is ever assumed or enforced.
 
 An eigenfunction φ_λ of I(t) times e^{iα(t)} solves the Schrödinger equation.
-For the eigenvalue of a classical launch point, that product is the packet of
-``lrwp.wavepacket.gtwp_psi``, which carries α(t) inside its closed form; the
-tests keep the Lewis–Riesenfeld phase α(t) itself as a cross-check.
+A :class:`PacketState` picks one: the invariant plus a launch point (x0, p0),
+which fixes the eigenvalue λ = A0·p0 + B0·x0 + C0 and the classical center
+x_c, p_c. The product is the packet of ``lrwp.wavepacket.gtwp_psi``, which
+carries α(t) inside its closed form; the tests keep the Lewis–Riesenfeld
+phase α(t) itself as a cross-check.
 """
 
-import enum
+import math
 from dataclasses import dataclass
 
-from .classical import ClassicalState
 from .errors import DivergentDensityError, PositionBranchError, UnphysicalInvariantError
-from .fields import WaveField, boundary_amplitude, spectral_derivative
+from .fields import WaveField, spectral_derivative
 from .forcing import ForceProfile
 
-__all__ = [
-    "PacketMode",
-    "InvariantSpec",
-    "InvariantCoefficients",
-    "coeffs_at",
-    "eigenvalue",
-    "apply_invariant",
-]
-
-BOUNDARY_SUPPORT_TOL = 1e-12
-
-
-class PacketMode(enum.Enum):
-    GTWP = "gtwp"
-    PLANE_WAVE = "plane_wave"
+__all__ = ["InvariantSpec", "PacketState", "coeffs_at", "eigenvalue", "apply_invariant"]
 
 
 @dataclass(frozen=True)
@@ -73,46 +60,70 @@ class InvariantSpec:
         return self.B0 / self.A0
 
     @property
-    def mode(self) -> PacketMode:
-        return PacketMode.GTWP if self.F0.imag < 0 else PacketMode.PLANE_WAVE
+    def is_packet(self) -> bool:
+        """Im F0 < 0: a normalizable packet; otherwise F0 = 0, a plane wave."""
+        return self.F0.imag < 0
+
+    def a_ratio(self, m: float, t) -> complex:
+        """A(t)/A0 = 1 − F0·t/m."""
+        return 1.0 - self.F0 * t / m
 
 
 @dataclass(frozen=True)
-class InvariantCoefficients:
-    A: complex
-    B: complex
-    C: complex
-    t: float
+class PacketState:
+    """Everything that pins down one packet solution; (m, x0, p0) is its classical state.
+
+    ``alpha0`` defaults to the purely imaginary value that normalizes the
+    packet to unit probability (it is a free constant otherwise).
+    """
+
+    m: float
+    hbar: float
+    x0: float
+    p0: float
+    spec: InvariantSpec
+    alpha0: complex | None = None
+
+    def __post_init__(self):
+        if self.m <= 0 or self.hbar <= 0:
+            raise ValueError("m and hbar must be positive")
+        if self.alpha0 is None:
+            if self.spec.is_packet:
+                a0 = 0.25j * math.log(math.pi * self.hbar / (-self.spec.F0.imag))
+            else:
+                a0 = 0j
+            object.__setattr__(self, "alpha0", a0)
+        else:
+            object.__setattr__(self, "alpha0", complex(self.alpha0))
 
 
 def coeffs_at(
     spec: InvariantSpec, m: float, profile: ForceProfile, t: float
-) -> InvariantCoefficients:
-    """Coefficients of the invariant at time t."""
-    a = spec.A0 - spec.B0 / m * t
+) -> tuple[complex, complex, complex]:
+    """Coefficients (A, B, C) of the invariant at time t."""
+    a = spec.A0 * spec.a_ratio(m, t)
     c = spec.C0 - a * profile.g(t) - spec.B0 / m * profile.g1(t)
-    return InvariantCoefficients(A=a, B=spec.B0, C=c, t=t)
+    return a, spec.B0, c
 
 
-def eigenvalue(spec: InvariantSpec, state: ClassicalState) -> complex:
+def eigenvalue(packet: PacketState) -> complex:
     """λ = A0·p0 + B0·x0 + C0, equal to A(t)·p_c(t) + B·x_c(t) + C(t) for all t."""
-    return spec.A0 * state.p0 + spec.B0 * state.x0 + spec.C0
+    spec = packet.spec
+    return spec.A0 * packet.p0 + spec.B0 * packet.x0 + spec.C0
 
 
-def apply_invariant(coeffs: InvariantCoefficients, field: WaveField, hbar: float) -> WaveField:
+def apply_invariant(
+    coeffs: tuple[complex, complex, complex], field: WaveField, hbar: float
+) -> WaveField:
     """Sample A·(−iħ ∂ₓψ) + B·x·ψ + C·ψ on the grid of ``field``.
 
-    The derivative is spectral, so the field must vanish at the box edges;
-    if it does not, the result is flagged ``boundary_contamination`` rather
-    than rejected (periodic inputs such as plane waves stay exact).
+    The derivative is spectral, so it is exact only for a field that vanishes
+    at the box edges or is periodic on the box (a plane wave with a grid
+    wavenumber); callers choose grids that contain the packet.
     """
     if field.space.name != "POSITION":
         raise ValueError("apply_invariant expects a position-space field")
-    x = field.grid.points
+    a, b, c = coeffs
     dpsi = spectral_derivative(field.values, field.grid)
-    values = coeffs.A * (-1j * hbar * dpsi) + coeffs.B * x * field.values + coeffs.C * field.values
-    flags = field.flags
-    if boundary_amplitude(field) >= BOUNDARY_SUPPORT_TOL and "boundary_contamination" not in flags:
-        flags = flags + ("boundary_contamination",)
-    return WaveField(grid=field.grid, t=field.t, values=values, space=field.space, flags=flags)
-
+    values = a * (-1j * hbar * dpsi) + b * field.grid.points * field.values + c * field.values
+    return WaveField(grid=field.grid, t=field.t, values=values, space=field.space)

@@ -36,7 +36,6 @@ from scipy.linalg.lapack import zgbtrf, zgbtrs
 from .errors import AliasingError, DegenerateFieldError, InstabilityError
 from .fields import (
     Grid1D,
-    _is_pow2,
     Space,
     WaveField,
     field_norm,
@@ -46,7 +45,7 @@ from .fields import (
     wavenumbers,
 )
 from .forcing import ForceProfile
-from .invariant import InvariantCoefficients, apply_invariant
+from .invariant import apply_invariant
 
 __all__ = [
     "GridSpec",
@@ -83,12 +82,11 @@ class GridSpec:
     output_every: int = 1
 
     def __post_init__(self):
-        if not self.x_min < self.x_max:
-            raise ValueError("x_min must be below x_max")
+        self.grid  # Grid1D checks x_min < x_max and that n is a power of two
         if not math.isfinite(self.x_max - self.x_min):
             raise ValueError("x_max - x_min overflows a float")
-        if self.n < 64 or not _is_pow2(self.n):
-            raise ValueError("n must be a power of two, at least 64")
+        if self.n < 64:
+            raise ValueError("n must be at least 64")
         if self.n > MAX_POINTS:
             raise ValueError(f"n = {self.n} points, above the limit of {MAX_POINTS}")
         if self.dt <= 0:
@@ -273,7 +271,7 @@ def observables(
     field: WaveField,
     m: float,
     hbar: float,
-    coeffs: InvariantCoefficients,
+    coeffs: tuple[complex, complex, complex],
     analytic: WaveField | None = None,
 ) -> ObservableRecord:
     """Norm, center, widths, invariant expectation and optional L2 error."""

@@ -12,7 +12,8 @@ with S(t) the kinetic action of the packet center. Its width follows
 uncertainty product dips to exactly ħ/2 at t* = Re(m/F0). At F0 = 0 the
 width is infinite: A(t) = A0, and the same formula is the driven plane wave
 e^{iα(0)}·e^{−iS(t)/ħ}·e^{i·p_c·x/ħ}, so :func:`gtwp_psi` samples both
-packet modes. The width, norm and uncertainty figures need Im F0 < 0.
+(``InvariantSpec.is_packet`` tells them apart). The width, norm and
+uncertainty figures need a packet, Im F0 < 0.
 
 Momentum space: the same dynamics is a shift p → p − G(t) plus a phase,
 
@@ -31,14 +32,13 @@ from typing import Callable
 
 import numpy as np
 
-from .classical import ClassicalState, kinetic_action, p_c, x_c
-from .errors import ModeMismatchError
+from .classical import kinetic_action, p_c, x_c
+from .errors import AliasingError, ModeMismatchError
 from .fields import Grid1D, Space, WaveField, boundary_amplitude
 from .forcing import ForceProfile
-from .invariant import InvariantSpec, PacketMode
+from .invariant import InvariantSpec, PacketState
 
 __all__ = [
-    "PacketState",
     "GaussianMomentumParams",
     "gtwp_psi",
     "analytic_norm_sq",
@@ -56,42 +56,6 @@ __all__ = [
 ]
 
 ALIASING_TOL = 1e-10
-
-
-@dataclass(frozen=True)
-class PacketState:
-    """Everything that pins down one packet solution.
-
-    ``alpha0`` defaults to the purely imaginary value that normalizes the
-    packet to unit probability (it is a free constant otherwise).
-    """
-
-    m: float
-    hbar: float
-    x0: float
-    p0: float
-    spec: InvariantSpec
-    alpha0: complex | None = None
-
-    def __post_init__(self):
-        if self.m <= 0 or self.hbar <= 0:
-            raise ValueError("m and hbar must be positive")
-        if self.alpha0 is None:
-            if self.spec.mode is PacketMode.GTWP:
-                a0 = 0.25j * math.log(math.pi * self.hbar / (-self.spec.F0.imag))
-            else:
-                a0 = 0j
-            object.__setattr__(self, "alpha0", a0)
-        else:
-            object.__setattr__(self, "alpha0", complex(self.alpha0))
-
-    @property
-    def classical(self) -> ClassicalState:
-        return ClassicalState(m=self.m, x0=self.x0, p0=self.p0)
-
-    @property
-    def mode(self) -> PacketMode:
-        return self.spec.mode
 
 
 @dataclass(frozen=True)
@@ -113,13 +77,8 @@ def spreading_time(params: GaussianMomentumParams, m: float, hbar: float) -> flo
 
 
 def _require_gtwp(state: PacketState):
-    if state.mode is not PacketMode.GTWP:
+    if not state.spec.is_packet:
         raise ModeMismatchError("plane-wave packet (F0 = 0): it has no finite width or norm")
-
-
-def _ratio_a(state: PacketState, t: float) -> complex:
-    """A(t)/A0 = 1 − F0·t/m."""
-    return 1.0 - state.spec.F0 * t / state.m
 
 
 def _branch_sqrt(z: complex) -> complex:
@@ -131,23 +90,23 @@ def _branch_sqrt(z: complex) -> complex:
 
 
 def gtwp_psi(state: PacketState, profile: ForceProfile, x, t: float):
-    """Packet at position(s) x and time t, for both packet modes.
+    """Packet at position(s) x and time t (a plane wave at F0 = 0).
 
     At F0 = 0 (B0 = 0) the Gaussian factor is dropped rather than formed as
     0·(x − x_c)², which would turn nan where (x − x_c)² overflows; what is
     left is the driven plane wave.
     """
-    cl = state.classical
+    ratio = state.spec.a_ratio(state.m, t)
     action = kinetic_action(state.m, state.p0, profile, t)
-    pc = p_c(cl, profile, t)
+    pc = p_c(state, profile, t)
     hbar = state.hbar
-    pref = cmath.exp(1j * state.alpha0) / _branch_sqrt(_ratio_a(state, t))
+    pref = cmath.exp(1j * state.alpha0) / _branch_sqrt(ratio)
     pref *= cmath.exp(-1j * action / hbar)
     x = np.asarray(x, dtype=float)
     arg = 1j * pc * x / hbar
     if state.spec.B0 != 0:
-        xc = x_c(cl, profile, t)
-        at = state.spec.A0 * _ratio_a(state, t)
+        xc = x_c(state, profile, t)
+        at = state.spec.A0 * ratio
         arg = -1j * state.spec.B0 * (x - xc) ** 2 / (2.0 * hbar * at) + arg
     out = pref * np.exp(arg)
     return out if out.ndim else complex(out)
@@ -164,7 +123,7 @@ def analytic_norm_sq(state: PacketState) -> float:
 def delta_x(state: PacketState, t: float) -> float:
     """Δx(t) = √(ħ/2)·|A(t)/A0| / √(−Im F0)."""
     _require_gtwp(state)
-    return math.sqrt(state.hbar / 2.0) * abs(_ratio_a(state, t)) / math.sqrt(
+    return math.sqrt(state.hbar / 2.0) * abs(state.spec.a_ratio(state.m, t)) / math.sqrt(
         -state.spec.F0.imag
     )
 
@@ -180,7 +139,7 @@ def uncertainty_product(state: PacketState, t: float) -> float:
     """Δx·Δp = (ħ/2)·|F0·(1 − F0·t/m)| / (−Im F0) ≥ ħ/2."""
     _require_gtwp(state)
     f0 = state.spec.F0
-    return 0.5 * state.hbar * abs(f0 * _ratio_a(state, t)) / (-f0.imag)
+    return 0.5 * state.hbar * abs(f0 * state.spec.a_ratio(state.m, t)) / (-f0.imag)
 
 
 def min_uncertainty_time(state: PacketState, t_hi: float) -> float:
@@ -233,8 +192,9 @@ def fourier_bridge(field: WaveField, hbar: float, position_grid: Grid1D) -> Wave
     realized as a DFT onto ``position_grid``, with phase factors for the grid
     offsets. The field's grid must be Fourier-conjugate to it, as
     ``conjugate_momentum_grid(position_grid, hbar)`` is. The transform is
-    exactly unitary on the grid (Σ|ψ|²Δx = Σ|φ|²Δp). If the momentum samples
-    do not vanish at the grid edges the result carries an ``aliasing`` flag.
+    exactly unitary on the grid (Σ|ψ|²Δx = Σ|φ|²Δp). It raises
+    :class:`AliasingError` when an edge sample of φ exceeds ``ALIASING_TOL``
+    times max|φ|: relative, because φ scales as ħ^(−1/2).
     """
     if field.space is not Space.MOMENTUM:
         raise ValueError("fourier_bridge expects a momentum-space field")
@@ -244,15 +204,14 @@ def fourier_bridge(field: WaveField, hbar: float, position_grid: Grid1D) -> Wave
         raise ValueError("position grid size must match the momentum grid")
     if abs(position_grid.spacing * dp * n / (2.0 * np.pi * hbar) - 1.0) > 1e-9:
         raise ValueError("grids are not Fourier-conjugate: Δp·Δx must equal 2πħ/n")
+    if boundary_amplitude(field) > ALIASING_TOL * np.max(np.abs(field.values)):
+        raise AliasingError(f"momentum samples not contained on the grid at t={field.t:g}")
     x = position_grid.points
     twisted = field.values * np.exp(1j * np.arange(n) * dp * position_grid.lo / hbar)
     psi = (n * dp / np.sqrt(2.0 * np.pi * hbar)) * np.exp(1j * p_lo * x / hbar) * np.fft.ifft(
         twisted
     )
-    flags = field.flags
-    if boundary_amplitude(field) > ALIASING_TOL and "aliasing" not in flags:
-        flags = flags + ("aliasing",)
-    return WaveField(grid=position_grid, t=field.t, values=psi, space=Space.POSITION, flags=flags)
+    return WaveField(grid=position_grid, t=field.t, values=psi, space=Space.POSITION)
 
 
 def matched_packet(params: GaussianMomentumParams, m: float, hbar: float) -> PacketState:

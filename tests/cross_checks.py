@@ -19,16 +19,16 @@ from typing import Callable
 
 import numpy as np
 
-from lrwp.classical import ClassicalState, kinetic_action, p_c, x_c
+from lrwp.classical import kinetic_action, p_c, x_c
 from lrwp.errors import ModeMismatchError
 from lrwp.fields import WaveField, spectral_derivative
 from lrwp.forcing import ForceProfile
-from lrwp.invariant import InvariantCoefficients, InvariantSpec, PacketMode, apply_invariant
+from lrwp.invariant import InvariantSpec, PacketState, apply_invariant
 from lrwp.oracle import ObservableRecord
 from lrwp.wavepacket import (
     GaussianMomentumParams,
-    PacketState,
     gtwp_psi,
+    matched_packet,
     spreading_time,
 )
 
@@ -44,11 +44,11 @@ def gaussian_phi_pt(
     """Momentum-space Gaussian at time t (closed three-factor form)."""
     if t < 0:
         raise ValueError("negative time")
-    cl = ClassicalState(m=m, x0=params.x0, p0=params.p0)
+    packet = matched_packet(params, m, hbar)  # its center is the Gaussian's
     action = kinetic_action(m, params.p0, profile, t)
     bigT = spreading_time(params, m, hbar)
-    pc = p_c(cl, profile, t)
-    xc = x_c(cl, profile, t)
+    pc = p_c(packet, profile, t)
+    xc = x_c(packet, profile, t)
     s = params.sigma
     p = np.asarray(p, dtype=float)
     out = (
@@ -65,9 +65,9 @@ def density_closed_form(state: PacketState, profile: ForceProfile, x, t: float):
 
     |ψ|² = e^{−2 Im α(0)} · exp[Im(F0)·(x−x_c)²/(ħ·|A/A0|²)] / |A/A0|.
     """
-    if state.mode is not PacketMode.GTWP:
+    if not state.spec.is_packet:
         raise ModeMismatchError("plane-wave packet (F0 = 0): its density is flat")
-    xc = x_c(state.classical, profile, t)
+    xc = x_c(state, profile, t)
     r = abs(1.0 - state.spec.F0 * t / state.m)
     x = np.asarray(x, dtype=float)
     out = (
@@ -108,7 +108,7 @@ def plane_wave_superposition(
 
 def phase_alpha(
     spec: InvariantSpec,
-    state: ClassicalState,
+    m: float,
     profile: ForceProfile,
     lam: complex,
     hbar: float,
@@ -132,7 +132,6 @@ def phase_alpha(
     real F0 ≠ 0 is rejected. At F0 = 0 the last two terms vanish. In
     general α(t) is complex.
     """
-    m = state.m
     u = (lam - spec.C0) / spec.A0
     a = 1.0 - spec.F0 * t / m
     return (
@@ -144,7 +143,7 @@ def phase_alpha(
 
 
 def eigen_residual(
-    coeffs: InvariantCoefficients, field: WaveField, lam: complex, hbar: float
+    coeffs: tuple[complex, complex, complex], field: WaveField, lam: complex, hbar: float
 ) -> float:
     """Relative eigen-equation residual ‖Iψ − λψ‖ / scale.
 
@@ -152,6 +151,7 @@ def eigen_residual(
     meaningful when λ = 0 (which happens for packets launched from the
     phase-space origin with C0 = 0).
     """
+    a, b, c = coeffs
     dx = field.grid.spacing
     x = field.grid.points
     dpsi = spectral_derivative(field.values, field.grid)
@@ -160,9 +160,9 @@ def eigen_residual(
         return float(np.sqrt(np.sum(np.abs(v) ** 2) * dx))
 
     norm_psi = l2(field.values)
-    term_p = abs(coeffs.A) * hbar * l2(dpsi)
-    term_x = abs(coeffs.B) * l2(x * field.values)
-    scale = max(abs(lam) * norm_psi, term_p + term_x + abs(coeffs.C) * norm_psi)
+    term_p = abs(a) * hbar * l2(dpsi)
+    term_x = abs(b) * l2(x * field.values)
+    scale = max(abs(lam) * norm_psi, term_p + term_x + abs(c) * norm_psi)
     iv = apply_invariant(coeffs, field, hbar)
     return l2(iv.values - lam * field.values) / scale
 

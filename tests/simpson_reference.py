@@ -100,15 +100,13 @@ def simpson_reference(profile, name, t):
     return _paneled_simpson(integrand, profile, t)
 
 
-def phase_reference(spec, state, profile, lam, hbar, t, alpha0=0j):
+def phase_reference(spec, m, profile, lam, hbar, t, alpha0=0j):
     """α(t) = α(0) − ∫₀ᵗ [(λ − C(τ))² + iħ·B0·A(τ)] / (2mħ·A(τ)²) dτ by
     adaptive Simpson to an absolute tolerance of 1e-12, with A(τ) and C(τ)
     from ``coeffs_at``. Same arguments as ``cross_checks.phase_alpha``.
     """
-    m = state.m
-
     def integrand(tau):
-        c = coeffs_at(spec, m, profile, tau)
-        return ((lam - c.C) ** 2 + 1j * hbar * spec.B0 * c.A) / (2.0 * m * hbar * c.A**2)
+        a, _, c = coeffs_at(spec, m, profile, tau)
+        return ((lam - c) ** 2 + 1j * hbar * spec.B0 * a) / (2.0 * m * hbar * a**2)
 
     return alpha0 - _paneled_simpson(integrand, profile, t)

@@ -16,7 +16,7 @@ from lrwp.config import parse_config
 from lrwp.errors import ConfigError
 from lrwp.fields import field_norm, l2_error
 from lrwp.forcing import ConstantForce, SinusoidalForce
-from lrwp.invariant import coeffs_at, eigenvalue
+from lrwp.invariant import PacketState, coeffs_at, eigenvalue
 from lrwp.oracle import (
     GridSpec,
     observables,
@@ -27,7 +27,6 @@ from lrwp.runner import run_validate
 from lrwp.wavepacket import (
     GaussianMomentumParams,
     InvariantSpec,
-    PacketState,
     delta_p,
     delta_x,
     fourier_bridge,
@@ -108,7 +107,7 @@ def test_criterion_01_analytic_vs_numeric(b1):
 
 
 def test_criterion_02_invariant_constancy(b1):
-    lam = eigenvalue(B1_PACKET.spec, B1_PACKET.classical)
+    lam = eigenvalue(B1_PACKET)
     spec = B1_PACKET.spec
     scale = max(
         abs(lam), abs(spec.A0) * delta_p(B1_PACKET) + abs(spec.B0) * delta_x(B1_PACKET, 0.0)
@@ -116,11 +115,11 @@ def test_criterion_02_invariant_constancy(b1):
     inv0 = b1.records[0].inv_expect
     drift = max(abs(r.inv_expect - inv0) for r in b1.records) / scale
 
-    cl = B1_PACKET.classical
+    pk = B1_PACKET
     worst_identity = 0.0
     for t in np.linspace(0.0, 2.0, 100):
-        c = coeffs_at(spec, M, B1_FORCE, float(t))
-        moving = c.A * p_c(cl, B1_FORCE, float(t)) + c.B * x_c(cl, B1_FORCE, float(t)) + c.C
+        a, b, c = coeffs_at(spec, M, B1_FORCE, float(t))
+        moving = a * p_c(pk, B1_FORCE, float(t)) + b * x_c(pk, B1_FORCE, float(t)) + c
         worst_identity = max(worst_identity, abs(moving - lam))
     ok = drift < 1e-6 and worst_identity <= 1e-10 * max(1.0, abs(lam))
     _report(
@@ -134,7 +133,7 @@ def test_criterion_02_invariant_constancy(b1):
 def test_criterion_03_eigenfunction_residual(b1):
     # stated at 10 times in [0, 2]; checked here at every output time of the
     # validation run, which subsumes that
-    lam = eigenvalue(B1_PACKET.spec, B1_PACKET.classical)
+    lam = eigenvalue(B1_PACKET)
     grid = B1_GRID.grid
     worst = 0.0
     for t in b1.times:

@@ -1,8 +1,9 @@
 import numpy as np
 import pytest
 
-from lrwp.classical import ClassicalState, kinetic_action, p_c, x_c
+from lrwp.classical import kinetic_action, p_c, x_c
 from lrwp.forcing import ConstantForce, SinusoidalForce
+from lrwp.invariant import InvariantSpec, PacketState
 
 # frozen oracle values for Sinusoidal(amplitude=1, omega=2): nested adaptive
 # quadrature for G1 and a 2e6-point trapezoid rule for the action integral
@@ -15,23 +16,28 @@ F_CONST = ConstantForce(1.0)
 F_SIN = SinusoidalForce(1.0, 2.0)
 
 
+def _state(m, x0=0.0, p0=0.0):
+    # the center reads only m, x0 and p0 of a packet state; the plane wave is the simplest
+    return PacketState(m=m, hbar=1.0, x0=x0, p0=p0, spec=InvariantSpec(1.0, 0j))
+
+
 def test_x_c_trivia():
-    assert x_c(ClassicalState(1.0), F_ZERO, 4.0) == 0.0
-    assert x_c(ClassicalState(1.0), F_CONST, 2.0) == pytest.approx(2.0, abs=1e-14)
+    assert x_c(_state(1.0), F_ZERO, 4.0) == 0.0
+    assert x_c(_state(1.0), F_CONST, 2.0) == pytest.approx(2.0, abs=1e-14)
 
 
 def test_x_c_derived():
-    state = ClassicalState(m=2.0, x0=1.0, p0=3.0)
+    state = _state(m=2.0, x0=1.0, p0=3.0)
     assert x_c(state, F_SIN, 1.0) == pytest.approx(1.0 + (3.0 + G1_SIN_1) / 2.0, abs=1e-13)
 
 
 def test_p_c_trivia():
-    assert p_c(ClassicalState(1.0), F_ZERO, 7.0) == 0.0
-    assert p_c(ClassicalState(1.0, p0=1.0), F_CONST, 2.0) == pytest.approx(3.0, abs=1e-14)
+    assert p_c(_state(1.0), F_ZERO, 7.0) == 0.0
+    assert p_c(_state(1.0, p0=1.0), F_CONST, 2.0) == pytest.approx(3.0, abs=1e-14)
 
 
 def test_p_c_derived():
-    assert p_c(ClassicalState(1.0), F_SIN, 1.0) == pytest.approx(G_SIN_1, abs=1e-14)
+    assert p_c(_state(1.0), F_SIN, 1.0) == pytest.approx(G_SIN_1, abs=1e-14)
 
 
 def test_kinetic_action_zero_and_constant():
@@ -41,7 +47,7 @@ def test_kinetic_action_zero_and_constant():
 
 
 def test_kinetic_action_sinusoidal_vs_trapezoid_oracle():
-    st = ClassicalState(1.0, p0=1.0)
+    st = _state(1.0, p0=1.0)
     val = kinetic_action(st.m, st.p0, F_SIN, 1.0)
     assert val == pytest.approx(ACTION_SIN_1, abs=1e-12)
     tau = np.linspace(0.0, 1.0, 200_001)
@@ -58,7 +64,7 @@ def test_kinetic_action_of_an_array_is_the_scalar_calls(q):
 
 @pytest.mark.parametrize("q", [F_ZERO, F_CONST, F_SIN])
 def test_ehrenfest_closed_forms(q):
-    st = ClassicalState(m=1.7, x0=0.4, p0=-0.9)
+    st = _state(m=1.7, x0=0.4, p0=-0.9)
     h = 1e-5
     for t in np.linspace(0.1, 6.0, 9):
         dxdt = (x_c(st, q, t + h) - x_c(st, q, t - h)) / (2 * h)
@@ -68,11 +74,11 @@ def test_ehrenfest_closed_forms(q):
 
 
 def test_affine_in_initial_conditions():
-    base = ClassicalState(m=2.0, x0=0.3, p0=1.1)
-    shifted = ClassicalState(m=2.0, x0=0.3 + 0.25, p0=1.1)
+    base = _state(m=2.0, x0=0.3, p0=1.1)
+    shifted = _state(m=2.0, x0=0.3 + 0.25, p0=1.1)
     t = 1.7
     assert x_c(shifted, F_SIN, t) - x_c(base, F_SIN, t) == pytest.approx(0.25, abs=0)
-    boosted = ClassicalState(m=2.0, x0=0.3, p0=1.1 + 0.5)
+    boosted = _state(m=2.0, x0=0.3, p0=1.1 + 0.5)
     assert p_c(boosted, F_SIN, t) - p_c(base, F_SIN, t) == pytest.approx(0.5, abs=0)
     assert x_c(boosted, F_SIN, t) - x_c(base, F_SIN, t) == pytest.approx(
         0.5 * t / 2.0, abs=1e-14
@@ -80,5 +86,5 @@ def test_affine_in_initial_conditions():
 
 
 def test_mass_must_be_positive():
-    with pytest.raises(ValueError):
-        ClassicalState(m=0.0)
+    with pytest.raises(ValueError, match="m and hbar must be positive"):
+        PacketState(m=0.0, hbar=1.0, x0=0.0, p0=0.0, spec=InvariantSpec(1.0, 0j))

@@ -161,6 +161,42 @@ def test_numeric_failure_exit_three(tmp_path, capsys):
     assert "AliasingError" in capsys.readouterr().err
 
 
+TINY_GRID = "[grid]\nn = 64\ndt = 0.01\nt_max = 0.1\noutput_every = 1\n"
+
+
+@pytest.mark.parametrize("mode", ["analytic", "momentum"])
+@pytest.mark.parametrize(
+    "text",
+    [
+        "[grid]\nx_min = -1e200\nx_max = 1e200\nn = 64\ndt = 0.01\nt_max = 0.1\n"
+        "output_every = 1\n",
+        "[packet]\nsigma = 1\nx0 = 1e200\n" + TINY_GRID,
+        # a² overflows in G2, so even t = 0 is nan
+        "[force]\nkind = constant\namplitude = 1e200\n" + TINY_GRID,
+        "[force]\nkind = piecewise_linear\nknots = 0:1e200, 1:1e200\n" + TINY_GRID,
+    ],
+    ids=["huge_box", "huge_x0", "huge_amplitude", "huge_knots"],
+)
+def test_closed_form_overflow_exit_three(tmp_path, capsys, mode, text):
+    # a closed form that overflows is refused before any CSV cell turns nan
+    cfg = _write(tmp_path, text)
+    assert main([mode, "--config", cfg, "--out", str(tmp_path / "out")]) == 3
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and "Traceback" not in err
+    assert err.startswith("lrwp: numeric failure: ")
+    assert not (tmp_path / "out" / "snapshots.csv").exists()
+    assert not (tmp_path / "out" / "comparison.csv").exists()
+
+
+@pytest.mark.parametrize("hbar", ["1e-20", "1e-100"])
+def test_momentum_at_tiny_hbar_exit_zero(tmp_path, capsys, hbar):
+    # φ scales as ħ^(−1/2): the aliasing check is relative to max|φ|, as at ħ = 1
+    cfg = _write(tmp_path, f"[system]\nhbar = {hbar}\n" + TINY_GRID)
+    assert main(["momentum", "--config", cfg, "--out", str(tmp_path / "out")]) == 0
+    assert capsys.readouterr().err == ""
+    assert (tmp_path / "out" / "comparison.csv").exists()
+
+
 def test_acceptance_violation_exit_four(tmp_path, capsys):
     cfg = _write(tmp_path, GOOD.replace("dt = 1e-3", "dt = 5e-2").replace(
         "output_every = 100", "output_every = 10"))

@@ -3,7 +3,6 @@ import pytest
 from lrwp.config import MAX_ROWS, RunMode, apply_sweep_value, parse_config
 from lrwp.errors import ConfigError
 from lrwp.forcing import ConstantForce, PiecewiseLinearForce, SinusoidalForce
-from lrwp.invariant import PacketMode
 
 
 def test_empty_document_gets_defaults():
@@ -69,12 +68,12 @@ def test_f0_shorthand():
     cfg = parse_config("[packet]\nF0 = 0-0.25i\n")
     assert cfg.packet.spec.A0 == 1.0
     assert cfg.packet.spec.B0 == -0.25j
-    assert cfg.packet.mode is PacketMode.GTWP
+    assert cfg.packet.spec.is_packet
 
 
 def test_plane_wave_config():
     cfg = parse_config("[packet]\nF0 = 0\np0 = 2.0\n")
-    assert cfg.packet.mode is PacketMode.PLANE_WAVE
+    assert not cfg.packet.spec.is_packet
 
 
 def test_piecewise_force():

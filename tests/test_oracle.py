@@ -10,7 +10,7 @@ from lrwp.forcing import (
     PiecewiseLinearForce,
     SinusoidalForce,
 )
-from lrwp.invariant import InvariantCoefficients, coeffs_at
+from lrwp.invariant import coeffs_at
 from lrwp.oracle import (
     MAX_POINTS,
     MAX_STEPS,
@@ -274,8 +274,8 @@ class TestObservables:
 
         for f in propagate_splitstep(initial, profile, M, HBAR, spec):
             rec = observables(f, M, HBAR, coeffs_at(packet.spec, M, profile, f.t))
-            assert abs(rec.x_mean - float(x_c(packet.classical, profile, f.t))) < 1e-6
-            assert abs(rec.p_mean - float(p_c(packet.classical, profile, f.t))) < 1e-6
+            assert abs(rec.x_mean - float(x_c(packet, profile, f.t))) < 1e-6
+            assert abs(rec.p_mean - float(p_c(packet, profile, f.t))) < 1e-6
 
     def test_uncertainty_floor(self):
         profile = ConstantForce(1.0)
@@ -289,7 +289,7 @@ class TestObservables:
         grid = Grid1D(-10.0, 10.0, 128)
         zero = WaveField(grid=grid, t=0.0, values=np.zeros(128), space=Space.POSITION)
         with pytest.raises(DegenerateFieldError):
-            observables(zero, M, HBAR, InvariantCoefficients(1.0, 0.0, 0.0, 0.0))
+            observables(zero, M, HBAR, (1.0, 0.0, 0.0))
 
 
 class TestEhrenfest:

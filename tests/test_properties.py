@@ -19,19 +19,21 @@ from lrwp.forcing import (  # noqa: E402
     PiecewiseLinearForce,
     SinusoidalForce,
 )
-from lrwp.classical import ClassicalState, p_c, x_c  # noqa: E402
-from lrwp.invariant import InvariantSpec, coeffs_at, eigenvalue  # noqa: E402
+from lrwp.classical import p_c, x_c  # noqa: E402
+from lrwp.fields import Grid1D  # noqa: E402
+from lrwp.invariant import InvariantSpec, PacketState, coeffs_at, eigenvalue  # noqa: E402
 from lrwp.wavepacket import (  # noqa: E402
     GaussianMomentumParams,
-    PacketState,
+    delta_p,
     delta_x,
     gaussian_phi0,
     gtwp_psi,
     min_uncertainty_time,
     momentum_solution,
+    sample_gtwp,
     uncertainty_product,
 )
-from cross_checks import gaussian_phi_pt, phase_alpha  # noqa: E402
+from cross_checks import eigen_residual, gaussian_phi_pt, phase_alpha  # noqa: E402
 from simpson_reference import phase_reference, simpson_reference  # noqa: E402
 
 amplitudes = st.floats(-3.0, 3.0)
@@ -139,10 +141,9 @@ def test_uncertainty_product_is_minimal_at_re_m_over_f0(m, hbar, f0_re, f0_im, x
          m=1.0, hbar=1.0)
 def test_phase_alpha_matches_simpson(profile, fraction, a0, c0, f0, lam, m, hbar):
     spec = InvariantSpec(a0, f0 * a0, c0)
-    state = ClassicalState(m)
     t = _time(profile, fraction)
-    alpha = phase_alpha(spec, state, profile, lam, hbar, t, 0.3 - 0.2j)
-    reference = phase_reference(spec, state, profile, lam, hbar, t, 0.3 - 0.2j)
+    alpha = phase_alpha(spec, m, profile, lam, hbar, t, 0.3 - 0.2j)
+    reference = phase_reference(spec, m, profile, lam, hbar, t, 0.3 - 0.2j)
     assert abs(alpha - reference) <= 1e-12 * max(1.0, abs(alpha))
 
 
@@ -165,12 +166,12 @@ def test_lr_phase_times_eigenfunction_is_the_packet(profile, fraction, a0, c0, f
     spec = InvariantSpec(a0, f0 * a0, c0)
     packet = PacketState(m, hbar, x0, p0, spec)
     t = _time(profile, fraction)
-    lam = eigenvalue(spec, packet.classical)
+    lam = eigenvalue(packet)
     offset = spec.B0 * x0**2 / (2.0 * hbar * spec.A0)
-    alpha = phase_alpha(spec, packet.classical, profile, lam, hbar, t, packet.alpha0 - offset)
-    c = coeffs_at(spec, m, profile, t)
-    x = x_c(packet.classical, profile, t) + delta_x(packet, t) * np.linspace(-3.0, 3.0, 13)
-    arg = (2.0 * (lam - c.C) * x - c.B * x**2) / (2.0 * hbar * c.A)
+    alpha = phase_alpha(spec, m, profile, lam, hbar, t, packet.alpha0 - offset)
+    a, b, c = coeffs_at(spec, m, profile, t)
+    x = x_c(packet, profile, t) + delta_x(packet, t) * np.linspace(-3.0, 3.0, 13)
+    arg = (2.0 * (lam - c) * x - b * x**2) / (2.0 * hbar * a)
     psi = gtwp_psi(packet, profile, x, t)
     # each phase term carries a rounding of relative size ~1e-16
     scale = max(1.0, abs(alpha), float(np.max(np.abs(arg))))
@@ -193,7 +194,8 @@ def test_momentum_route_matches_gaussian_closed_form(profile, fraction, sigma, x
     params = GaussianMomentumParams(sigma, x0, p0)
     t = _time(profile, fraction)
     g, g1 = profile.g(t), profile.g1(t)
-    p = p_c(ClassicalState(m, x0, p0), profile, t) + hbar / sigma * np.linspace(-3.0, 3.0, 13)
+    center = p_c(PacketState(m, hbar, x0, p0, InvariantSpec(1.0, 0j)), profile, t)
+    p = center + hbar / sigma * np.linspace(-3.0, 3.0, 13)
     phi = momentum_solution(lambda q: gaussian_phi0(params, hbar, q), profile, m, hbar, p, t)
     reference = gaussian_phi_pt(params, m, hbar, profile, p, t)
     # Both routes round p − G − p0 at the size w of its largest operand, which moves
@@ -206,3 +208,33 @@ def test_momentum_route_matches_gaussian_closed_form(profile, fraction, sigma, x
     scale = max(1.0, float(np.max(phase)), w * slope)
     # the ratio measured at most 7.3e-17 over 60 000 random draws, 1.6e-17 over these 100
     assert np.max(np.abs(phi - reference)) <= 1e-14 * scale * np.max(np.abs(reference))
+
+
+@settings(max_examples=30)
+@given(
+    profile=profiles,
+    fraction=st.floats(0.0, 1.0),
+    a0=a0s,
+    c0=c0s,
+    f0=st.builds(complex, st.floats(-1.0, 1.0), st.floats(-2.0, -0.25)),
+    m=st.floats(0.5, 5.0),
+    hbar=st.floats(0.2, 5.0),
+    x0=st.floats(-3.0, 3.0),
+    p0=st.floats(-3.0, 3.0),
+)
+@example(profile=ConstantForce(1.0), fraction=0.5, a0=1.0, c0=0j, f0=-0.5j, m=1.0, hbar=0.5,
+         x0=0.5, p0=-0.3)
+def test_sampled_packet_is_an_eigenfunction_of_the_invariant(profile, fraction, a0, c0, f0,
+                                                             m, hbar, x0, p0):
+    # I(t)ψ = λψ on the grid: A(t)·(−iħ∂ₓ) + B0·x + C(t) applied to the sampled packet
+    # returns it times its launch-point eigenvalue, at any ħ
+    packet = PacketState(m, hbar, x0, p0, InvariantSpec(a0, f0 * a0, c0))
+    t = fraction * min(2.0, _time(profile, 1.0))
+    # the box holds x_c ± 12·Δx and the grid's momenta p_c ± 12·Δp, where ψ is below 1e-15
+    half = 12.0 * delta_x(packet, t)
+    p_span = abs(float(p_c(packet, profile, t))) + 12.0 * delta_p(packet)
+    n = 1 << max(6, math.ceil(math.log2(2.0 * half * p_span / (math.pi * hbar))))
+    xc = float(x_c(packet, profile, t))
+    field = sample_gtwp(packet, profile, Grid1D(xc - half, xc + half, n), t)
+    coeffs = coeffs_at(packet.spec, m, profile, t)
+    assert eigen_residual(coeffs, field, eigenvalue(packet), hbar) <= 1e-12

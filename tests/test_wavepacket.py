@@ -5,8 +5,9 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from lrwp.classical import ClassicalState, kinetic_action, p_c, x_c
+from lrwp.classical import kinetic_action, p_c, x_c
 from lrwp.config import parse_config
+from lrwp.errors import AliasingError
 from lrwp.fields import (
     Grid1D,
     Space,
@@ -17,11 +18,10 @@ from lrwp.fields import (
     l2_error,
 )
 from lrwp.forcing import ConstantForce, SinusoidalForce
-from lrwp.invariant import InvariantSpec, coeffs_at, eigenvalue
+from lrwp.invariant import InvariantSpec, PacketState, coeffs_at, eigenvalue
 from lrwp.oracle import GridSpec, propagate_cranknicolson
 from lrwp.wavepacket import (
     GaussianMomentumParams,
-    PacketState,
     analytic_norm_sq,
     delta_p,
     delta_x,
@@ -118,7 +118,7 @@ class TestDensity:
         t = 1.3
         rho = abs(gtwp_psi(MATCHED, F_CONST, grid.points, t)) ** 2
         x_peak = grid.points[int(np.argmax(rho))]
-        xc = float(x_c(MATCHED.classical, F_CONST, t))
+        xc = float(x_c(MATCHED, F_CONST, t))
         assert abs(x_peak - xc) <= grid.spacing
 
 
@@ -206,15 +206,15 @@ class TestPlaneWave:
         for t in g.dt * g.output_every * np.arange(g.n_steps // g.output_every + 1):
             t = float(t)
             for pk in (cfg.packet, general):
-                lam = eigenvalue(pk.spec, pk.classical)
+                lam = eigenvalue(pk)
                 alpha = phase_reference(
-                    pk.spec, pk.classical, profile, lam, pk.hbar, t, alpha0=pk.alpha0
+                    pk.spec, pk.m, profile, lam, pk.hbar, t, alpha0=pk.alpha0
                 )
                 # at x = 0 the plane wave is e^{iα(t)}
                 psi = gtwp_psi(pk, profile, 0.0, t)
                 assert abs(psi - cmath.exp(1j * alpha)) <= 1e-13
             lam = 1.1 + 0.05j
-            args = (general.spec, general.classical, profile, lam, general.hbar, t, general.alpha0)
+            args = (general.spec, general.m, profile, lam, general.hbar, t, general.alpha0)
             alpha = phase_alpha(*args)
             assert abs(cmath.exp(1j * alpha) - cmath.exp(1j * phase_reference(*args))) <= 1e-13
 
@@ -311,7 +311,6 @@ class TestFourierBridge:
             bridged = fourier_bridge(phi, 1.0, position_grid=grid)
             direct = sample_gtwp(packet, F_CONST, grid, t)
             assert np.max(np.abs(bridged.values - direct.values)) < 1e-8
-            assert "aliasing" not in bridged.flags
 
     def test_aliasing_flag(self):
         # sigma so small the momentum Gaussian no longer fits the box
@@ -319,7 +318,25 @@ class TestFourierBridge:
         grid = Grid1D(-20.0, 20.0, 2048)
         pgrid = conjugate_momentum_grid(grid, 1.0)
         phi = sample_gaussian_momentum(params, 1.0, 1.0, F_ZERO, pgrid, 0.0)
-        assert "aliasing" in fourier_bridge(phi, 1.0, position_grid=grid).flags
+        with pytest.raises(AliasingError, match="not contained on the grid at t=0"):
+            fourier_bridge(phi, 1.0, position_grid=grid)
+
+    @pytest.mark.parametrize("sigma, aliased", [(1.0, False), (0.05, True)])
+    def test_aliasing_decision_does_not_depend_on_hbar(self, sigma, aliased):
+        # φ scales as ħ^(−1/2) and its grid as ħ, so the edge samples relative to
+        # max|φ| are the same at every ħ; the default box at n = 64
+        grid = Grid1D(-20.0, 20.0, 64)
+        params = GaussianMomentumParams(sigma=sigma)
+        for k in range(-100, 101):
+            hbar = 10.0**k
+            pgrid = conjugate_momentum_grid(grid, hbar)
+            phi = sample_gaussian_momentum(params, 1.0, hbar, F_ZERO, pgrid, 0.0)
+            try:
+                fourier_bridge(phi, hbar, position_grid=grid)
+            except AliasingError:
+                assert aliased, f"aliasing reported at hbar = {hbar:g}"
+            else:
+                assert not aliased, f"no aliasing reported at hbar = {hbar:g}"
 
     def test_rejects_mismatched_grids(self):
         grid = Grid1D(-20.0, 20.0, 512)
@@ -365,13 +382,13 @@ def test_alpha_route_reproduces_packet():
     # square-completion constant B0·x0²/(2ħA0)
     spec = InvariantSpec(1.0 + 0.2j, complex(0.3, -0.6), complex(0.1, 0.05))
     pk = PacketState(1.0, 1.0, x0=0.5, p0=-0.2, spec=spec)
-    lam = eigenvalue(spec, pk.classical)
+    lam = eigenvalue(pk)
     offset = spec.B0 * pk.x0**2 / (2.0 * pk.hbar * spec.A0)
     x = np.linspace(-3, 3, 11)
     for t in (0.0, 0.7, 1.9):
-        alpha = phase_alpha(spec, pk.classical, F_CONST, lam, 1.0, t, pk.alpha0 - offset)
-        c = coeffs_at(spec, 1.0, F_CONST, t)
-        phi = np.exp(1j * ((2 * (lam - c.C) * x - spec.B0 * x**2) / (2 * c.A)))
+        alpha = phase_alpha(spec, pk.m, F_CONST, lam, 1.0, t, pk.alpha0 - offset)
+        a, _, c = coeffs_at(spec, 1.0, F_CONST, t)
+        phi = np.exp(1j * ((2 * (lam - c) * x - spec.B0 * x**2) / (2 * a)))
         np.testing.assert_allclose(
             np.exp(1j * alpha) * phi, gtwp_psi(pk, F_CONST, x, t), atol=1e-12
         )
@@ -409,11 +426,11 @@ def test_negative_time_rejected():
 PLANE = PacketState(1.0, 1.0, 0.0, 0.5, InvariantSpec(1.0, 0j))
 # each closed form reaches the force profile at its own t, and only the profile checks t ≥ 0
 AT_TIME = {
-    "x_c": lambda t: x_c(MATCHED.classical, F_CONST, t),
-    "p_c": lambda t: p_c(MATCHED.classical, F_CONST, t),
+    "x_c": lambda t: x_c(MATCHED, F_CONST, t),
+    "p_c": lambda t: p_c(MATCHED, F_CONST, t),
     "kinetic_action": lambda t: kinetic_action(1.0, 0.5, F_CONST, t),
     "coeffs_at": lambda t: coeffs_at(MATCHED.spec, 1.0, F_CONST, t),
-    "phase_alpha": lambda t: phase_alpha(PLANE.spec, PLANE.classical, F_CONST, 0.5, 1.0, t),
+    "phase_alpha": lambda t: phase_alpha(PLANE.spec, PLANE.m, F_CONST, 0.5, 1.0, t),
     "gtwp_psi": lambda t: gtwp_psi(MATCHED, F_CONST, 0.3, t),
     "gtwp_psi_plane_wave": lambda t: gtwp_psi(PLANE, F_CONST, 0.3, t),
     "momentum_solution": lambda t: momentum_solution(np.exp, F_CONST, 1.0, 1.0, 0.3, t),
