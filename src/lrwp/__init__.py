@@ -8,13 +8,11 @@ from .errors import (
     ConfigError,
     ContainmentError,
     DegenerateFieldError,
-    DivergentDensityError,
     InstabilityError,
+    InvalidInvariantError,
     LrwpError,
     ModeMismatchError,
     OutOfDomainError,
-    PositionBranchError,
-    UnphysicalInvariantError,
 )
 from .fields import Grid1D, Space, WaveField, conjugate_momentum_grid
 from .forcing import ConstantForce, ForceProfile, PiecewiseLinearForce, SinusoidalForce
@@ -27,7 +25,6 @@ from .oracle import (
     propagate_splitstep,
 )
 from .wavepacket import (
-    GaussianMomentumParams,
     analytic_norm_sq,
     delta_p,
     delta_x,
@@ -39,7 +36,6 @@ from .wavepacket import (
     momentum_solution,
     sample_gaussian_momentum,
     sample_gtwp,
-    spreading_time,
     uncertainty_product,
 )
 

@@ -7,8 +7,10 @@ matched Gaussian of width 1 in natural units on the standard box. Diagnostics
 carry the offending line number.
 
 The packet section accepts exactly one parameterization:
-  * gaussian:   sigma (plus shared x0, p0), or
+  * gaussian:   sigma, the width of the momentum-space Gaussian, or
   * invariant:  A0, B0, C0, alpha0 — or the shorthand F0 (A0=1, C0=0).
+Either way x0 and p0 set the packet's launch point. The packet holds m, ħ, x0
+and p0; a RunConfig adds only σ, for the momentum route.
 """
 
 import cmath
@@ -22,7 +24,7 @@ from .errors import ConfigError, ContainmentError, LrwpError, OutOfDomainError
 from .forcing import ConstantForce, ForceProfile, PiecewiseLinearForce, SinusoidalForce
 from .invariant import InvariantSpec, PacketState
 from .oracle import INITIAL_NORM_TOL, GridSpec
-from .wavepacket import GaussianMomentumParams, analytic_norm_sq, delta_x, matched_packet
+from .wavepacket import analytic_norm_sq, delta_x, matched_packet
 
 __all__ = ["MAX_ROWS", "RunMode", "RunConfig", "parse_config", "check_containment",
            "apply_sweep_value", "sweep_case_name"]
@@ -51,11 +53,9 @@ _SECTIONS = {
 
 @dataclass(frozen=True)
 class RunConfig:
-    m: float
-    hbar: float
     profile: ForceProfile
     packet: PacketState
-    gaussian: GaussianMomentumParams | None  # set when the packet came from sigma
+    sigma: float | None  # the width the packet was matched from; None for an invariant packet
     grid: GridSpec
     mode: RunMode
     sweep_axis: str | None = None
@@ -168,9 +168,22 @@ def _build_profile(sec: dict[str, tuple[str, int]]) -> ForceProfile:
     raise ConfigError(f"unknown force kind {kind!r}", kind_line)
 
 
+def _parse_alpha0(text: str, line: int) -> complex:
+    """α0, refused unless |e^{iα0}|² = e^{−2·Im α0} is a finite positive float."""
+    alpha0 = _parse_complex(text, line)
+    try:
+        scale = math.exp(-2.0 * alpha0.imag)
+    except OverflowError:
+        scale = math.inf
+    if not 0.0 < scale < math.inf:
+        raise ConfigError(f"alpha0 = {text.strip()}: e^(-2*Im alpha0) = {scale:g}, "
+                          "not finite and positive", line)
+    return alpha0
+
+
 def _build_packet(
     sec: dict[str, tuple[str, int]], m: float, hbar: float
-) -> tuple[PacketState, GaussianMomentumParams | None]:
+) -> tuple[PacketState, float | None]:
     x0 = _parse_float(*sec["x0"]) if "x0" in sec else 0.0
     p0 = _parse_float(*sec["p0"]) if "p0" in sec else 0.0
     invariant_keys = [k for k in ("A0", "B0", "C0", "F0", "alpha0") if k in sec]
@@ -185,14 +198,13 @@ def _build_packet(
         sigma = _parse_float(*sec["sigma"]) if gaussian_given else 1.0
         line = sec["sigma"][1] if gaussian_given else 0
         try:
-            params = GaussianMomentumParams(sigma=sigma, x0=x0, p0=p0)
-            return matched_packet(params, m, hbar), params
+            return matched_packet(sigma, m, hbar, x0, p0), sigma
         except ValueError as exc:
             raise ConfigError(str(exc), line)
 
     if "F0" in sec and any(k in sec for k in ("A0", "B0", "C0")):
         raise ConfigError("F0 shorthand conflicts with explicit A0/B0/C0", sec["F0"][1])
-    alpha0 = _parse_complex(*sec["alpha0"]) if "alpha0" in sec else None
+    alpha0 = _parse_alpha0(*sec["alpha0"]) if "alpha0" in sec else None
     try:
         if "F0" in sec:
             line = sec["F0"][1]
@@ -242,7 +254,7 @@ def parse_config(text: str, mode_override: str | None = None) -> RunConfig:
             raise ConfigError(f"{name} must be positive", system[name][1])
 
     profile = _build_profile(sections["force"])
-    packet, gaussian = _build_packet(sections["packet"], m, hbar)
+    packet, sigma = _build_packet(sections["packet"], m, hbar)
 
     gsec = sections["grid"]
 
@@ -300,11 +312,9 @@ def parse_config(text: str, mode_override: str | None = None) -> RunConfig:
             raise ConfigError("sweep_mode cannot itself be 'sweep'", line)
 
     cfg = RunConfig(
-        m=m,
-        hbar=hbar,
         profile=profile,
         packet=packet,
-        gaussian=gaussian,
+        sigma=sigma,
         grid=grid,
         mode=mode,
         sweep_axis=sweep_axis,
@@ -323,22 +333,24 @@ def parse_config(text: str, mode_override: str | None = None) -> RunConfig:
             check_containment(cfg)
         except ContainmentError as exc:
             raise ConfigError(str(exc))
-    if mode is RunMode.MOMENTUM and gaussian is None:
+    if mode is RunMode.MOMENTUM and sigma is None:
         raise ConfigError("momentum mode requires the gaussian packet parameterization")
     # gaussian_phi0 divides by ħ²; where ħ² underflows to 0 that ends in ZeroDivisionError,
-    # and where it is subnormal the prefactor (2σ²/πħ²)^{1/4} overflows and φ turns nan
+    # where it is subnormal the prefactor (2σ²/πħ²)^{1/4} overflows and φ turns nan, and
+    # where it overflows, hbar**2 raises OverflowError
     momentum_route = mode is RunMode.MOMENTUM or (
         mode is RunMode.SWEEP and sweep_mode is RunMode.MOMENTUM
     )
-    if momentum_route and hbar * hbar < sys.float_info.min:
-        message = f"hbar = {hbar:g}: the momentum route divides by hbar^2, which underflows"
+    if momentum_route and not sys.float_info.min <= hbar * hbar < math.inf:
+        flow = "underflows" if hbar < 1.0 else "overflows"
+        message = f"hbar = {hbar:g}: the momentum route divides by hbar^2, which {flow}"
         raise ConfigError(message, system["hbar"][1])
     if mode is RunMode.SWEEP:
         if sweep_axis is None or not sweep_values:
             raise ConfigError("sweep mode needs sweep_axis and sweep_values")
         if sweep_axis not in {"sigma", "F0_imag", "dt", "n", "force_amplitude"}:
             raise ConfigError(f"unknown sweep axis {sweep_axis!r}")
-        if sweep_mode is RunMode.MOMENTUM and gaussian is None:
+        if sweep_mode is RunMode.MOMENTUM and sigma is None:
             message = "sweep_mode momentum requires the gaussian packet parameterization"
             raise ConfigError(message, rsec["sweep_mode"][1])
     rows = _rows_to_write(cfg)
@@ -372,21 +384,18 @@ def sweep_case_name(axis: str, value: float) -> str:
 
 def apply_sweep_value(cfg: RunConfig, axis: str, value: float) -> RunConfig:
     """Derive a single-run config with one parameter replaced."""
+    p = cfg.packet
     if axis == "sigma":
-        if cfg.gaussian is None:
+        if cfg.sigma is None:
             raise ConfigError("sigma sweep needs a gaussian-parameterized packet")
-        params = replace(cfg.gaussian, sigma=float(value))
-        packet = matched_packet(params, cfg.m, cfg.hbar)
-        return replace(cfg, gaussian=params, packet=packet, mode=cfg.sweep_mode)
+        packet = matched_packet(float(value), p.m, p.hbar, p.x0, p.p0)
+        return replace(cfg, sigma=float(value), packet=packet, mode=cfg.sweep_mode)
     if axis == "F0_imag":
-        if cfg.gaussian is not None:
+        if cfg.sigma is not None:
             raise ConfigError("F0_imag sweep needs an invariant-parameterized packet")
-        old = cfg.packet.spec
+        old = p.spec
         spec = InvariantSpec(A0=old.A0, B0=old.A0 * complex(old.F0.real, float(value)), C0=old.C0)
-        packet = PacketState(
-            m=cfg.m, hbar=cfg.hbar, x0=cfg.packet.x0, p0=cfg.packet.p0, spec=spec, alpha0=None
-        )
-        return replace(cfg, packet=packet, mode=cfg.sweep_mode)
+        return replace(cfg, packet=replace(p, spec=spec, alpha0=None), mode=cfg.sweep_mode)
     if axis == "dt":
         return replace(cfg, grid=replace(cfg.grid, dt=float(value)), mode=cfg.sweep_mode)
     if axis == "n":

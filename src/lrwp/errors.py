@@ -9,16 +9,10 @@ class OutOfDomainError(LrwpError):
     """Evaluation time lies outside a tabulated profile's domain."""
 
 
-class PositionBranchError(LrwpError):
-    """A0 = 0 selects position eigenfunctions, which this solver does not support."""
-
-
-class UnphysicalInvariantError(LrwpError):
-    """Im(F0) > 0 makes the packet density non-normalizable."""
-
-
-class DivergentDensityError(LrwpError):
-    """Im(F0) = 0 with F0 != 0: the density diverges at t = m/F0."""
+class InvalidInvariantError(LrwpError):
+    """Invariant constants with no solution here: A0 = 0 (position eigenfunctions),
+    Im(F0) > 0 (a non-normalizable density) or real F0 != 0 (the density diverges
+    at t = m/F0)."""
 
 
 class ModeMismatchError(LrwpError):

@@ -23,7 +23,7 @@ phase α(t) itself as a cross-check.
 import math
 from dataclasses import dataclass
 
-from .errors import DivergentDensityError, PositionBranchError, UnphysicalInvariantError
+from .errors import InvalidInvariantError
 from .fields import WaveField, spectral_derivative
 from .forcing import ForceProfile
 
@@ -32,7 +32,8 @@ __all__ = ["InvariantSpec", "PacketState", "coeffs_at", "eigenvalue", "apply_inv
 
 @dataclass(frozen=True)
 class InvariantSpec:
-    """Complex constants (A0, B0, C0); validated at construction."""
+    """Complex constants (A0, B0, C0); constants with no solution here (A0 = 0,
+    Im F0 > 0, real F0 ≠ 0) raise InvalidInvariantError at construction."""
 
     A0: complex
     B0: complex
@@ -43,16 +44,13 @@ class InvariantSpec:
         object.__setattr__(self, "B0", complex(self.B0))
         object.__setattr__(self, "C0", complex(self.C0))
         if self.A0 == 0:
-            raise PositionBranchError(
-                "A0 = 0 selects position eigenfunctions; not supported"
-            )
+            raise InvalidInvariantError("A0 = 0 selects position eigenfunctions; not supported")
         f0 = self.F0
         if f0.imag > 0:
-            raise UnphysicalInvariantError("unphysical invariant: Im(F0) > 0")
+            raise InvalidInvariantError("unphysical invariant: Im(F0) > 0")
         if f0.imag == 0 and f0 != 0:
-            raise DivergentDensityError(
-                "divergent density: Im(F0) = 0 with F0 != 0 "
-                "(width collapses at t = m/F0)"
+            raise InvalidInvariantError(
+                "divergent density: Im(F0) = 0 with F0 != 0 (width collapses at t = m/F0)"
             )
 
     @property

@@ -121,7 +121,7 @@ def _finite(sample, *args) -> WaveField:
     return field
 
 
-def run_analytic(cfg: RunConfig, out_dir) -> dict:
+def run_analytic(cfg: RunConfig, out_dir) -> None:
     """Closed-form observables and snapshots, no propagation."""
     out = Path(out_dir)
     packet = cfg.packet
@@ -155,7 +155,6 @@ def run_analytic(cfg: RunConfig, out_dir) -> dict:
     # snapshots first: a sample that _finite refuses then leaves no CSV behind
     write_csv_atomic(out / "snapshots.csv", SNAPSHOTS_HEADER, snapshots())
     write_csv_atomic(out / "observables.csv", OBSERVABLES_HEADER, obs_rows)
-    return {"times": times, "lambda": lam}
 
 
 @dataclass
@@ -192,13 +191,13 @@ def run_validate(cfg: RunConfig, out_dir) -> ValidateSummary:
     rows = []
     records = []
     max_l2_cn = 0.0
-    stream_ss = propagate_splitstep(initial, cfg.profile, cfg.m, cfg.hbar, cfg.grid)
-    stream_cn = propagate_cranknicolson(initial, cfg.profile, cfg.m, cfg.hbar, cfg.grid)
+    stream_ss = propagate_splitstep(initial, cfg.profile, packet.m, packet.hbar, cfg.grid)
+    stream_cn = propagate_cranknicolson(initial, cfg.profile, packet.m, packet.hbar, cfg.grid)
     for f_ss, f_cn in zip(stream_ss, stream_cn):
         t = f_ss.t
         analytic = _finite(sample_gtwp, packet, cfg.profile, grid, t)
-        coeffs = coeffs_at(packet.spec, cfg.m, cfg.profile, t)
-        rec = observables(f_ss, cfg.m, cfg.hbar, coeffs, analytic=analytic)
+        coeffs = coeffs_at(packet.spec, packet.m, cfg.profile, t)
+        rec = observables(f_ss, packet.m, packet.hbar, coeffs, analytic=analytic)
         l2_cn = l2_error(f_cn, analytic)
         max_l2_cn = max(max_l2_cn, l2_cn)
         records.append(rec)
@@ -228,26 +227,26 @@ def run_validate(cfg: RunConfig, out_dir) -> ValidateSummary:
     return summary
 
 
-def run_momentum(cfg: RunConfig, out_dir) -> dict:
+def run_momentum(cfg: RunConfig, out_dir) -> float:
     """Momentum-route comparison: transform the momentum-space Gaussian and
-    measure the pointwise gap to the packet closed form per output time."""
+    measure the pointwise gap to the packet closed form per output time.
+    Returns the largest gap."""
     out = Path(out_dir)
-    params = cfg.gaussian
     packet = cfg.packet
     grid = cfg.grid.grid
-    pgrid = conjugate_momentum_grid(grid, cfg.hbar)
+    pgrid = conjugate_momentum_grid(grid, packet.hbar)
     rows = []
     worst = 0.0
     for t in _snapshot_times(cfg):
         t = float(t)
-        phi = _finite(sample_gaussian_momentum, params, cfg.m, cfg.hbar, cfg.profile, pgrid, t)
-        bridged = fourier_bridge(phi, cfg.hbar, position_grid=grid)
+        phi = _finite(sample_gaussian_momentum, packet, cfg.sigma, cfg.profile, pgrid, t)
+        bridged = fourier_bridge(phi, packet.hbar, position_grid=grid)
         direct = _finite(sample_gtwp, packet, cfg.profile, grid, t)
         diff = float(np.max(np.abs(bridged.values - direct.values)))
         worst = max(worst, diff)
         rows.append([t, diff])
     write_csv_atomic(out / "comparison.csv", COMPARISON_HEADER, rows)
-    return {"max_abs_diff": worst}
+    return worst
 
 
 def _packet_metrics(cfg: RunConfig) -> tuple[float, float]:

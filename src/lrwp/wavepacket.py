@@ -19,15 +19,16 @@ Momentum space: the same dynamics is a shift p → p − G(t) plus a phase,
 
     φ(p,t) = φ0(p−G(t)) · exp{−(i/ħ)∫₀ᵗ [p−G(t)+G(τ)]²/(2m) dτ},
 
-and a Gaussian φ0 reproduces the packet above once F0 = −i·m/T and
-e^{iα(0)} = (2πσ²)^{−1/4}, where T = 2mσ²/ħ is the spreading time.
-:func:`momentum_solution` is that one route for any φ0; momentum mode feeds
-it the Gaussian :func:`gaussian_phi0`.
+and a Gaussian φ0 of width σ, centered at the packet's (x0, p0), reproduces
+the packet above once F0 = −i·m/T and e^{iα(0)} = (2πσ²)^{−1/4}, where
+T = 2mσ²/ħ is the spreading time. :func:`matched_packet` builds that packet
+from σ, and :func:`momentum_solution` is the one route for any φ0; momentum
+mode feeds it the Gaussian :func:`gaussian_phi0`, reading m, ħ, x0 and p0
+from the same :class:`PacketState` the position route samples.
 """
 
 import cmath
 import math
-from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
@@ -39,7 +40,6 @@ from .forcing import ForceProfile
 from .invariant import InvariantSpec, PacketState
 
 __all__ = [
-    "GaussianMomentumParams",
     "gtwp_psi",
     "analytic_norm_sq",
     "delta_x",
@@ -50,30 +50,11 @@ __all__ = [
     "momentum_solution",
     "fourier_bridge",
     "matched_packet",
-    "spreading_time",
     "sample_gtwp",
     "sample_gaussian_momentum",
 ]
 
 ALIASING_TOL = 1e-10
-
-
-@dataclass(frozen=True)
-class GaussianMomentumParams:
-    """Width and phase-space center of the initial momentum-space Gaussian."""
-
-    sigma: float
-    x0: float = 0.0
-    p0: float = 0.0
-
-    def __post_init__(self):
-        if self.sigma <= 0:
-            raise ValueError("sigma must be positive")
-
-
-def spreading_time(params: GaussianMomentumParams, m: float, hbar: float) -> float:
-    """T = 2mσ²/ħ, the timescale of free width growth."""
-    return 2.0 * m * params.sigma**2 / hbar
 
 
 def _require_gtwp(state: PacketState):
@@ -152,15 +133,14 @@ def min_uncertainty_time(state: PacketState, t_hi: float) -> float:
     return min(max(0.0, (state.m / state.spec.F0).real), float(t_hi))
 
 
-def gaussian_phi0(params: GaussianMomentumParams, hbar: float, p):
+def gaussian_phi0(sigma: float, x0: float, p0: float, hbar: float, p):
     """Initial momentum-space Gaussian
 
     φ0(p) = (2σ²/πħ²)^{1/4} · exp[−σ²(p−p0)²/ħ² − i(p−p0)x0/ħ].
     """
-    s, x0, p0 = params.sigma, params.x0, params.p0
     p = np.asarray(p, dtype=float)
-    out = (2.0 * s * s / (math.pi * hbar * hbar)) ** 0.25 * np.exp(
-        -(s * s) * (p - p0) ** 2 / hbar**2 - 1j * (p - p0) * x0 / hbar
+    out = (2.0 * sigma * sigma / (math.pi * hbar * hbar)) ** 0.25 * np.exp(
+        -(sigma * sigma) * (p - p0) ** 2 / hbar**2 - 1j * (p - p0) * x0 / hbar
     )
     return out if out.ndim else complex(out)
 
@@ -214,11 +194,16 @@ def fourier_bridge(field: WaveField, hbar: float, position_grid: Grid1D) -> Wave
     return WaveField(grid=position_grid, t=field.t, values=psi, space=Space.POSITION)
 
 
-def matched_packet(params: GaussianMomentumParams, m: float, hbar: float) -> PacketState:
-    """Packet state equal to the transformed momentum-space Gaussian: the invariant
-    ratio F0 = −i·m/T and the initial phase e^{iα(0)} = (2πσ²)^{−1/4}."""
+def matched_packet(
+    sigma: float, m: float, hbar: float, x0: float = 0.0, p0: float = 0.0
+) -> PacketState:
+    """Packet state equal to the transformed momentum-space Gaussian of width σ
+    centered at (x0, p0): the invariant ratio F0 = −i·m/T, with T = 2mσ²/ħ the
+    spreading time, and the initial phase e^{iα(0)} = (2πσ²)^{−1/4}."""
+    if sigma <= 0:
+        raise ValueError("sigma must be positive")
     try:
-        t_spread = spreading_time(params, m, hbar)
+        t_spread = 2.0 * m * sigma**2 / hbar
     except OverflowError:  # σ² beyond the float range
         t_spread = math.inf
     if not 0.0 < t_spread < math.inf:
@@ -227,8 +212,8 @@ def matched_packet(params: GaussianMomentumParams, m: float, hbar: float) -> Pac
         raise ValueError(f"spreading time 2m*sigma^2/hbar = {t_spread:g}: F0 = -i*m/T overflows")
     f0 = -1j * m / t_spread
     spec = InvariantSpec(A0=1.0 + 0j, B0=f0, C0=0j)
-    alpha0 = 0.25j * math.log(2.0 * math.pi * params.sigma**2)
-    return PacketState(m=m, hbar=hbar, x0=params.x0, p0=params.p0, spec=spec, alpha0=alpha0)
+    alpha0 = 0.25j * math.log(2.0 * math.pi * sigma**2)
+    return PacketState(m=m, hbar=hbar, x0=x0, p0=p0, spec=spec, alpha0=alpha0)
 
 
 def sample_gtwp(state: PacketState, profile: ForceProfile, grid: Grid1D, t: float) -> WaveField:
@@ -238,16 +223,12 @@ def sample_gtwp(state: PacketState, profile: ForceProfile, grid: Grid1D, t: floa
 
 
 def sample_gaussian_momentum(
-    params: GaussianMomentumParams,
-    m: float,
-    hbar: float,
-    profile: ForceProfile,
-    grid: Grid1D,
-    t: float,
+    packet: PacketState, sigma: float, profile: ForceProfile, grid: Grid1D, t: float
 ) -> WaveField:
-    """φ(p,t) of the Gaussian φ0 on a momentum grid, by the general route
-    :func:`momentum_solution`."""
+    """φ(p,t) of the Gaussian φ0 of width σ, centered at the packet's (x0, p0), on a
+    momentum grid, by the general route :func:`momentum_solution`."""
     values = momentum_solution(
-        lambda p: gaussian_phi0(params, hbar, p), profile, m, hbar, grid.points, t
+        lambda p: gaussian_phi0(sigma, packet.x0, packet.p0, packet.hbar, p),
+        profile, packet.m, packet.hbar, grid.points, t,
     )
     return WaveField(grid=grid, t=t, values=values, space=Space.MOMENTUM)

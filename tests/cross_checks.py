@@ -25,31 +25,20 @@ from lrwp.fields import WaveField, spectral_derivative
 from lrwp.forcing import ForceProfile
 from lrwp.invariant import InvariantSpec, PacketState, apply_invariant
 from lrwp.oracle import ObservableRecord
-from lrwp.wavepacket import (
-    GaussianMomentumParams,
-    gtwp_psi,
-    matched_packet,
-    spreading_time,
-)
+from lrwp.wavepacket import gtwp_psi
 
 
-def gaussian_phi_pt(
-    params: GaussianMomentumParams,
-    m: float,
-    hbar: float,
-    profile: ForceProfile,
-    p,
-    t: float,
-):
-    """Momentum-space Gaussian at time t (closed three-factor form)."""
+def gaussian_phi_pt(packet: PacketState, sigma: float, profile: ForceProfile, p, t: float):
+    """Momentum-space Gaussian of width σ, centered at the packet's (x0, p0), at
+    time t (closed three-factor form)."""
     if t < 0:
         raise ValueError("negative time")
-    packet = matched_packet(params, m, hbar)  # its center is the Gaussian's
-    action = kinetic_action(m, params.p0, profile, t)
-    bigT = spreading_time(params, m, hbar)
+    m, hbar = packet.m, packet.hbar
+    action = kinetic_action(m, packet.p0, profile, t)
+    bigT = 2.0 * m * sigma**2 / hbar  # the spreading time
     pc = p_c(packet, profile, t)
     xc = x_c(packet, profile, t)
-    s = params.sigma
+    s = sigma
     p = np.asarray(p, dtype=float)
     out = (
         (2.0 * s * s / (math.pi * hbar * hbar)) ** 0.25

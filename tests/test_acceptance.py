@@ -25,7 +25,6 @@ from lrwp.oracle import (
 )
 from lrwp.runner import run_validate
 from lrwp.wavepacket import (
-    GaussianMomentumParams,
     InvariantSpec,
     delta_p,
     delta_x,
@@ -44,7 +43,7 @@ from cross_checks import eigen_residual, ehrenfest_check, plane_wave_superpositi
 M = HBAR = 1.0
 B1_FORCE = ConstantForce(1.0)
 B1_GRID = GridSpec(-20.0, 20.0, 2048, 1e-3, 2.0, output_every=10)
-B1_PACKET = matched_packet(GaussianMomentumParams(sigma=1.0), M, HBAR)
+B1_PACKET = matched_packet(1.0, M, HBAR)
 
 
 def _report(num: int, name: str, ok: bool, detail: str):
@@ -168,12 +167,11 @@ def test_criterion_04_uncertainty_laws(b1):
 
 
 def test_criterion_05_momentum_route_equality(b1):
-    params = GaussianMomentumParams(sigma=1.0)
     grid = B1_GRID.grid
     pgrid = conjugate_momentum_grid(grid, HBAR)
     worst = 0.0
     for t in (0.0, 0.5, 1.0, 2.0):
-        phi = sample_gaussian_momentum(params, M, HBAR, B1_FORCE, pgrid, t)
+        phi = sample_gaussian_momentum(B1_PACKET, 1.0, B1_FORCE, pgrid, t)
         bridged = fourier_bridge(phi, HBAR, position_grid=grid)
         direct = sample_gtwp(B1_PACKET, B1_FORCE, grid, t)
         worst = max(worst, float(np.max(np.abs(bridged.values - direct.values))))
@@ -242,7 +240,6 @@ def test_criterion_08_physicality_gate():
 
 
 def test_criterion_09_superposition_consistency():
-    params = GaussianMomentumParams(sigma=1.0)
     packet = B1_PACKET
     profile = ConstantForce(0.0)
     x = B1_GRID.grid.points
@@ -250,7 +247,7 @@ def test_criterion_09_superposition_consistency():
     worst = 0.0
     for t in (0.0, 1.0, 2.0):
         total = plane_wave_superposition(
-            M, HBAR, profile, lambda p: gaussian_phi0(params, HBAR, p), p0s, x, t
+            M, HBAR, profile, lambda p: gaussian_phi0(1.0, 0.0, 0.0, HBAR, p), p0s, x, t
         )
         direct = gtwp_psi(packet, profile, x, t)
         worst = max(worst, np.linalg.norm(total - direct) / np.linalg.norm(direct))

@@ -88,3 +88,8 @@ def test_affine_in_initial_conditions():
 def test_mass_must_be_positive():
     with pytest.raises(ValueError, match="m and hbar must be positive"):
         PacketState(m=0.0, hbar=1.0, x0=0.0, p0=0.0, spec=InvariantSpec(1.0, 0j))
+
+
+def test_hbar_must_be_positive():
+    with pytest.raises(ValueError, match="m and hbar must be positive"):
+        PacketState(m=1.0, hbar=0.0, x0=0.0, p0=0.0, spec=InvariantSpec(1.0, 0j))

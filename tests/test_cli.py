@@ -103,6 +103,18 @@ def test_config_error_exit_two(tmp_path, capsys):
         ("sweep", "[system]\nhbar = 1e-300\n[run]\nsweep_axis = sigma\nsweep_values = 1\n"
          "sweep_mode = momentum\n",
          "line 2: hbar = 1e-300: the momentum route divides by hbar^2, which underflows"),
+        # ħ² overflows from ħ = 1e155 on; at 1e154 the run goes on and exits 3
+        ("momentum", "[system]\nhbar = 1e155\n",
+         "line 2: hbar = 1e+155: the momentum route divides by hbar^2, which overflows"),
+        ("sweep", "[system]\nhbar = 1e200\n[run]\nsweep_axis = sigma\nsweep_values = 1\n"
+         "sweep_mode = momentum\n",
+         "line 2: hbar = 1e+200: the momentum route divides by hbar^2, which overflows"),
+        # |e^{iα0}|² = e^{−2·Im α0} overflows at Im α0 = −400 and underflows to 0 at +800
+        *[(mode, f"[packet]\nF0 = 0-1i\nalpha0 = {alpha0}\n"
+           "[grid]\nn = 64\nt_max = 0.1\ndt = 0.01\noutput_every = 1\n",
+           f"line 3: alpha0 = {alpha0}: e^(-2*Im alpha0) = {scale}, not finite and positive")
+          for alpha0, scale in (("0-400i", "inf"), ("0+800i", "0"))
+          for mode in ("analytic", "validate")],
         # the conjugate momentum grid of an infinitely wide box has zero width
         ("momentum", "[grid]\nx_min = -1e308\nx_max = 1e308\n",
          "line 2: x_max - x_min overflows a float"),
@@ -186,6 +198,15 @@ def test_closed_form_overflow_exit_three(tmp_path, capsys, mode, text):
     assert err.startswith("lrwp: numeric failure: ")
     assert not (tmp_path / "out" / "snapshots.csv").exists()
     assert not (tmp_path / "out" / "comparison.csv").exists()
+
+
+def test_momentum_at_largest_finite_hbar_squared_exit_three(tmp_path, capsys):
+    # ħ = 1e154 passes the parse-time ħ² check; the momentum grid spans some ħ, so
+    # (p − p0)² overflows on it and the sampled φ is refused as non-finite
+    cfg = _write(tmp_path, "[system]\nhbar = 1e154\n" + TINY_GRID)
+    assert main(["momentum", "--config", cfg, "--out", str(tmp_path / "out")]) == 3
+    err = capsys.readouterr().err
+    assert err == "lrwp: numeric failure: InstabilityError: non-finite field at t=0\n"
 
 
 @pytest.mark.parametrize("hbar", ["1e-20", "1e-100"])

@@ -7,9 +7,9 @@ from lrwp.forcing import ConstantForce, PiecewiseLinearForce, SinusoidalForce
 
 def test_empty_document_gets_defaults():
     cfg = parse_config("")
-    assert cfg.m == 1.0 and cfg.hbar == 1.0
+    assert cfg.packet.m == 1.0 and cfg.packet.hbar == 1.0
     assert cfg.profile == ConstantForce(0.0)
-    assert cfg.gaussian is not None and cfg.gaussian.sigma == 1.0
+    assert cfg.sigma == 1.0
     assert cfg.packet.spec.F0 == pytest.approx(-0.5j)
     assert cfg.grid.n == 2048 and cfg.grid.t_max == 2.0
     assert cfg.mode is RunMode.ANALYTIC
@@ -41,7 +41,7 @@ def test_full_document():
         mode = analytic
         """
     )
-    assert cfg.m == 2.0 and cfg.hbar == 0.5
+    assert cfg.packet.m == 2.0 and cfg.packet.hbar == 0.5 and cfg.sigma == 0.5
     assert isinstance(cfg.profile, SinusoidalForce)
     assert cfg.profile.phase == 0.3
     assert cfg.packet.x0 == 1.0 and cfg.packet.p0 == -0.5
@@ -58,7 +58,7 @@ def test_invariant_parameterization():
     cfg = parse_config(
         "[packet]\nA0 = 1+0i\nB0 = 0-0.5i\nC0 = 0.1+0.2i\nalpha0 = 0+0.3i\nx0 = 0.5\n"
     )
-    assert cfg.gaussian is None
+    assert cfg.sigma is None
     assert cfg.packet.spec.B0 == -0.5j
     assert cfg.packet.spec.C0 == 0.1 + 0.2j
     assert cfg.packet.alpha0 == 0.3j
@@ -249,7 +249,7 @@ class TestSweepDerivation:
     def test_sigma_axis(self):
         cfg = parse_config(self.BASE.format(axis="sigma", values="0.5, 2.0"))
         derived = apply_sweep_value(cfg, "sigma", 2.0)
-        assert derived.gaussian.sigma == 2.0
+        assert derived.sigma == 2.0
         assert derived.mode is RunMode.ANALYTIC
 
     def test_dt_axis(self):

@@ -5,9 +5,7 @@ import pytest
 
 from lrwp.classical import p_c, x_c
 from lrwp.errors import (
-    DivergentDensityError,
-    PositionBranchError,
-    UnphysicalInvariantError,
+    InvalidInvariantError,
 )
 from lrwp.fields import Grid1D, Space, WaveField
 from lrwp.forcing import ConstantForce, SinusoidalForce
@@ -37,15 +35,15 @@ class TestSpecValidation:
         assert not InvariantSpec(1.0, 0j).is_packet
 
     def test_rejects_positive_imag(self):
-        with pytest.raises(UnphysicalInvariantError, match=r"Im\(F0\) > 0"):
+        with pytest.raises(InvalidInvariantError, match=r"unphysical invariant: Im\(F0\) > 0"):
             InvariantSpec(1.0, 1j)
 
     def test_rejects_real_nonzero_ratio(self):
-        with pytest.raises(DivergentDensityError, match="divergent"):
+        with pytest.raises(InvalidInvariantError, match="divergent density"):
             InvariantSpec(1.0, 0.5 + 0j)
 
     def test_rejects_zero_A0(self):
-        with pytest.raises(PositionBranchError):
+        with pytest.raises(InvalidInvariantError, match="A0 = 0 selects position eigenfunctions"):
             InvariantSpec(0.0, 1.0)
 
     def test_nontrivial_A0_phase(self):
@@ -149,10 +147,10 @@ class TestApplyInvariant:
         np.testing.assert_allclose(out.values, k0 * psi, atol=1e-12)
 
     def test_gaussian_eigen_residual(self):
-        from lrwp.wavepacket import matched_packet, GaussianMomentumParams, sample_gtwp
+        from lrwp.wavepacket import matched_packet, sample_gtwp
 
         grid = Grid1D(-20.0, 20.0, 1024)
-        packet = matched_packet(GaussianMomentumParams(sigma=1.0), 1.0, 1.0)
+        packet = matched_packet(1.0, 1.0, 1.0)
         field = sample_gtwp(packet, F_ZERO, grid, 0.0)
         coeffs = coeffs_at(packet.spec, 1.0, F_ZERO, 0.0)
         lam = eigenvalue(packet)

@@ -21,15 +21,11 @@ from lrwp.oracle import (
 )
 # exercised directly: unreachable via unitary runs
 from lrwp.oracle import _check_boundary, _checked
-from lrwp.wavepacket import (
-    GaussianMomentumParams,
-    matched_packet,
-    sample_gtwp,
-)
+from lrwp.wavepacket import matched_packet, sample_gtwp
 from cross_checks import ehrenfest_check
 
 M = HBAR = 1.0
-PACKET = matched_packet(GaussianMomentumParams(sigma=1.0), M, HBAR)
+PACKET = matched_packet(1.0, M, HBAR)
 
 
 def _run(propagator, profile, spec, **kw):
@@ -237,8 +233,7 @@ class TestFactorOnChange:
 
 class TestObservables:
     def test_matched_gaussian_moments(self):
-        params = GaussianMomentumParams(sigma=1.0, x0=1.5, p0=0.7)
-        packet = matched_packet(params, M, HBAR)
+        packet = matched_packet(1.0, M, HBAR, x0=1.5, p0=0.7)
         profile = ConstantForce(0.0)
         grid = Grid1D(-20.0, 20.0, 2048)
         field = sample_gtwp(packet, profile, grid, 0.0)
@@ -251,8 +246,7 @@ class TestObservables:
 
     def test_invariant_expectation_constant_over_run(self):
         profile = ConstantForce(1.0)
-        params = GaussianMomentumParams(sigma=1.0, x0=0.3, p0=-0.4)
-        packet = matched_packet(params, M, HBAR)
+        packet = matched_packet(1.0, M, HBAR, x0=0.3, p0=-0.4)
         spec = GridSpec(-20.0, 20.0, 1024, 1e-3, 1.0, output_every=200)
         initial = sample_gtwp(packet, profile, spec.grid, 0.0)
         recs = [
@@ -266,8 +260,7 @@ class TestObservables:
 
     def test_center_follows_classical_trajectory(self):
         profile = SinusoidalForce(1.0, 2.0)
-        params = GaussianMomentumParams(sigma=1.0, x0=0.5, p0=-0.3)
-        packet = matched_packet(params, M, HBAR)
+        packet = matched_packet(1.0, M, HBAR, x0=0.5, p0=-0.3)
         spec = GridSpec(-20.0, 20.0, 1024, 1e-3, 1.0, output_every=100)
         initial = sample_gtwp(packet, profile, spec.grid, 0.0)
         from lrwp.classical import p_c, x_c

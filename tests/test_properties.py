@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 pytest.importorskip("hypothesis")
-from hypothesis import Phase, example, given, settings  # noqa: E402
+from hypothesis import Phase, assume, example, given, settings  # noqa: E402
 from hypothesis import strategies as st  # noqa: E402
 
 from lrwp.forcing import (  # noqa: E402
@@ -20,20 +20,25 @@ from lrwp.forcing import (  # noqa: E402
     SinusoidalForce,
 )
 from lrwp.classical import p_c, x_c  # noqa: E402
-from lrwp.fields import Grid1D  # noqa: E402
+from lrwp.fields import Grid1D, conjugate_momentum_grid  # noqa: E402
 from lrwp.invariant import InvariantSpec, PacketState, coeffs_at, eigenvalue  # noqa: E402
+from lrwp.oracle import GridSpec, propagate_splitstep  # noqa: E402
 from lrwp.wavepacket import (  # noqa: E402
-    GaussianMomentumParams,
+    analytic_norm_sq,
     delta_p,
     delta_x,
+    fourier_bridge,
     gaussian_phi0,
     gtwp_psi,
+    matched_packet,
     min_uncertainty_time,
     momentum_solution,
+    sample_gaussian_momentum,
     sample_gtwp,
     uncertainty_product,
 )
 from cross_checks import eigen_residual, gaussian_phi_pt, phase_alpha  # noqa: E402
+from kick_train import KickTrainProfile  # noqa: E402
 from simpson_reference import phase_reference, simpson_reference  # noqa: E402
 
 amplitudes = st.floats(-3.0, 3.0)
@@ -148,6 +153,29 @@ def test_phase_alpha_matches_simpson(profile, fraction, a0, c0, f0, lam, m, hbar
 
 
 @settings(max_examples=100)
+@given(sigma=positive, m=positive, hbar=positive, x0=st.floats(-5.0, 5.0),
+       p0=st.floats(-5.0, 5.0))
+def test_matched_packet_has_the_gaussian_widths(sigma, m, hbar, x0, p0):
+    # the packet that the width-σ momentum Gaussian transforms into, at any m and ħ:
+    # unit norm, Δx(0) = σ, Δp = ħ/(2σ) and Δx(T) = σ·√2 at T = 2mσ²/ħ
+    packet = matched_packet(sigma, m, hbar, x0, p0)
+    big_t = 2.0 * m * sigma**2 / hbar
+    assert (packet.m, packet.hbar, packet.x0, packet.p0) == (m, hbar, x0, p0)
+    assert abs(analytic_norm_sq(packet) - 1.0) <= 1e-14
+    assert delta_x(packet, 0.0) == pytest.approx(sigma, rel=1e-14)
+    assert delta_p(packet) == pytest.approx(hbar / (2.0 * sigma), rel=1e-14)
+    assert delta_x(packet, big_t) == pytest.approx(sigma * math.sqrt(2.0), rel=1e-14)
+
+
+@settings(max_examples=100)
+@given(a0=a0s, f0=packet_f0s, m=positive, hbar=positive)
+def test_default_alpha0_normalizes_the_packet(a0, f0, m, hbar):
+    # Im α0 = ¼·ln(πħ/(−Im F0)) cancels the Gaussian's ∫|ψ|² = √(πħ/(−Im F0)) to rounding
+    packet = PacketState(m, hbar, 0.0, 0.0, InvariantSpec(a0, f0 * a0))
+    assert abs(analytic_norm_sq(packet) - 1.0) <= 1e-14
+
+
+@settings(max_examples=100)
 @given(
     profile=profiles,
     fraction=st.floats(0.0, 1.0),
@@ -191,13 +219,14 @@ def test_lr_phase_times_eigenfunction_is_the_packet(profile, fraction, a0, c0, f
 )
 def test_momentum_route_matches_gaussian_closed_form(profile, fraction, sigma, x0, p0, m, hbar):
     # φ0(p − G)·e^{−iΦ/ħ} with a Gaussian φ0 is the three-factor Gaussian φ(p,t)
-    params = GaussianMomentumParams(sigma, x0, p0)
+    packet = PacketState(m, hbar, x0, p0, InvariantSpec(1.0, 0j))
     t = _time(profile, fraction)
     g, g1 = profile.g(t), profile.g1(t)
-    center = p_c(PacketState(m, hbar, x0, p0, InvariantSpec(1.0, 0j)), profile, t)
+    center = p_c(packet, profile, t)
     p = center + hbar / sigma * np.linspace(-3.0, 3.0, 13)
-    phi = momentum_solution(lambda q: gaussian_phi0(params, hbar, q), profile, m, hbar, p, t)
-    reference = gaussian_phi_pt(params, m, hbar, profile, p, t)
+    phi0 = lambda q: gaussian_phi0(sigma, x0, p0, hbar, q)
+    phi = momentum_solution(phi0, profile, m, hbar, p, t)
+    reference = gaussian_phi_pt(packet, sigma, profile, p, t)
     # Both routes round p − G − p0 at the size w of its largest operand, which moves
     # each exponent by its slope in p times w·1e-16; the phase itself rounds at its size.
     u = p - g
@@ -238,3 +267,74 @@ def test_sampled_packet_is_an_eigenfunction_of_the_invariant(profile, fraction, 
     field = sample_gtwp(packet, profile, Grid1D(xc - half, xc + half, n), t)
     coeffs = coeffs_at(packet.spec, m, profile, t)
     assert eigen_residual(coeffs, field, eigenvalue(packet), hbar) <= 1e-12
+
+
+# Each example propagates at most 500 steps on at most 1024 points: 25 take about 0.5 s.
+@settings(max_examples=25, phases=(Phase.explicit, Phase.reuse, Phase.generate))
+@given(
+    profile=profiles,
+    f0=st.builds(complex, st.floats(-1.0, 1.0), st.floats(-2.0, -0.25)),
+    m=st.floats(0.5, 5.0),
+    hbar=st.floats(0.2, 5.0),
+    x0=st.floats(-3.0, 3.0),
+    p0=st.floats(-3.0, 3.0),
+    dt=st.floats(1e-3, 1e-2),
+    steps=st.integers(1, 500),
+)
+# a kinetic phase p²t/(2mħ) near 1 over the packet: a relative error of 1e-9 in the
+# split step's kinetic factor moves ψ by some 1e-9 here
+@example(profile=SinusoidalForce(1.0, 3.0), f0=0.1 - 0.6j, m=1.5, hbar=0.7, x0=0.5, p0=2.0,
+         dt=1e-3, steps=500)
+def test_splitstep_is_the_packet_under_its_kick_train(profile, f0, m, hbar, x0, p0, dt, steps):
+    # the Strang step is exact for the impulse train it applies, so the split-step field
+    # is the closed form fed that train's G, G1 and G2, to rounding: centre, action,
+    # width and Lewis–Riesenfeld prefactor, at any m, ħ and force
+    steps = max(1, min(steps, int(min(1.0, _time(profile, 1.0)) / dt)))
+    packet = PacketState(m, hbar, x0, p0, InvariantSpec(1.0, f0))
+    kicks = KickTrainProfile.sampling(profile, dt, steps)
+    # the box holds x_c ± 12·Δx and the grid's momenta p_c ± 12·Δp at every step, where
+    # ψ is below 1e-15 of its peak; the half kicks move p by at most max|F|·dt/2
+    ts = dt * np.arange(steps + 1)
+    xc = x_c(packet, profile, ts)
+    widths = 12.0 * delta_x(packet, ts)
+    lo, hi = float(np.min(xc - widths)), float(np.max(xc + widths))
+    p_max = (float(np.max(np.abs(p_c(packet, profile, ts)))) + 12.0 * delta_p(packet)
+             + float(np.max(np.abs(kicks.forces))) * dt)
+    n = 1 << max(6, math.ceil(math.log2((hi - lo) * p_max / (math.pi * hbar))))
+    assume(n <= 1024)
+    spec = GridSpec(lo, hi, n, dt, steps * dt, output_every=1)
+    initial = sample_gtwp(packet, profile, spec.grid, 0.0)
+    for field in propagate_splitstep(initial, profile, m, hbar, spec):
+        closed = gtwp_psi(packet, kicks, spec.grid.points, field.t)
+        gap = np.max(np.abs(field.values - closed)) / np.max(np.abs(closed))
+        assert gap <= 1e-11, f"gap {gap:.3e} at t = {field.t:g}"
+
+
+@settings(max_examples=50)
+@given(
+    profile=profiles,
+    fraction=st.floats(0.0, 1.0),
+    sigma=st.floats(0.3, 3.0),
+    m=st.floats(0.5, 5.0),
+    hbar=st.floats(0.2, 5.0),
+    x0=st.floats(-3.0, 3.0),
+    p0=st.floats(-3.0, 3.0),
+)
+def test_momentum_route_rebuilds_the_matched_packet(profile, fraction, sigma, m, hbar, x0, p0):
+    # the paper's equality at any m and ħ: the momentum-space Gaussian of width σ,
+    # shifted by G and transformed to position space, is the packet matched to σ
+    packet = matched_packet(sigma, m, hbar, x0, p0)
+    t = fraction * min(2.0, _time(profile, 1.0))
+    # the box holds x_c ± 12·Δx and the conjugate grid's momenta p_c ± 12·Δp
+    half = 12.0 * delta_x(packet, t)
+    p_span = abs(float(p_c(packet, profile, t))) + 12.0 * delta_p(packet)
+    n = 1 << max(6, math.ceil(math.log2(2.0 * half * p_span / (math.pi * hbar))))
+    xc = float(x_c(packet, profile, t))
+    grid = Grid1D(xc - half, xc + half, n)
+    pgrid = conjugate_momentum_grid(grid, hbar)
+    phi = sample_gaussian_momentum(packet, sigma, profile, pgrid, t)
+    bridged = fourier_bridge(phi, hbar, grid)
+    direct = sample_gtwp(packet, profile, grid, t)
+    gap = np.max(np.abs(bridged.values - direct.values)) / np.max(np.abs(direct.values))
+    # measured at most 8.0e-13 over these 50 examples, from rounding in phases of size ≫ 1
+    assert gap <= 1e-10

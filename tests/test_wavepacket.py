@@ -21,7 +21,7 @@ from lrwp.forcing import ConstantForce, SinusoidalForce
 from lrwp.invariant import InvariantSpec, PacketState, coeffs_at, eigenvalue
 from lrwp.oracle import GridSpec, propagate_cranknicolson
 from lrwp.wavepacket import (
-    GaussianMomentumParams,
+    _branch_sqrt,
     analytic_norm_sq,
     delta_p,
     delta_x,
@@ -33,7 +33,6 @@ from lrwp.wavepacket import (
     momentum_solution,
     sample_gaussian_momentum,
     sample_gtwp,
-    spreading_time,
     uncertainty_product,
 )
 from cross_checks import (
@@ -48,12 +47,18 @@ F_ZERO = ConstantForce(0.0)
 F_CONST = ConstantForce(1.0)
 F_SIN = SinusoidalForce(1.0, 2.0)
 
-MATCHED = matched_packet(GaussianMomentumParams(sigma=1.0), 1.0, 1.0)
+MATCHED = matched_packet(1.0, 1.0, 1.0)
 
 CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 
 
 class TestGtwpPsi:
+    def test_branch_sqrt_takes_the_upper_limit_on_the_negative_axis(self):
+        # z = 1 − F0·t/m approaches the negative real axis from above (Im F0 < 0); where
+        # Im z underflows to +0 there (F0 = 10 − 5e-324i at t/m = 0.5), the continuous
+        # branch is +i·√|z|
+        assert _branch_sqrt(complex(-4.0, 0.0)) == 2j
+
     def test_peak_normalization(self):
         assert gtwp_psi(MATCHED, F_ZERO, 0.0, 0.0) == pytest.approx(
             (2 * math.pi) ** -0.25, abs=1e-14
@@ -125,7 +130,7 @@ class TestDensity:
 class TestWidths:
     def test_delta_x_trivia(self):
         assert delta_x(MATCHED, 0.0) == pytest.approx(1.0, abs=1e-14)
-        T = spreading_time(GaussianMomentumParams(sigma=1.0), 1.0, 1.0)
+        T = 2.0  # the spreading time 2mσ²/ħ at m = σ = ħ = 1
         assert delta_x(MATCHED, T) == pytest.approx(math.sqrt(2.0), abs=1e-14)
 
     def test_delta_x_matches_grid_moment(self):
@@ -140,10 +145,9 @@ class TestWidths:
         assert delta_p(pk) == pytest.approx(math.sqrt(0.7 / 2.0), abs=1e-14)
 
     def test_delta_p_matches_momentum_grid_moment(self):
-        params = GaussianMomentumParams(sigma=1.0)
         grid = Grid1D(-20.0, 20.0, 2048)
         pgrid = conjugate_momentum_grid(grid, 1.0)
-        phi = sample_gaussian_momentum(params, 1.0, 1.0, F_CONST, pgrid, 0.8)
+        phi = sample_gaussian_momentum(MATCHED, 1.0, F_CONST, pgrid, 0.8)
         _, dp = grid_moments(phi)  # second moment on the momentum axis
         assert abs(dp - delta_p(MATCHED)) < 1e-6
 
@@ -221,27 +225,23 @@ class TestPlaneWave:
 
 class TestMomentumSpace:
     def test_phi0_peak(self):
-        params = GaussianMomentumParams(sigma=1.0, x0=0.3, p0=0.9)
-        assert gaussian_phi0(params, 1.0, 0.9) == pytest.approx(
+        assert gaussian_phi0(1.0, 0.3, 0.9, 1.0, 0.9) == pytest.approx(
             (2 / math.pi) ** 0.25, abs=1e-14
         )
 
     def test_phi0_direct_value(self):
-        params = GaussianMomentumParams(sigma=1.0)
-        assert gaussian_phi0(params, 1.0, 1.0) == pytest.approx(
+        assert gaussian_phi0(1.0, 0.0, 0.0, 1.0, 1.0) == pytest.approx(
             (2 / math.pi) ** 0.25 * math.exp(-1.0), abs=1e-14
         )
 
     def test_phi0_unit_norm_by_quadrature(self):
-        params = GaussianMomentumParams(sigma=0.8, x0=0.2, p0=-0.4)
         val = adaptive_simpson(
-            lambda p: abs(gaussian_phi0(params, 1.0, p)) ** 2, -12.0, 12.0, 1e-13
+            lambda p: abs(gaussian_phi0(0.8, 0.2, -0.4, 1.0, p)) ** 2, -12.0, 12.0, 1e-13
         )
         assert val == pytest.approx(1.0, abs=1e-12)
 
     def test_free_evolution(self):
-        params = GaussianMomentumParams(sigma=1.0)
-        phi0 = lambda p: gaussian_phi0(params, 1.0, p)
+        phi0 = lambda p: gaussian_phi0(1.0, 0.0, 0.0, 1.0, p)
         p, t = 0.7, 1.9
         val = momentum_solution(phi0, F_ZERO, 1.0, 1.0, p, t)
         assert val == pytest.approx(phi0(p) * cmath.exp(-1j * p * p * t / 2), abs=1e-13)
@@ -253,71 +253,69 @@ class TestMomentumSpace:
         )
 
     def test_matches_closed_gaussian_form(self):
-        params = GaussianMomentumParams(sigma=0.8, x0=0.4, p0=-0.3)
-        phi0 = lambda p: gaussian_phi0(params, 1.0, p)
+        packet = matched_packet(0.8, 1.0, 1.0, x0=0.4, p0=-0.3)
+        phi0 = lambda p: gaussian_phi0(0.8, 0.4, -0.3, 1.0, p)
         rng = np.random.default_rng(3)
         for _ in range(50):
             p = float(rng.uniform(-4, 4))
             t = float(rng.uniform(0, 2))
             a = momentum_solution(phi0, F_CONST, 1.0, 1.0, p, t)
-            b = gaussian_phi_pt(params, 1.0, 1.0, F_CONST, p, t)
+            b = gaussian_phi_pt(packet, 0.8, F_CONST, p, t)
             assert abs(a - b) < 1e-9
 
     def test_phi_pt_reduces_to_phi0(self):
-        params = GaussianMomentumParams(sigma=1.2, x0=-0.5, p0=0.6)
+        packet = matched_packet(1.2, 1.0, 1.0, x0=-0.5, p0=0.6)
         p = np.linspace(-3, 3, 13)
         np.testing.assert_allclose(
-            gaussian_phi_pt(params, 1.0, 1.0, F_SIN, p, 0.0),
-            gaussian_phi0(params, 1.0, p),
+            gaussian_phi_pt(packet, 1.2, F_SIN, p, 0.0),
+            gaussian_phi0(1.2, -0.5, 0.6, 1.0, p),
             atol=1e-14,
         )
 
     def test_phi_pt_center_modulus(self):
-        params = GaussianMomentumParams(sigma=1.0, p0=0.9)
-        val = gaussian_phi_pt(params, 1.0, 1.0, F_ZERO, 0.9, 1.7)
+        packet = matched_packet(1.0, 1.0, 1.0, p0=0.9)
+        val = gaussian_phi_pt(packet, 1.0, F_ZERO, 0.9, 1.7)
         assert abs(val) == pytest.approx((2 / math.pi) ** 0.25, abs=1e-13)
 
 
 class TestFourierBridge:
     def test_known_transform_pair(self):
-        params = GaussianMomentumParams(sigma=1.4, x0=0.8, p0=-0.2)
+        sigma = 1.4
+        packet = matched_packet(sigma, 1.0, 1.0, x0=0.8, p0=-0.2)
         grid = Grid1D(-25.0, 25.0, 2048)
         pgrid = conjugate_momentum_grid(grid, 1.0)
-        phi = sample_gaussian_momentum(params, 1.0, 1.0, F_ZERO, pgrid, 0.0)
+        phi = sample_gaussian_momentum(packet, sigma, F_ZERO, pgrid, 0.0)
         psi = fourier_bridge(phi, 1.0, position_grid=grid)
         x = grid.points
-        expected = (2 * math.pi * params.sigma**2) ** -0.25 * np.exp(
-            -((x - 0.8) ** 2) / (4 * params.sigma**2) - 1j * 0.2 * x
+        expected = (2 * math.pi * sigma**2) ** -0.25 * np.exp(
+            -((x - 0.8) ** 2) / (4 * sigma**2) - 1j * 0.2 * x
         )
         np.testing.assert_allclose(psi.values, expected, atol=1e-12)
 
     def test_unitarity(self):
-        params = GaussianMomentumParams(sigma=0.7)
         grid = Grid1D(-20.0, 20.0, 1024)
         pgrid = conjugate_momentum_grid(grid, 1.0)
-        phi = sample_gaussian_momentum(params, 1.0, 1.0, F_CONST, pgrid, 1.1)
+        phi = sample_gaussian_momentum(matched_packet(0.7, 1.0, 1.0), 0.7, F_CONST, pgrid, 1.1)
         psi = fourier_bridge(phi, 1.0, position_grid=grid)
         norm_p = np.sum(np.abs(phi.values) ** 2) * pgrid.spacing
         norm_x = np.sum(np.abs(psi.values) ** 2) * grid.spacing
         assert abs(norm_x - norm_p) < 1e-12
 
     def test_matches_packet_with_offset_center(self):
-        params = GaussianMomentumParams(sigma=0.9, x0=1.2, p0=0.8)
-        packet = matched_packet(params, 1.0, 1.0)
+        packet = matched_packet(0.9, 1.0, 1.0, x0=1.2, p0=0.8)
         grid = Grid1D(-20.0, 20.0, 2048)
         pgrid = conjugate_momentum_grid(grid, 1.0)
         for t in (0.0, 1.0):
-            phi = sample_gaussian_momentum(params, 1.0, 1.0, F_CONST, pgrid, t)
+            phi = sample_gaussian_momentum(packet, 0.9, F_CONST, pgrid, t)
             bridged = fourier_bridge(phi, 1.0, position_grid=grid)
             direct = sample_gtwp(packet, F_CONST, grid, t)
             assert np.max(np.abs(bridged.values - direct.values)) < 1e-8
 
     def test_aliasing_flag(self):
         # sigma so small the momentum Gaussian no longer fits the box
-        params = GaussianMomentumParams(sigma=0.02)
         grid = Grid1D(-20.0, 20.0, 2048)
         pgrid = conjugate_momentum_grid(grid, 1.0)
-        phi = sample_gaussian_momentum(params, 1.0, 1.0, F_ZERO, pgrid, 0.0)
+        phi = sample_gaussian_momentum(matched_packet(0.02, 1.0, 1.0), 0.02, F_ZERO, pgrid, 0.0)
         with pytest.raises(AliasingError, match="not contained on the grid at t=0"):
             fourier_bridge(phi, 1.0, position_grid=grid)
 
@@ -326,11 +324,11 @@ class TestFourierBridge:
         # φ scales as ħ^(−1/2) and its grid as ħ, so the edge samples relative to
         # max|φ| are the same at every ħ; the default box at n = 64
         grid = Grid1D(-20.0, 20.0, 64)
-        params = GaussianMomentumParams(sigma=sigma)
         for k in range(-100, 101):
             hbar = 10.0**k
             pgrid = conjugate_momentum_grid(grid, hbar)
-            phi = sample_gaussian_momentum(params, 1.0, hbar, F_ZERO, pgrid, 0.0)
+            packet = matched_packet(sigma, 1.0, hbar)
+            phi = sample_gaussian_momentum(packet, sigma, F_ZERO, pgrid, 0.0)
             try:
                 fourier_bridge(phi, hbar, position_grid=grid)
             except AliasingError:
@@ -341,39 +339,49 @@ class TestFourierBridge:
     def test_rejects_mismatched_grids(self):
         grid = Grid1D(-20.0, 20.0, 512)
         pgrid = conjugate_momentum_grid(grid, 1.0)
-        phi = sample_gaussian_momentum(
-            GaussianMomentumParams(sigma=1.0), 1.0, 1.0, F_ZERO, pgrid, 0.0
-        )
+        phi = sample_gaussian_momentum(MATCHED, 1.0, F_ZERO, pgrid, 0.0)
         with pytest.raises(ValueError):
             fourier_bridge(phi, 1.0, position_grid=Grid1D(-10.0, 10.0, 512))
 
+    def test_zero_field_is_not_aliased(self):
+        # aliasing is an edge sample that exceeds ALIASING_TOL·max|φ|; 0 does not exceed 0
+        grid = Grid1D(-20.0, 20.0, 64)
+        pgrid = conjugate_momentum_grid(grid, 1.0)
+        phi = WaveField(grid=pgrid, t=0.0, values=np.zeros(64, complex), space=Space.MOMENTUM)
+        assert not fourier_bridge(phi, 1.0, position_grid=grid).values.any()
+
 
 class TestMatching:
+    @pytest.mark.parametrize("sigma", [0.0, -1.0])
+    def test_sigma_must_be_positive(self, sigma):
+        with pytest.raises(ValueError, match="sigma must be positive"):
+            matched_packet(sigma, 1.0, 1.0)
+
     def test_direct_substitution(self):
-        packet = matched_packet(GaussianMomentumParams(sigma=1.0), 1.0, 1.0)
+        packet = matched_packet(1.0, 1.0, 1.0)
         assert packet.spec.F0 == pytest.approx(-0.5j, abs=1e-15)
         assert packet.alpha0 == pytest.approx(0.25j * math.log(2 * math.pi), abs=1e-15)
 
     def test_position_space_gaussian_at_t0(self):
-        params = GaussianMomentumParams(sigma=0.7, x0=-0.4, p0=1.1)
-        packet = matched_packet(params, 1.0, 1.0)
+        sigma = 0.7
+        packet = matched_packet(sigma, 1.0, 1.0, x0=-0.4, p0=1.1)
         x = np.linspace(-4, 4, 33)
-        expected = (2 * math.pi * params.sigma**2) ** -0.25 * np.exp(
-            -((x + 0.4) ** 2) / (4 * params.sigma**2) + 1j * 1.1 * x
+        expected = (2 * math.pi * sigma**2) ** -0.25 * np.exp(
+            -((x + 0.4) ** 2) / (4 * sigma**2) + 1j * 1.1 * x
         )
         np.testing.assert_allclose(gtwp_psi(packet, F_SIN, x, 0.0), expected, atol=1e-12)
 
     def test_width_at_t0_is_sigma(self):
         for sigma in (0.5, 1.0, 2.3):
-            packet = matched_packet(GaussianMomentumParams(sigma=sigma), 1.0, 1.0)
+            packet = matched_packet(sigma, 1.0, 1.0)
             assert delta_x(packet, 0.0) == pytest.approx(sigma, abs=1e-13)
 
     def test_free_spreading_law(self):
-        params = GaussianMomentumParams(sigma=0.8)
-        packet = matched_packet(params, 1.0, 1.0)
-        T = spreading_time(params, 1.0, 1.0)
+        sigma = 0.8
+        packet = matched_packet(sigma, 1.0, 1.0)
+        T = 2.0 * 1.0 * sigma**2 / 1.0  # the spreading time 2mσ²/ħ
         for t in np.linspace(0.0, 3.0, 16):
-            expected = params.sigma * math.sqrt(1.0 + (t / T) ** 2)
+            expected = sigma * math.sqrt(1.0 + (t / T) ** 2)
             assert abs(delta_x(packet, float(t)) - expected) < 1e-8
 
 
@@ -395,13 +403,12 @@ def test_alpha_route_reproduces_packet():
 
 
 def test_plane_wave_superposition_rebuilds_packet():
-    params = GaussianMomentumParams(sigma=1.0, x0=0.5, p0=0.4)
-    packet = matched_packet(params, 1.0, 1.0)
+    packet = matched_packet(1.0, 1.0, 1.0, x0=0.5, p0=0.4)
     p0s = np.linspace(-6.0 + 0.4, 6.0 + 0.4, 257)
     x = np.linspace(-15.0, 15.0, 101)
     t = 1.5
     total = plane_wave_superposition(
-        1.0, 1.0, F_ZERO, lambda p: gaussian_phi0(params, 1.0, p), p0s, x, t
+        1.0, 1.0, F_ZERO, lambda p: gaussian_phi0(1.0, 0.5, 0.4, 1.0, p), p0s, x, t
     )
     direct = gtwp_psi(packet, F_ZERO, x, t)
     rel = np.linalg.norm(total - direct) / np.linalg.norm(direct)
