@@ -181,6 +181,17 @@ def _parse_alpha0(text: str, line: int) -> complex:
     return alpha0
 
 
+def _check_norm(packet: PacketState, line: int | None = None) -> PacketState:
+    """``packet``, refused unless its ∫|ψ|² = e^{−2·Im α0}·√(πħ/(−Im F0)) is a finite
+    positive float."""
+    if packet.spec.is_packet:
+        norm = analytic_norm_sq(packet)
+        if not 0.0 < norm < math.inf:
+            raise ConfigError(f"the packet norm e^(-2*Im alpha0)*sqrt(pi*hbar/(-Im F0)) = "
+                              f"{norm:g}, not finite and positive", line)
+    return packet
+
+
 def _build_packet(
     sec: dict[str, tuple[str, int]], m: float, hbar: float
 ) -> tuple[PacketState, float | None]:
@@ -198,9 +209,10 @@ def _build_packet(
         sigma = _parse_float(*sec["sigma"]) if gaussian_given else 1.0
         line = sec["sigma"][1] if gaussian_given else 0
         try:
-            return matched_packet(sigma, m, hbar, x0, p0), sigma
+            packet = matched_packet(sigma, m, hbar, x0, p0)
         except ValueError as exc:
             raise ConfigError(str(exc), line)
+        return _check_norm(packet, line), sigma
 
     if "F0" in sec and any(k in sec for k in ("A0", "B0", "C0")):
         raise ConfigError("F0 shorthand conflicts with explicit A0/B0/C0", sec["F0"][1])
@@ -226,7 +238,7 @@ def _build_packet(
         if isinstance(exc, ConfigError):
             raise
         raise ConfigError(str(exc), line)
-    return packet, None
+    return _check_norm(packet, sec["alpha0"][1] if "alpha0" in sec else line), None
 
 
 def check_containment(cfg: RunConfig) -> None:
@@ -388,14 +400,15 @@ def apply_sweep_value(cfg: RunConfig, axis: str, value: float) -> RunConfig:
     if axis == "sigma":
         if cfg.sigma is None:
             raise ConfigError("sigma sweep needs a gaussian-parameterized packet")
-        packet = matched_packet(float(value), p.m, p.hbar, p.x0, p.p0)
+        packet = _check_norm(matched_packet(float(value), p.m, p.hbar, p.x0, p.p0))
         return replace(cfg, sigma=float(value), packet=packet, mode=cfg.sweep_mode)
     if axis == "F0_imag":
         if cfg.sigma is not None:
             raise ConfigError("F0_imag sweep needs an invariant-parameterized packet")
         old = p.spec
         spec = InvariantSpec(A0=old.A0, B0=old.A0 * complex(old.F0.real, float(value)), C0=old.C0)
-        return replace(cfg, packet=replace(p, spec=spec, alpha0=None), mode=cfg.sweep_mode)
+        packet = _check_norm(replace(p, spec=spec, alpha0=None))
+        return replace(cfg, packet=packet, mode=cfg.sweep_mode)
     if axis == "dt":
         return replace(cfg, grid=replace(cfg.grid, dt=float(value)), mode=cfg.sweep_mode)
     if axis == "n":

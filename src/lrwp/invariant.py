@@ -87,7 +87,12 @@ class PacketState:
             raise ValueError("m and hbar must be positive")
         if self.alpha0 is None:
             if self.spec.is_packet:
-                a0 = 0.25j * math.log(math.pi * self.hbar / (-self.spec.F0.imag))
+                ratio = math.pi * self.hbar / (-self.spec.F0.imag)
+                if not 0.0 < ratio < math.inf:
+                    raise InvalidInvariantError(
+                        f"pi*hbar/(-Im F0) = {ratio:g}: no alpha0 normalizes the packet"
+                    )
+                a0 = 0.25j * math.log(ratio)
             else:
                 a0 = 0j
             object.__setattr__(self, "alpha0", a0)

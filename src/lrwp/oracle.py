@@ -14,26 +14,41 @@ boundary amplitude is checked every step and norm drift at every snapshot.
 A field that turns nan or inf fails the same checks. ``GridSpec`` caps a run
 at ``MAX_STEPS`` time steps and ``MAX_POINTS`` grid points.
 
+Each propagator carries a batch: initial fields that share the grid, dt,
+force, m and ħ (the cases of a σ or F0 sweep, which differ only in their
+initial state) travel as the rows of one C-ordered (cases, n) array. The
+split step runs one FFT pair along the last axis, with the kicks and the
+kinetic factor broadcast over the rows; Crank–Nicolson runs one banded
+product over the rows and one ``zgbtrs`` solve with a right-hand side per
+row, passed as the array's transpose, which is Fortran-ordered without a
+copy. Rows never mix, and each row gets the same bits it would get alone.
+Every check works per row: the initial norm, the boundary amplitude at every
+step, a non-finite edge and the norm drift at every snapshot. A row that
+fails one stops there: it keeps its error, is zeroed, and is not checked
+again. So each snapshot yields one entry per case, its field or the error
+that stopped it. A singular Crank–Nicolson matrix stops every row.
+
 Each step does only the work that changes. The force is sampled in blocks of
 ``FORCE_BLOCK`` steps, one vectorized ``profile.force`` call per block, and
 each sample is flagged when its bits differ from the previous one. Only then
 does Crank–Nicolson rebuild its two bands and LU-factor the left one
-(``zgbtrf``), and split-step recompute its kick. Beyond that, every step is
-one banded product and one ``zgbtrs`` solve, or two kicks and two FFTs. The
-split step's closing kick is the next step's opening kick. A constant force
-factors once per run, a sinusoidal one every step, a piecewise-linear one
-once per flat segment plus once per sloped step. Rebuilding the same operands
-would give the same bytes, so the output does not depend on what was reused.
+(``zgbtrf``) for the whole batch, and split-step recompute its kick. Beyond
+that, every step is one banded product and one ``zgbtrs`` solve, or two kicks
+and two FFTs. The split step's closing kick is the next step's opening kick.
+A constant force factors once per run, a sinusoidal one every step, a
+piecewise-linear one once per flat segment plus once per sloped step.
+Rebuilding the same operands would give the same bytes, so the output does
+not depend on what was reused.
 """
 
 import math
-from collections.abc import Iterator
+from collections.abc import Iterator, Sequence
 from dataclasses import dataclass
 
 import numpy as np
 from scipy.linalg.lapack import zgbtrf, zgbtrs
 
-from .errors import AliasingError, DegenerateFieldError, InstabilityError
+from .errors import AliasingError, DegenerateFieldError, InstabilityError, LrwpError
 from .fields import (
     Grid1D,
     Space,
@@ -64,7 +79,9 @@ BOUNDARY_TOL = 1e-10
 MAX_STEPS = 10**7
 # The Crank–Nicolson operands (bands, LU factors with fill-in, right-hand side and
 # temporaries) take about 440 B per point, a whole validate run about 570 B (peaks
-# measured with tracemalloc), so 2²⁰ points need some 0.6 GB. b1 uses 2048.
+# measured with tracemalloc), so 2²⁰ points need some 0.6 GB. b1 uses 2048. A sweep
+# batch holds at most MAX_POINTS // n cases, so no process holds more points than
+# one case of n = MAX_POINTS would.
 MAX_POINTS = 2**20
 # steps whose force samples come from one profile.force call: O(1) memory at MAX_STEPS
 FORCE_BLOCK = 4096
@@ -161,6 +178,63 @@ def _check_initial(initial: WaveField, spec: GridSpec) -> float:
     return norm0
 
 
+class _Rows:
+    """Per-case state of a batch: each row's initial norm and the error that stopped it.
+
+    A row that fails a check keeps its error and is zeroed. A zero row stays zero
+    through every step, so it moves no byte of the others and raises no warning.
+    """
+
+    def __init__(self, initials: Sequence[WaveField], spec: GridSpec):
+        self.grid = spec.grid
+        self.start = np.zeros((len(initials), spec.n), dtype=complex)
+        self.norm0: list[float | None] = []
+        self.errors: list[Exception | None] = []
+        for row, initial in zip(self.start, initials):
+            try:
+                self.norm0.append(_check_initial(initial, spec))
+                self.errors.append(None)
+                row[:] = initial.values
+            except ValueError as exc:
+                self.norm0.append(None)
+                self.errors.append(exc)
+
+    @property
+    def running(self) -> bool:
+        return None in self.errors
+
+    def _stop(self, psi: np.ndarray, i: int, exc: Exception) -> None:
+        self.errors[i] = exc
+        psi[i] = 0.0
+
+    def stop_all(self, psi: np.ndarray, exc: Exception) -> None:
+        for i, error in enumerate(self.errors):
+            if error is None:
+                self._stop(psi, i, exc)
+
+    def check_edges(self, psi: np.ndarray, t: float) -> None:
+        for i, error in enumerate(self.errors):
+            if error is None:
+                try:
+                    _check_boundary(psi[i], t)
+                except LrwpError as exc:
+                    self._stop(psi, i, exc)
+
+    def snapshot(self, psi: np.ndarray, t: float) -> list[WaveField | Exception]:
+        """Per case, a copy of its row that passed the snapshot checks, or its error."""
+        out = []
+        for i, error in enumerate(self.errors):
+            if error is None:
+                field = WaveField(grid=self.grid, t=t, values=psi[i].copy(), space=Space.POSITION)
+                try:
+                    out.append(_checked(field, self.norm0[i]))
+                    continue
+                except LrwpError as exc:
+                    self._stop(psi, i, exc)
+            out.append(self.errors[i])
+        return out
+
+
 def _force_samples(
     profile: ForceProfile, offset: float, dt: float, count: int
 ) -> Iterator[tuple[float, bool]]:
@@ -181,33 +255,30 @@ def _force_samples(
 
 
 def propagate_splitstep(
-    initial: WaveField, profile: ForceProfile, m: float, hbar: float, spec: GridSpec
-) -> Iterator[WaveField]:
-    """Yield snapshots (t=0 included) of the Strang split-step evolution."""
-    norm0 = _check_initial(initial, spec)
-    grid = spec.grid
-    x = grid.points
-    k = wavenumbers(grid)
+    initials: Sequence[WaveField], profile: ForceProfile, m: float, hbar: float, spec: GridSpec
+) -> Iterator[list[WaveField | Exception]]:
+    """Yield per snapshot (t=0 included) each case's Strang split-step field, or its error."""
+    rows = _Rows(initials, spec)
+    psi = rows.start
+    x = spec.grid.points
+    k = wavenumbers(spec.grid)
     dt = spec.dt
     kinetic = np.exp(-1j * hbar * k * k * dt / (2.0 * m))
-    psi = initial.values.copy()
-    yield _checked(WaveField(grid=grid, t=0.0, values=psi.copy(), space=Space.POSITION), norm0)
+    yield rows.snapshot(psi, 0.0)
     half = x * dt / (2.0 * hbar)
     forces = _force_samples(profile, 0.0, dt, spec.n_steps + 1)
     f, _ = next(forces)
     kick = np.exp(1j * f * half)
     for step, (f, changed) in enumerate(forces, start=1):
-        psi *= kick
-        psi = np.fft.ifft(kinetic * np.fft.fft(psi))
-        if changed:
-            kick = np.exp(1j * f * half)
-        psi *= kick
-        _check_boundary(psi, step * dt)
+        if rows.running:
+            psi *= kick
+            psi = np.fft.ifft(kinetic * np.fft.fft(psi))
+            if changed:
+                kick = np.exp(1j * f * half)
+            psi *= kick
+            rows.check_edges(psi, step * dt)
         if step % spec.output_every == 0:
-            yield _checked(
-                WaveField(grid=grid, t=step * dt, values=psi.copy(), space=Space.POSITION),
-                norm0,
-            )
+            yield rows.snapshot(psi, step * dt)
 
 
 def _kinetic_bands(n: int, c: float) -> tuple[np.ndarray, int]:
@@ -220,22 +291,25 @@ def _kinetic_bands(n: int, c: float) -> tuple[np.ndarray, int]:
 
 
 def _banded_matvec(ab: np.ndarray, nb: int, v: np.ndarray) -> np.ndarray:
+    """The banded matrix ``ab`` times each row of ``v``."""
     out = ab[nb, :] * v
     for d in range(1, nb + 1):
-        out[:-d] += ab[nb - d, d:] * v[d:]
-        out[d:] += ab[nb + d, :-d] * v[:-d]
+        out[..., :-d] += ab[nb - d, d:] * v[..., d:]
+        out[..., d:] += ab[nb + d, :-d] * v[..., :-d]
     return out
 
 
 def propagate_cranknicolson(
-    initial: WaveField,
+    initials: Sequence[WaveField],
     profile: ForceProfile,
     m: float,
     hbar: float,
     spec: GridSpec,
-) -> Iterator[WaveField]:
-    """Yield snapshots of the Cayley-form Crank–Nicolson evolution."""
-    norm0 = _check_initial(initial, spec)
+) -> Iterator[list[WaveField | Exception]]:
+    """Yield per snapshot (t=0 included) each case's Cayley-form Crank–Nicolson field,
+    or its error."""
+    rows = _Rows(initials, spec)
+    psi = rows.start
     grid = spec.grid
     x = grid.points
     dx = grid.spacing
@@ -244,11 +318,10 @@ def propagate_cranknicolson(
     scale = dt / (2.0 * hbar)
     # zgbtrf's layout: the LHS band in the bottom 2·nb + 1 rows, its fill-in above
     lu = np.zeros((3 * nb + 1, grid.n), dtype=complex, order="F")
-    psi = initial.values.copy()
-    yield _checked(WaveField(grid=grid, t=0.0, values=psi.copy(), space=Space.POSITION), norm0)
+    yield rows.snapshot(psi, 0.0)
     forces = _force_samples(profile, 0.5, dt, spec.n_steps)
     for step, (f, changed) in enumerate(forces, start=1):
-        if changed:
+        if rows.running and changed:
             h_band = kin.astype(complex)
             h_band[nb, :] += -f * x
             np.multiply(1j * scale, h_band, out=lu[nb:])
@@ -257,14 +330,15 @@ def propagate_cranknicolson(
             rhs_band[nb, :] += 1.0
             lu, piv, info = zgbtrf(lu, nb, nb, overwrite_ab=1)
             if info > 0:
-                raise InstabilityError(f"singular Crank–Nicolson matrix at t={step * dt:g}")
-        psi, _ = zgbtrs(lu, nb, nb, _banded_matvec(rhs_band, nb, psi), piv, overwrite_b=1)
-        _check_boundary(psi, step * dt)
+                rows.stop_all(
+                    psi, InstabilityError(f"singular Crank–Nicolson matrix at t={step * dt:g}")
+                )
+        if rows.running:
+            # psi.T is Fortran-ordered: one right-hand side per row, solved in place
+            psi = zgbtrs(lu, nb, nb, _banded_matvec(rhs_band, nb, psi).T, piv, overwrite_b=1)[0].T
+            rows.check_edges(psi, step * dt)
         if step % spec.output_every == 0:
-            yield _checked(
-                WaveField(grid=grid, t=step * dt, values=psi.copy(), space=Space.POSITION),
-                norm0,
-            )
+            yield rows.snapshot(psi, step * dt)
 
 
 def observables(

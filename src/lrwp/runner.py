@@ -27,7 +27,7 @@ from .config import RunConfig, RunMode, apply_sweep_value, check_containment, sw
 from .errors import AcceptanceViolation, InstabilityError, LrwpError
 from .fields import WaveField, conjugate_momentum_grid, l2_error
 from .invariant import coeffs_at, eigenvalue
-from .oracle import observables, propagate_cranknicolson, propagate_splitstep
+from .oracle import MAX_POINTS, observables, propagate_cranknicolson, propagate_splitstep
 from .wavepacket import (
     analytic_norm_sq,
     delta_p,
@@ -166,15 +166,17 @@ class ValidateSummary:
     violations: list[str]
 
 
-def run_validate(cfg: RunConfig, out_dir) -> ValidateSummary:
-    """Propagate the packet with both oracles and compare to the closed form.
+@dataclass
+class _ValidateCase:
+    """One validate run, checked and sampled at t = 0, before any propagation."""
 
-    Observables are measured on the split-step field (the sharper oracle);
-    the Crank–Nicolson field contributes its own L2-error column. Raises
-    AcceptanceViolation (after writing the full file) if any quality
-    threshold fails.
-    """
-    out = Path(out_dir)
+    cfg: RunConfig
+    out: Path
+    scale: float  # the invariant drift is relative to this
+    initial: WaveField
+
+
+def _validate_case(cfg: RunConfig, out_dir) -> _ValidateCase:
     check_containment(cfg)
     packet = cfg.packet
     lam = eigenvalue(packet)
@@ -185,31 +187,61 @@ def run_validate(cfg: RunConfig, out_dir) -> ValidateSummary:
     scale = max(
         abs(lam), abs(spec.A0) * delta_p(packet) + abs(spec.B0) * delta_x(packet, 0.0)
     )
-    grid = cfg.grid.grid
-    initial = _finite(sample_gtwp, packet, cfg.profile, grid, 0.0)
+    initial = _finite(sample_gtwp, packet, cfg.profile, cfg.grid.grid, 0.0)
+    return _ValidateCase(cfg, Path(out_dir), scale, initial)
 
-    rows = []
-    records = []
-    max_l2_cn = 0.0
-    stream_ss = propagate_splitstep(initial, cfg.profile, packet.m, packet.hbar, cfg.grid)
-    stream_cn = propagate_cranknicolson(initial, cfg.profile, packet.m, packet.hbar, cfg.grid)
-    for f_ss, f_cn in zip(stream_ss, stream_cn):
-        t = f_ss.t
-        analytic = _finite(sample_gtwp, packet, cfg.profile, grid, t)
-        coeffs = coeffs_at(packet.spec, packet.m, cfg.profile, t)
-        rec = observables(f_ss, packet.m, packet.hbar, coeffs, analytic=analytic)
-        l2_cn = l2_error(f_cn, analytic)
-        max_l2_cn = max(max_l2_cn, l2_cn)
-        records.append(rec)
-        rows.append([
-            t, rec.norm, rec.x_mean, rec.p_mean, rec.dx, rec.dp, rec.dxdp,
-            rec.inv_expect.real, rec.inv_expect.imag, rec.l2_err_vs_analytic, l2_cn,
-        ])
-    write_csv_atomic(out / "observables.csv", OBSERVABLES_HEADER, rows)
 
+def _validate(cases: list[_ValidateCase]) -> list[ValidateSummary | Exception]:
+    """Propagate validate cases that share grid, dt, force, m and ħ as one batch.
+
+    Per case, observables are measured on the split-step field (the sharper
+    oracle), and the Crank–Nicolson field contributes its own L2-error column.
+    Returns per case its summary, or the error that stopped it; a case that ran
+    to the end but broke a quality threshold writes its file in full and gets an
+    AcceptanceViolation. A case stops at the first snapshot where either oracle
+    or its own comparison fails, the split step's error first.
+    """
+    cfg = cases[0].cfg
+    m, hbar, profile, grid = cfg.packet.m, cfg.packet.hbar, cfg.profile, cfg.grid.grid
+    initials = [case.initial for case in cases]
+    stream_ss = propagate_splitstep(initials, profile, m, hbar, cfg.grid)
+    stream_cn = propagate_cranknicolson(initials, profile, m, hbar, cfg.grid)
+    measured: list[list] = [[] for _ in cases]
+    outcomes: list = [None] * len(cases)
+    for fields_ss, fields_cn in zip(stream_ss, stream_cn):
+        for i, (case, f_ss, f_cn) in enumerate(zip(cases, fields_ss, fields_cn)):
+            if outcomes[i] is not None:
+                continue
+            try:
+                for entry in (f_ss, f_cn):
+                    if isinstance(entry, Exception):
+                        raise entry
+                packet = case.cfg.packet
+                analytic = _finite(sample_gtwp, packet, profile, grid, f_ss.t)
+                coeffs = coeffs_at(packet.spec, m, profile, f_ss.t)
+                rec = observables(f_ss, m, hbar, coeffs, analytic=analytic)
+                measured[i].append((rec, l2_error(f_cn, analytic)))
+            except (LrwpError, ValueError) as exc:
+                outcomes[i] = exc
+        if None not in outcomes:
+            break
+    return [_judge(case, pairs) if outcome is None else outcome
+            for case, pairs, outcome in zip(cases, measured, outcomes)]
+
+
+def _judge(case: _ValidateCase, measured: list) -> ValidateSummary | AcceptanceViolation:
+    """Write a finished case's observables and hold them to the quality thresholds."""
+    rows = [[
+        rec.t, rec.norm, rec.x_mean, rec.p_mean, rec.dx, rec.dp, rec.dxdp,
+        rec.inv_expect.real, rec.inv_expect.imag, rec.l2_err_vs_analytic, l2_cn,
+    ] for rec, l2_cn in measured]
+    write_csv_atomic(case.out / "observables.csv", OBSERVABLES_HEADER, rows)
+
+    records = [rec for rec, _ in measured]
     max_l2_ss = max(r.l2_err_vs_analytic for r in records)
+    max_l2_cn = max([0.0, *(l2_cn for _, l2_cn in measured)])
     inv0 = records[0].inv_expect
-    inv_drift = max(abs(r.inv_expect - inv0) for r in records) / scale
+    inv_drift = max(abs(r.inv_expect - inv0) for r in records) / case.scale
     max_norm_dev = max(abs(r.norm - 1.0) for r in records)
 
     violations = []
@@ -223,8 +255,18 @@ def run_validate(cfg: RunConfig, out_dir) -> ValidateSummary:
         violations.append(f"norm deviation {max_norm_dev:.3e} >= {NORM_THRESHOLD:g}")
     summary = ValidateSummary(max_l2_ss, max_l2_cn, inv_drift, max_norm_dev, violations)
     if violations:
-        raise AcceptanceViolation("; ".join(violations), summary=summary)
+        return AcceptanceViolation("; ".join(violations), summary=summary)
     return summary
+
+
+def run_validate(cfg: RunConfig, out_dir) -> ValidateSummary:
+    """Propagate the packet with both oracles and compare to the closed form:
+    the batch of one. Raises AcceptanceViolation (after writing the full file)
+    if any quality threshold fails."""
+    [outcome] = _validate([_validate_case(cfg, out_dir)])
+    if isinstance(outcome, Exception):
+        raise outcome
+    return outcome
 
 
 def run_momentum(cfg: RunConfig, out_dir) -> float:
@@ -261,53 +303,108 @@ def _error_row(axis: str, value: float, kind: str) -> list:
     return [axis, value, nan, nan, nan, nan, f"error:{kind}"]
 
 
-def _run_sweep_case(args) -> list:
-    axis, value, cfg, case_dir = args
+def _run_sweep_case(task) -> list[list]:
+    """Summary rows of one batch of sweep cases, in batch order.
+
+    The validate cases that can be started propagate together; a batch of any
+    other mode holds one case.
+    """
+    axis, cfg, batch = task
     nan = float("nan")
-    try:
-        case = apply_sweep_value(cfg, axis, value)
-        min_dxdp, t_star = _packet_metrics(case)
-        l2_ss = l2_cn = nan
-        if case.mode is RunMode.VALIDATE:
-            summary = run_validate(case, case_dir)
-            l2_ss, l2_cn = summary.max_l2_ss, summary.max_l2_cn
-        elif case.mode is RunMode.ANALYTIC:
-            run_analytic(case, case_dir)
-        elif case.mode is RunMode.MOMENTUM:
-            run_momentum(case, case_dir)
-        return [axis, value, l2_ss, l2_cn, min_dxdp, t_star, "ok"]
-    except AcceptanceViolation as exc:
-        # the run completed and wrote its file; keep the measured figures
-        s = exc.summary
-        return [axis, value, s.max_l2_ss, s.max_l2_cn, min_dxdp, t_star, "acceptance_violation"]
-    except (LrwpError, ValueError) as exc:
-        return _error_row(axis, value, type(exc).__name__)
+    rows: list = [None] * len(batch)
+    started = []
+    for i, (value, case_dir) in enumerate(batch):
+        try:
+            case = apply_sweep_value(cfg, axis, value)
+            metrics = _packet_metrics(case)
+            if case.mode is RunMode.VALIDATE:
+                started.append((i, metrics, _validate_case(case, case_dir)))
+                continue
+            if case.mode is RunMode.ANALYTIC:
+                run_analytic(case, case_dir)
+            elif case.mode is RunMode.MOMENTUM:
+                run_momentum(case, case_dir)
+            rows[i] = [axis, value, nan, nan, *metrics, "ok"]
+        except (LrwpError, ValueError) as exc:
+            rows[i] = _error_row(axis, value, type(exc).__name__)
+    outcomes = _validate([case for _, _, case in started]) if started else []
+    for (i, metrics, _), outcome in zip(started, outcomes):
+        value = batch[i][0]
+        if isinstance(outcome, ValidateSummary):
+            rows[i] = [axis, value, outcome.max_l2_ss, outcome.max_l2_cn, *metrics, "ok"]
+        elif isinstance(outcome, AcceptanceViolation):
+            # the run completed and wrote its file; keep the measured figures
+            s = outcome.summary
+            rows[i] = [axis, value, s.max_l2_ss, s.max_l2_cn, *metrics, "acceptance_violation"]
+        else:
+            rows[i] = _error_row(axis, value, type(outcome).__name__)
+    return rows
+
+
+def _batches(cfg: RunConfig, jobs: int) -> list[list[int]]:
+    """Indices into ``cfg.sweep_values``, one list per task, in sweep order.
+
+    Validate cases that share grid, dt, force, m and ħ form a group, which is
+    cut in sweep order into at most ``jobs`` contiguous batches of near-equal
+    size, none above MAX_POINTS // n cases. Every other case is a batch of one.
+    """
+    batches, groups = [], {}
+    for i, value in enumerate(cfg.sweep_values):
+        try:
+            case = apply_sweep_value(cfg, cfg.sweep_axis, value)
+        except (LrwpError, ValueError):
+            case = None
+        if case is None or case.mode is not RunMode.VALIDATE:
+            batches.append([i])
+            continue
+        key = (case.grid, case.profile, case.packet.m, case.packet.hbar)
+        groups.setdefault(key, []).append(i)
+    for (spec, *_), members in groups.items():
+        cap = MAX_POINTS // spec.n  # cases per batch
+        count = max(min(jobs, len(members)), -(-len(members) // cap))
+        size, extra = divmod(len(members), count)
+        start = 0
+        for b in range(count):
+            stop = start + size + (b < extra)
+            batches.append(members[start:stop])
+            start = stop
+    return sorted(batches)
 
 
 def run_sweep(cfg: RunConfig, out_dir, jobs: int | None = None) -> list[list]:
     """Repeat the configured sweep_mode once per axis value, concurrently.
 
-    Each case writes into its own subdirectory; per-case failures are
-    recorded in the summary and do not abort the sweep. A case whose worker
-    process died, or that was still pending when another worker died, is
-    recorded as ``error:BrokenProcessPool``.
+    Validate cases that share grid, dt, force, m and ħ propagate as batches
+    (``_batches``); each batch, or each case of another kind, is one task of a
+    pool of at most ``jobs`` workers. Each case writes into its own
+    subdirectory; per-case failures are recorded in the summary and do not
+    abort the sweep. Every case of a batch whose worker process died, or that
+    was still pending when another worker died, is recorded as
+    ``error:BrokenProcessPool``. Summary rows follow ``sweep_values``.
     """
     out = Path(out_dir)
     axis = cfg.sweep_axis
-    tasks = [(axis, value, cfg, str(out / sweep_case_name(axis, value)))
-             for value in cfg.sweep_values]
-    # the pool forks all of its workers up front, so never ask for more than cases
-    jobs = min(jobs or os.cpu_count() or 1, len(tasks))
-    if jobs <= 1:
-        results = [_run_sweep_case(t) for t in tasks]
+    values = cfg.sweep_values
+    jobs = jobs or os.cpu_count() or 1
+    batches = _batches(cfg, jobs)
+    tasks = [(axis, cfg, [(values[i], str(out / sweep_case_name(axis, values[i]))) for i in batch])
+             for batch in batches]
+    # the pool forks all of its workers up front, so never ask for more than tasks
+    workers = min(jobs, len(tasks))
+    if workers <= 1:
+        done = [_run_sweep_case(task) for task in tasks]
     else:
-        results = []
-        with concurrent.futures.ProcessPoolExecutor(max_workers=jobs) as pool:
-            futures = [pool.submit(_run_sweep_case, t) for t in tasks]
-            for value, future in zip(cfg.sweep_values, futures):
+        done = []
+        with concurrent.futures.ProcessPoolExecutor(max_workers=workers) as pool:
+            futures = [pool.submit(_run_sweep_case, task) for task in tasks]
+            for (_, _, batch), future in zip(tasks, futures):
                 try:
-                    results.append(future.result())
+                    done.append(future.result())
                 except concurrent.futures.BrokenExecutor as exc:  # BrokenProcessPool
-                    results.append(_error_row(axis, value, type(exc).__name__))
+                    done.append([_error_row(axis, value, type(exc).__name__) for value, _ in batch])
+    results = [None] * len(values)
+    for batch, rows in zip(batches, done):
+        for i, row in zip(batch, rows):
+            results[i] = row
     write_csv_atomic(out / "sweep_summary.csv", SWEEP_HEADER, results)
     return results

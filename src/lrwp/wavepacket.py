@@ -62,14 +62,6 @@ def _require_gtwp(state: PacketState):
         raise ModeMismatchError("plane-wave packet (F0 = 0): it has no finite width or norm")
 
 
-def _branch_sqrt(z: complex) -> complex:
-    # z(t) = 1 − F0·t/m stays in the closed upper half plane (Im F0 ≤ 0),
-    # so the continuous branch starting at √1 = +1 keeps Re ≥ 0; pick it
-    # explicitly so roundoff just below the real axis cannot flip the sign.
-    w = cmath.sqrt(complex(z))
-    return -w if w.real < 0 else w
-
-
 def gtwp_psi(state: PacketState, profile: ForceProfile, x, t: float):
     """Packet at position(s) x and time t (a plane wave at F0 = 0).
 
@@ -81,7 +73,7 @@ def gtwp_psi(state: PacketState, profile: ForceProfile, x, t: float):
     action = kinetic_action(state.m, state.p0, profile, t)
     pc = p_c(state, profile, t)
     hbar = state.hbar
-    pref = cmath.exp(1j * state.alpha0) / _branch_sqrt(ratio)
+    pref = cmath.exp(1j * state.alpha0) / cmath.sqrt(complex(ratio))
     pref *= cmath.exp(-1j * action / hbar)
     x = np.asarray(x, dtype=float)
     arg = 1j * pc * x / hbar

@@ -38,6 +38,7 @@ from lrwp.wavepacket import (
     uncertainty_product,
 )
 from lrwp.fields import conjugate_momentum_grid
+from batch_of_one import propagate_one
 from cross_checks import eigen_residual, ehrenfest_check, plane_wave_superposition
 
 M = HBAR = 1.0
@@ -60,8 +61,8 @@ class B1Run:
         grid = grid_spec.grid
         initial = sample_gtwp(B1_PACKET, B1_FORCE, grid, 0.0)
         start = time.perf_counter()
-        ss = propagate_splitstep(initial, B1_FORCE, M, HBAR, grid_spec)
-        cn = propagate_cranknicolson(initial, B1_FORCE, M, HBAR, grid_spec)
+        ss = propagate_one(propagate_splitstep, initial, B1_FORCE, M, HBAR, grid_spec)
+        cn = propagate_one(propagate_cranknicolson, initial, B1_FORCE, M, HBAR, grid_spec)
         self.records = []
         self.l2_cn = []
         self.cross = []
@@ -185,7 +186,7 @@ def test_criterion_06_ehrenfest(b1):
     initial = sample_gtwp(B1_PACKET, profile, spec.grid, 0.0)
     records = [
         observables(f, M, HBAR, coeffs_at(B1_PACKET.spec, M, profile, f.t))
-        for f in propagate_splitstep(initial, profile, M, HBAR, spec)
+        for f in propagate_one(propagate_splitstep, initial, profile, M, HBAR, spec)
     ]
     rep_sin = ehrenfest_check(records, profile, M)
     worst = max(rep_b1.max_dev_x, rep_b1.max_dev_p, rep_sin.max_dev_x, rep_sin.max_dev_p)
@@ -209,7 +210,7 @@ def test_criterion_07_free_particle_reduction():
     spec = GridSpec(-20.0, 20.0, 2048, 1e-3, 2.0, output_every=200)
     initial = sample_gtwp(packet, profile, spec.grid, 0.0)
     worst_grid = 0.0
-    for f in propagate_splitstep(initial, ConstantForce(0.0), M, HBAR, spec):
+    for f in propagate_one(propagate_splitstep, initial, ConstantForce(0.0), M, HBAR, spec):
         rec = observables(f, M, HBAR, coeffs_at(packet.spec, M, profile, f.t))
         law = sigma * np.sqrt(1 + (f.t / bigT) ** 2)
         worst_grid = max(worst_grid, abs(rec.dx - law))

@@ -115,6 +115,18 @@ def test_config_error_exit_two(tmp_path, capsys):
            f"line 3: alpha0 = {alpha0}: e^(-2*Im alpha0) = {scale}, not finite and positive")
           for alpha0, scale in (("0-400i", "inf"), ("0+800i", "0"))
           for mode in ("analytic", "validate")],
+        # e^{−2·Im α0} = e^{709.6} is finite, but its product with √(πħ/(−Im F0)) is not
+        ("analytic", "[packet]\nF0 = 0-1i\nalpha0 = 0-354.8i\n"
+         "[grid]\nn = 64\nt_max = 0.1\ndt = 0.01\noutput_every = 1\n",
+         "line 3: the packet norm e^(-2*Im alpha0)*sqrt(pi*hbar/(-Im F0)) = inf, "
+         "not finite and positive"),
+        # 2πσ² overflows, so the matched α0 is nan + inf·i and the norm nan, though T is finite
+        ("analytic", "[system]\nm = 0.1\n[packet]\nsigma = 1e154\n",
+         "line 4: the packet norm e^(-2*Im alpha0)*sqrt(pi*hbar/(-Im F0)) = nan, "
+         "not finite and positive"),
+        # πħ/(−Im F0) underflows to 0, so no α0 normalizes the packet
+        ("analytic", "[system]\nhbar = 1e-300\n[packet]\nF0 = 0-1e300i\n",
+         "line 4: pi*hbar/(-Im F0) = 0: no alpha0 normalizes the packet"),
         # the conjugate momentum grid of an infinitely wide box has zero width
         ("momentum", "[grid]\nx_min = -1e308\nx_max = 1e308\n",
          "line 2: x_max - x_min overflows a float"),

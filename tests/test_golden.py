@@ -25,6 +25,14 @@ Two validate runs pin the oracles under a force that depends on time: a
 sinusoidal one, whose Crank–Nicolson matrix changes every step, and a
 tabulated one that is flat up to t = 0.25 and then slopes, so the run has
 steps where the force stays the same and steps where it changes.
+
+A sinusoidal σ sweep pins the batched propagation. Its three cases share one
+Hamiltonian, so they propagate as one batch at ``--jobs 1``, as a batch of
+two and one of one at ``--jobs 2``, and alone at ``--jobs 3``; each gives the
+same bytes. The σ = 0.23 case passes the containment check and then reaches
+the box edge mid-run, so it ends as ``error:AliasingError`` with no case
+directory while the other two rows of its batch run on. These hashes were
+taken when every case still propagated on its own.
 """
 
 import hashlib
@@ -55,6 +63,23 @@ SMALL_B1_SWEEP = SMALL_B1.replace(
     "mode = validate",
     "mode = sweep\nsweep_axis = dt\nsweep_values = 2e-3, -0.0, 1e-3\nsweep_mode = validate",
 )
+
+# a sinusoidal σ sweep on a ±10 box: σ = 1 and 0.8 pass, σ = 0.23 spreads into the wall
+SMALL_SIGMA_SWEEP = (
+    SMALL_B1.replace(CONSTANT, "kind = sinusoidal\namplitude = 0.5\nomega = 2\nphase = 0.3")
+    .replace("x_min = -20\nx_max = 20", "x_min = -10\nx_max = 10")
+    .replace(
+        "mode = validate",
+        "mode = sweep\nsweep_axis = sigma\nsweep_values = 1.0, 0.23, 0.8\nsweep_mode = validate",
+    )
+)
+SWEEP_GOLDEN = {
+    "sweep_summary.csv": "cf1e6925344edcae21093be7f47e68675273241dfab644877383c97350cfdd0a",
+    "sigma=1/observables.csv":
+        "348a1a18c0181e757e986a5fc20dc2cb18e42914240c922b22d1820797d13345",
+    "sigma=0.8/observables.csv":
+        "47697f56d74afdf28520548ce74d7f2f2c1700293661c824933f14119fd050f4",
+}
 
 GOLDEN = {
     ("free_gaussian", "observables.csv"):
@@ -98,3 +123,14 @@ def test_output_hash_is_golden(tmp_path, run, name):
     _run(run, tmp_path)
     digest = hashlib.sha256((tmp_path / name).read_bytes()).hexdigest()
     assert digest == GOLDEN[run, name]
+
+
+@pytest.mark.parametrize("jobs", [1, 2, 3])
+def test_batched_sweep_hash_is_golden(tmp_path, jobs):
+    cfg = parse_config(SMALL_SIGMA_SWEEP)
+    assert cfg.grid.x_min == -10.0 and cfg.profile.amplitude == 0.5
+    results = run_sweep(cfg, tmp_path, jobs=jobs)
+    assert [r[-1] for r in results] == ["ok", "error:AliasingError", "ok"]
+    assert not (tmp_path / "sigma=0.23").exists()
+    for name, digest in SWEEP_GOLDEN.items():
+        assert hashlib.sha256((tmp_path / name).read_bytes()).hexdigest() == digest, name

@@ -22,6 +22,7 @@ from lrwp.oracle import (
 # exercised directly: unreachable via unitary runs
 from lrwp.oracle import _check_boundary, _checked
 from lrwp.wavepacket import matched_packet, sample_gtwp
+from batch_of_one import propagate_one
 from cross_checks import ehrenfest_check
 
 M = HBAR = 1.0
@@ -30,7 +31,7 @@ PACKET = matched_packet(1.0, M, HBAR)
 
 def _run(propagator, profile, spec, **kw):
     initial = sample_gtwp(PACKET, profile, spec.grid, 0.0)
-    return list(propagator(initial, profile, M, HBAR, spec, **kw))
+    return list(propagate_one(propagator, initial, profile, M, HBAR, spec, **kw))
 
 
 class TestGridSpec:
@@ -119,14 +120,14 @@ class TestGuards:
         bad = sample_gtwp(PACKET, profile, spec.grid, 0.0)
         bad = WaveField(grid=bad.grid, t=0.0, values=2.0 * bad.values, space=Space.POSITION)
         with pytest.raises(ValueError, match="normalized"):
-            next(propagate_splitstep(bad, ConstantForce(0.0), M, HBAR, spec))
+            next(propagate_one(propagate_splitstep, bad, ConstantForce(0.0), M, HBAR, spec))
 
     def test_grid_mismatch(self):
         spec = GridSpec(-20.0, 20.0, 256, 1e-3, 1e-3)
         profile = ConstantForce(0.0)
         other = sample_gtwp(PACKET, profile, Grid1D(-10.0, 10.0, 256), 0.0)
         with pytest.raises(ValueError, match="grid"):
-            next(propagate_splitstep(other, ConstantForce(0.0), M, HBAR, spec))
+            next(propagate_one(propagate_splitstep, other, ConstantForce(0.0), M, HBAR, spec))
 
     def test_aliasing_error_when_packet_escapes(self):
         # strong constant force marches the packet into the wall
@@ -134,7 +135,7 @@ class TestGuards:
         spec = GridSpec(-8.0, 8.0, 256, 1e-3, 2.0, output_every=100)
         initial = sample_gtwp(PACKET, profile, spec.grid, 0.0)
         with pytest.raises(AliasingError):
-            for _ in propagate_splitstep(initial, profile, M, HBAR, spec):
+            for _ in propagate_one(propagate_splitstep, initial, profile, M, HBAR, spec):
                 pass
 
     def test_instability_guard_trips_on_norm_drift(self):
@@ -159,7 +160,7 @@ class TestNonFinite:
         # split-step kicks with F(0.005) at the end of step 5, CN samples F(0.0045) in it
         spec = GridSpec(-20.0, 20.0, 256, 1e-3, 0.01)
         initial = sample_gtwp(PACKET, ConstantForce(1.0), spec.grid, 0.0)
-        frames = propagator(initial, NanAfter(), M, HBAR, spec)
+        frames = propagate_one(propagator, initial, NanAfter(), M, HBAR, spec)
         with pytest.raises(InstabilityError, match=r"^non-finite field at t=0\.005$"):
             for f in frames:
                 assert f.t < 0.0045
@@ -214,21 +215,120 @@ class TestFactorOnChange:
         # blocks of 7 steps put seams inside both the flat and the sloped segment
         profile = PiecewiseLinearForce(((0.0, 1.0), (0.25, 1.0), (0.5, 0.5)))
         initial = sample_gtwp(PACKET, profile, self.SPEC.grid, 0.0)
-        whole = list(propagator(initial, profile, M, HBAR, self.SPEC))
+        whole = list(propagate_one(propagator, initial, profile, M, HBAR, self.SPEC))
         monkeypatch.setattr(oracle, "FORCE_BLOCK", 7)
-        blocks = list(propagator(initial, profile, M, HBAR, self.SPEC))
+        blocks = list(propagate_one(propagator, initial, profile, M, HBAR, self.SPEC))
         assert [f.values.tobytes() for f in whole] == [f.values.tobytes() for f in blocks]
 
     @pytest.mark.parametrize("propagator", [propagate_splitstep, propagate_cranknicolson])
     def test_constant_and_flat_piecewise_give_the_same_bytes(self, propagator):
         initial = sample_gtwp(PACKET, ConstantForce(0.0), self.SPEC.grid, 0.0)
         flat = PiecewiseLinearForce(((0.0, 0.7), (self.SPEC.t_max, 0.7)))
-        a = list(propagator(initial, ConstantForce(0.7), M, HBAR, self.SPEC))
-        b = list(propagator(initial, flat, M, HBAR, self.SPEC))
+        a = list(propagate_one(propagator, initial, ConstantForce(0.7), M, HBAR, self.SPEC))
+        b = list(propagate_one(propagator, initial, flat, M, HBAR, self.SPEC))
         assert len(a) == len(b) == 6
         for fa, fb in zip(a, b):
             assert fa.t == fb.t
             assert fa.values.tobytes() == fb.values.tobytes()
+
+
+def _random_fields(rng, grid, k):
+    """k normalized Gaussian-enveloped fields with random centers, momenta, widths and a
+    random smooth ripple (smooth, so that no grid momentum runs into the wall)."""
+    x = grid.points
+    fields = []
+    for _ in range(k):
+        x0, p0, width = rng.uniform(-3.0, 3.0), rng.uniform(-2.0, 2.0), rng.uniform(0.7, 1.5)
+        ripple = 0.3 * np.exp(2j * np.pi * rng.uniform()) * np.cos(rng.uniform(0.5, 2.0) * x)
+        values = (1.0 + ripple) * np.exp(-((x - x0) ** 2) / (4.0 * width**2) + 1j * p0 * x)
+        values /= np.sqrt(np.sum(np.abs(values) ** 2) * grid.spacing)
+        fields.append(WaveField(grid=grid, t=0.0, values=values, space=Space.POSITION))
+    return fields
+
+
+def _same(a, b):
+    """Two snapshot entries are one field to the bit, or one error with one message."""
+    if isinstance(a, Exception):
+        return type(a) is type(b) and str(a) == str(b)
+    return a.t == b.t and a.values.tobytes() == b.values.tobytes()
+
+
+class TestBatch:
+    SPEC = GridSpec(-30.0, 30.0, 256, 1e-3, 0.2, output_every=50)
+
+    @pytest.mark.parametrize("propagator", [propagate_splitstep, propagate_cranknicolson])
+    @pytest.mark.parametrize("profile", [SinusoidalForce(1.0, 2.0, 0.3), ConstantForce(0.7)],
+                             ids=repr)
+    @pytest.mark.parametrize("k", [2, 3, 5])
+    def test_a_batch_is_its_single_propagations_bit_for_bit(self, propagator, profile, k):
+        fields = _random_fields(np.random.default_rng(k), self.SPEC.grid, k)
+        batch = list(propagator(fields, profile, M, HBAR, self.SPEC))
+        alone = [list(propagator([f], profile, M, HBAR, self.SPEC)) for f in fields]
+        assert len(batch) == self.SPEC.n_steps // self.SPEC.output_every + 1
+        for s, entries in enumerate(batch):
+            assert len(entries) == k
+            for i, entry in enumerate(entries):
+                assert isinstance(entry, WaveField)
+                assert _same(entry, alone[i][s][0])
+
+    def test_one_factorization_per_force_change_for_the_whole_batch(self, monkeypatch):
+        calls = []
+        factor = oracle.zgbtrf
+        monkeypatch.setattr(oracle, "zgbtrf", lambda *a, **kw: calls.append(1) or factor(*a, **kw))
+        fields = _random_fields(np.random.default_rng(0), self.SPEC.grid, 4)
+        list(propagate_cranknicolson(fields, SinusoidalForce(1.0, 2.0), M, HBAR, self.SPEC))
+        assert len(calls) == self.SPEC.n_steps
+
+    @pytest.mark.parametrize("propagator", [propagate_splitstep, propagate_cranknicolson])
+    def test_a_failing_row_stops_alone(self, propagator):
+        grid = self.SPEC.grid
+        good, other = _random_fields(np.random.default_rng(7), grid, 2)
+        # launched at x = 23 with p = 5, it reaches the wall at x = 30 mid-run
+        escaping = sample_gtwp(matched_packet(0.7, M, HBAR, x0=23.0, p0=5.0),
+                               ConstantForce(0.0), grid, 0.0)
+        unnormalized = WaveField(grid=grid, t=0.0, values=2.0 * good.values)
+        nan_edge = good.values.copy()
+        nan_edge[0] = np.nan
+        nan_inside = good.values.copy()
+        nan_inside[128] = np.nan  # the edges are clean, the norm is not
+        fields = [good, escaping, unnormalized,
+                  WaveField(grid=grid, t=0.0, values=nan_edge),
+                  WaveField(grid=grid, t=0.0, values=nan_inside), other]
+        profile = SinusoidalForce(1.0, 2.0, 0.3)
+        batch = list(propagator(fields, profile, M, HBAR, self.SPEC))
+        alone = [list(propagator([f], profile, M, HBAR, self.SPEC)) for f in fields]
+        for s, entries in enumerate(batch):
+            for i, entry in enumerate(entries):
+                assert _same(entry, alone[i][s][0])
+        final = batch[-1]
+        assert [type(e).__name__ for e in final] == [
+            "WaveField", "AliasingError", "ValueError", "InstabilityError", "InstabilityError",
+            "WaveField",
+        ]
+        assert isinstance(batch[1][1], AliasingError)  # stopped between two snapshots
+        assert isinstance(batch[0][1], WaveField)
+        assert str(final[2]) == "initial field must be normalized"
+        assert str(final[3]) == "non-finite field at t=0"
+        assert str(final[4]) == "norm drift nan at t=0"
+
+    def test_a_singular_matrix_stops_every_row(self, monkeypatch):
+        factor = oracle.zgbtrf
+
+        def singular_at_step_3(*args, **kwargs):
+            lu, piv, info = factor(*args, **kwargs)
+            singular_at_step_3.calls += 1
+            return lu, piv, (1 if singular_at_step_3.calls == 3 else info)
+
+        singular_at_step_3.calls = 0
+        monkeypatch.setattr(oracle, "zgbtrf", singular_at_step_3)
+        fields = _random_fields(np.random.default_rng(3), self.SPEC.grid, 3)
+        spec = GridSpec(-30.0, 30.0, 256, 1e-3, 0.01, output_every=1)
+        batch = list(propagate_cranknicolson(fields, SinusoidalForce(1.0, 2.0), M, HBAR, spec))
+        assert len(batch) == 11
+        assert all(isinstance(e, WaveField) for entries in batch[:3] for e in entries)
+        for entries in batch[3:]:
+            assert [str(e) for e in entries] == ["singular Crank–Nicolson matrix at t=0.003"] * 3
+        assert singular_at_step_3.calls == 3  # a stopped batch factors no more
 
 
 class TestObservables:
@@ -251,7 +351,7 @@ class TestObservables:
         initial = sample_gtwp(packet, profile, spec.grid, 0.0)
         recs = [
             observables(f, M, HBAR, coeffs_at(packet.spec, M, profile, f.t))
-            for f in propagate_splitstep(initial, profile, M, HBAR, spec)
+            for f in propagate_one(propagate_splitstep, initial, profile, M, HBAR, spec)
         ]
         lam = recs[0].inv_expect
         scale = max(1.0, abs(lam))
@@ -265,7 +365,7 @@ class TestObservables:
         initial = sample_gtwp(packet, profile, spec.grid, 0.0)
         from lrwp.classical import p_c, x_c
 
-        for f in propagate_splitstep(initial, profile, M, HBAR, spec):
+        for f in propagate_one(propagate_splitstep, initial, profile, M, HBAR, spec):
             rec = observables(f, M, HBAR, coeffs_at(packet.spec, M, profile, f.t))
             assert abs(rec.x_mean - float(x_c(packet, profile, f.t))) < 1e-6
             assert abs(rec.p_mean - float(p_c(packet, profile, f.t))) < 1e-6
@@ -274,7 +374,7 @@ class TestObservables:
         profile = ConstantForce(1.0)
         spec = GridSpec(-20.0, 20.0, 1024, 1e-3, 1.0, output_every=200)
         initial = sample_gtwp(PACKET, profile, spec.grid, 0.0)
-        for f in propagate_splitstep(initial, profile, M, HBAR, spec):
+        for f in propagate_one(propagate_splitstep, initial, profile, M, HBAR, spec):
             rec = observables(f, M, HBAR, coeffs_at(PACKET.spec, M, profile, f.t))
             assert rec.dxdp >= 0.5 - 1e-9
 
@@ -291,7 +391,7 @@ class TestEhrenfest:
         initial = sample_gtwp(PACKET, profile, spec.grid, 0.0)
         return [
             observables(f, M, HBAR, coeffs_at(PACKET.spec, M, profile, f.t))
-            for f in propagate_splitstep(initial, profile, M, HBAR, spec)
+            for f in propagate_one(propagate_splitstep, initial, profile, M, HBAR, spec)
         ]
 
     def test_zero_force(self):

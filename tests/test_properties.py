@@ -37,6 +37,7 @@ from lrwp.wavepacket import (  # noqa: E402
     sample_gtwp,
     uncertainty_product,
 )
+from batch_of_one import propagate_one  # noqa: E402
 from cross_checks import eigen_residual, gaussian_phi_pt, phase_alpha  # noqa: E402
 from kick_train import KickTrainProfile  # noqa: E402
 from simpson_reference import phase_reference, simpson_reference  # noqa: E402
@@ -304,7 +305,7 @@ def test_splitstep_is_the_packet_under_its_kick_train(profile, f0, m, hbar, x0, 
     assume(n <= 1024)
     spec = GridSpec(lo, hi, n, dt, steps * dt, output_every=1)
     initial = sample_gtwp(packet, profile, spec.grid, 0.0)
-    for field in propagate_splitstep(initial, profile, m, hbar, spec):
+    for field in propagate_one(propagate_splitstep, initial, profile, m, hbar, spec):
         closed = gtwp_psi(packet, kicks, spec.grid.points, field.t)
         gap = np.max(np.abs(field.values - closed)) / np.max(np.abs(closed))
         assert gap <= 1e-11, f"gap {gap:.3e} at t = {field.t:g}"

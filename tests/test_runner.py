@@ -21,6 +21,7 @@ from lrwp.runner import (
     write_csv_atomic,
 )
 
+SINUSOIDAL = "[force]\nkind = sinusoidal\namplitude = 0.5\nomega = 2\nphase = 0.3\n"
 SMALL_GRID = "[grid]\nx_min = -20\nx_max = 20\nn = 256\ndt = 1e-3\nt_max = 0.5\noutput_every = 50\n"
 
 
@@ -351,24 +352,7 @@ class TestSweep:
     @pytest.mark.parametrize("jobs, cpus, workers", [(10_000, 1, 4), (None, 64, 4), (2, 1, 2)])
     def test_pool_never_outnumbers_the_cases(self, tmp_path, monkeypatch, jobs, cpus, workers):
         # the fake pool runs each case inline, so no process is ever started
-        started = []
-
-        class InlinePool:
-            def __init__(self, max_workers):
-                started.append(max_workers)
-
-            def __enter__(self):
-                return self
-
-            def __exit__(self, *exc):
-                return False
-
-            def submit(self, fn, *args):
-                future = concurrent.futures.Future()
-                future.set_result(fn(*args))
-                return future
-
-        monkeypatch.setattr(runner.concurrent.futures, "ProcessPoolExecutor", InlinePool)
+        started, _ = _inline_pool(monkeypatch)
         monkeypatch.setattr(runner.os, "cpu_count", lambda: cpus)
         cfg = parse_config(
             SMALL_GRID
@@ -378,6 +362,46 @@ class TestSweep:
         results = run_sweep(cfg, tmp_path, jobs=jobs)
         assert started == [workers]
         assert [r[-1] for r in results] == ["ok"] * 4
+
+    def test_validate_cases_sharing_a_hamiltonian_batch_in_sweep_order(self):
+        text = SINUSOIDAL + SMALL_GRID + "[run]\nmode = sweep\nsweep_mode = validate\n"
+        sigma = parse_config(text + "sweep_axis = sigma\nsweep_values = 1, 1.1, -1, 1.2, 1.3\n")
+        # σ = −1 cannot be built, so it is a task of its own; the rest are one group
+        assert runner._batches(sigma, 1) == [[0, 1, 3, 4], [2]]
+        assert runner._batches(sigma, 2) == [[0, 1], [2], [3, 4]]
+        assert runner._batches(sigma, 3) == [[0, 1], [2], [3], [4]]
+        assert runner._batches(sigma, 10) == [[0], [1], [2], [3], [4]]
+        # another dt, or another mode, is another Hamiltonian step or no propagation
+        dt = parse_config(text + "sweep_axis = dt\nsweep_values = 1e-3, 5e-4\n")
+        assert runner._batches(dt, 1) == [[0], [1]]
+        analytic = parse_config(text.replace("validate", "analytic")
+                                + "sweep_axis = sigma\nsweep_values = 1, 2\n")
+        assert runner._batches(analytic, 1) == [[0], [1]]
+
+    def test_batches_hold_at_most_max_points_over_n_cases(self, tmp_path, monkeypatch):
+        started, batches = _inline_pool(monkeypatch)
+        monkeypatch.setattr(runner, "MAX_POINTS", 2 * 256)
+        cfg = parse_config(
+            SINUSOIDAL + SMALL_GRID.replace("t_max = 0.5", "t_max = 0.1")
+            + "[run]\nmode = sweep\nsweep_axis = sigma\nsweep_values = 1, 1.1, 1.2, 1.3, 1.4\n"
+            "sweep_mode = validate\n"
+        )
+        results = run_sweep(cfg, tmp_path, jobs=2)
+        # two jobs would take batches of 3 and 2; 512 points hold two cases of n = 256
+        assert started == [2]
+        assert batches == [[1.0, 1.1], [1.2, 1.3], [1.4]]
+        assert [r[-1] for r in results] == ["ok"] * 5
+        assert [r[1] for r in results] == [1.0, 1.1, 1.2, 1.3, 1.4]
+
+    def test_sigma_case_without_a_finite_norm_is_an_error_row(self, tmp_path):
+        # at m = 0.1, σ = 1e154 has a finite spreading time, but 2πσ² overflows
+        cfg = parse_config(
+            "[system]\nm = 0.1\n" + SMALL_GRID
+            + "[run]\nmode = sweep\nsweep_axis = sigma\nsweep_values = 1, 1e154\n"
+            "sweep_mode = analytic\n"
+        )
+        results = run_sweep(cfg, tmp_path, jobs=1)
+        assert [r[-1] for r in results] == ["ok", "error:ConfigError"]
 
     def test_threshold_violations_keep_their_metrics(self, tmp_path):
         # dt = 5e-2 completes but breaks the L2 gate; the sweep should still
@@ -395,10 +419,36 @@ class TestSweep:
         assert results[1][-1] == "ok"
 
 
+def _inline_pool(monkeypatch):
+    """Replace the process pool by one that runs each task inline, so no process
+    starts. Returns the worker counts asked for and the sweep values of each task."""
+    started, batches = [], []
+
+    class InlinePool:
+        def __init__(self, max_workers):
+            started.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def submit(self, fn, task):
+            batches.append([value for value, _ in task[2]])
+            future = concurrent.futures.Future()
+            future.set_result(fn(task))
+            return future
+
+    monkeypatch.setattr(runner.concurrent.futures, "ProcessPoolExecutor", InlinePool)
+    return started, batches
+
+
 _RUN_SWEEP_CASE = runner._run_sweep_case
 
 
-def _crash_on_sigma_one(args):
-    if args[1] == 1.0:
+def _crash_on_sigma_one(task):
+    _, _, batch = task
+    if any(value == 1.0 for value, _ in batch):
         os._exit(1)  # the worker process dies without a result
-    return _RUN_SWEEP_CASE(args)
+    return _RUN_SWEEP_CASE(task)

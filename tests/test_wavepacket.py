@@ -21,7 +21,6 @@ from lrwp.forcing import ConstantForce, SinusoidalForce
 from lrwp.invariant import InvariantSpec, PacketState, coeffs_at, eigenvalue
 from lrwp.oracle import GridSpec, propagate_cranknicolson
 from lrwp.wavepacket import (
-    _branch_sqrt,
     analytic_norm_sq,
     delta_p,
     delta_x,
@@ -35,6 +34,7 @@ from lrwp.wavepacket import (
     sample_gtwp,
     uncertainty_product,
 )
+from batch_of_one import propagate_one
 from cross_checks import (
     density_closed_form,
     gaussian_phi_pt,
@@ -53,11 +53,13 @@ CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 
 
 class TestGtwpPsi:
-    def test_branch_sqrt_takes_the_upper_limit_on_the_negative_axis(self):
+    def test_prefactor_takes_the_upper_limit_on_the_negative_axis(self):
         # z = 1 − F0·t/m approaches the negative real axis from above (Im F0 < 0); where
         # Im z underflows to +0 there (F0 = 10 − 5e-324i at t/m = 0.5), the continuous
-        # branch is +i·√|z|
-        assert _branch_sqrt(complex(-4.0, 0.0)) == 2j
+        # branch of √z is +i·√|z|, so at the packet's center ψ = e^{iα0}/(2i)
+        pk = PacketState(1.0, 1.0, 0.0, 0.0, InvariantSpec(1.0, 10.0 - 5e-324j), alpha0=0.0)
+        assert pk.spec.a_ratio(pk.m, 0.5) == complex(-4.0, 0.0)
+        assert gtwp_psi(pk, F_ZERO, 0.0, 0.5) == -0.5j
 
     def test_peak_normalization(self):
         assert gtwp_psi(MATCHED, F_ZERO, 0.0, 0.0) == pytest.approx(
@@ -72,7 +74,8 @@ class TestGtwpPsi:
         spec = GridSpec(-15.0, 15.0, 1024, 5e-4, 1.0, output_every=2000)
         grid = spec.grid
         initial = sample_gtwp(MATCHED, F_CONST, grid, 0.0)
-        final = list(propagate_cranknicolson(initial, ConstantForce(1.0), 1.0, 1.0, spec))[-1]
+        frames = propagate_one(propagate_cranknicolson, initial, ConstantForce(1.0), 1.0, 1.0, spec)
+        final = list(frames)[-1]
         analytic = sample_gtwp(MATCHED, F_CONST, grid, 1.0)
         assert l2_error(final, analytic) < 1e-6
 
