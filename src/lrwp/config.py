@@ -181,15 +181,16 @@ def _parse_alpha0(text: str, line: int) -> complex:
     return alpha0
 
 
-def _check_norm(packet: PacketState, line: int | None = None) -> PacketState:
-    """``packet``, refused unless its ∫|ψ|² = e^{−2·Im α0}·√(πħ/(−Im F0)) is a finite
-    positive float."""
+def _check_norm(packet: PacketState, line: int | None = None) -> None:
+    """Refuse a packet whose ∫|ψ|² = e^{−2·Im α0}·√(πħ/(−Im F0)) is not a finite positive
+    float. Only an explicit α0 can do this, from the config or from ``matched_packet``:
+    the default one normalizes the packet, and ``PacketState`` refuses an ħ and F0 for
+    which no α0 does."""
     if packet.spec.is_packet:
         norm = analytic_norm_sq(packet)
         if not 0.0 < norm < math.inf:
             raise ConfigError(f"the packet norm e^(-2*Im alpha0)*sqrt(pi*hbar/(-Im F0)) = "
                               f"{norm:g}, not finite and positive", line)
-    return packet
 
 
 def _build_packet(
@@ -212,7 +213,8 @@ def _build_packet(
             packet = matched_packet(sigma, m, hbar, x0, p0)
         except ValueError as exc:
             raise ConfigError(str(exc), line)
-        return _check_norm(packet, line), sigma
+        _check_norm(packet, line)  # matched_packet gives α0 = (i/4)·ln(2πσ²)
+        return packet, sigma
 
     if "F0" in sec and any(k in sec for k in ("A0", "B0", "C0")):
         raise ConfigError("F0 shorthand conflicts with explicit A0/B0/C0", sec["F0"][1])
@@ -238,7 +240,9 @@ def _build_packet(
         if isinstance(exc, ConfigError):
             raise
         raise ConfigError(str(exc), line)
-    return _check_norm(packet, sec["alpha0"][1] if "alpha0" in sec else line), None
+    if alpha0 is not None:
+        _check_norm(packet, sec["alpha0"][1])
+    return packet, None
 
 
 def check_containment(cfg: RunConfig) -> None:
@@ -400,15 +404,15 @@ def apply_sweep_value(cfg: RunConfig, axis: str, value: float) -> RunConfig:
     if axis == "sigma":
         if cfg.sigma is None:
             raise ConfigError("sigma sweep needs a gaussian-parameterized packet")
-        packet = _check_norm(matched_packet(float(value), p.m, p.hbar, p.x0, p.p0))
+        packet = matched_packet(float(value), p.m, p.hbar, p.x0, p.p0)
+        _check_norm(packet)
         return replace(cfg, sigma=float(value), packet=packet, mode=cfg.sweep_mode)
     if axis == "F0_imag":
         if cfg.sigma is not None:
             raise ConfigError("F0_imag sweep needs an invariant-parameterized packet")
         old = p.spec
         spec = InvariantSpec(A0=old.A0, B0=old.A0 * complex(old.F0.real, float(value)), C0=old.C0)
-        packet = _check_norm(replace(p, spec=spec, alpha0=None))
-        return replace(cfg, packet=packet, mode=cfg.sweep_mode)
+        return replace(cfg, packet=replace(p, spec=spec, alpha0=None), mode=cfg.sweep_mode)
     if axis == "dt":
         return replace(cfg, grid=replace(cfg.grid, dt=float(value)), mode=cfg.sweep_mode)
     if axis == "n":

@@ -154,7 +154,7 @@ def _check_boundary(psi: np.ndarray, t: float) -> None:
     left, right = abs(psi[0]), abs(psi[-1])
     if left <= BOUNDARY_TOL and right <= BOUNDARY_TOL:
         return
-    if not math.isfinite(left + right):  # every comparison with nan is False
+    if not (math.isfinite(left) and math.isfinite(right)):  # every comparison with nan is False
         raise InstabilityError(f"non-finite field at t={t:g}")
     raise AliasingError(
         f"boundary amplitude {max(left, right):.3e} at t={t:g}: packet reached the box edge"

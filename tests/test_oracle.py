@@ -3,7 +3,7 @@ import pytest
 
 from lrwp import oracle
 from lrwp.errors import AliasingError, DegenerateFieldError, InstabilityError
-from lrwp.fields import Grid1D, Space, WaveField, l2_error
+from lrwp.fields import Grid1D, Space, WaveField, field_norm, l2_error
 from lrwp.forcing import (
     ConstantForce,
     ForceProfile,
@@ -58,6 +58,17 @@ class TestGridSpec:
         with pytest.raises(ValueError, match=f"n = {2 * MAX_POINTS} points, above the limit"):
             GridSpec(-10.0, 10.0, 2 * MAX_POINTS, 1e-3, 1.0)  # the next power of two
 
+    def test_step_count_need_be_whole_only_to_rounding(self):
+        # 0.3 / 0.1 and 2.2 / 1e-6 miss a whole number by 4.4e-16 and 4.7e-10
+        assert GridSpec(-10.0, 10.0, 128, 0.1, 0.3).n_steps == 3
+        assert GridSpec(-10.0, 10.0, 128, 1e-6, 2.2).n_steps == 2_200_000
+
+    def test_step_count_off_by_its_tolerance_is_refused(self):
+        # 19050.999980949 misses 19051 by 1.9051e-5, a hair over 1e-9 of the step count
+        with pytest.raises(ValueError, match="integer number of steps"):
+            GridSpec(-10.0, 10.0, 128, 1.0, 19050.999980949)
+        assert GridSpec(-10.0, 10.0, 128, 1.0, 19050.99998096).n_steps == 19051
+
     def test_n_steps(self):
         assert GridSpec(-10.0, 10.0, 128, 1e-3, 2.0).n_steps == 2000
         assert GridSpec(-10.0, 10.0, 128, 1e-7, 1.0).n_steps == MAX_STEPS
@@ -105,6 +116,16 @@ class TestCrankNicolson:
             norm = np.sum(np.abs(f.values) ** 2) * f.grid.spacing
             assert abs(norm - 1.0) < 1e-12
 
+    @pytest.mark.parametrize("m, hbar", [(1.5, 0.7), (0.8, 2.0)])
+    def test_matches_the_packet_at_any_m_and_hbar(self, m, hbar):
+        # every other oracle test runs at m = ħ = 1, where ħ, 1/ħ and 2^ħ agree
+        profile = SinusoidalForce(1.0, 2.0, 0.3)
+        packet = matched_packet(1.0, m, hbar, x0=0.4, p0=-0.3)
+        spec = GridSpec(-20.0, 20.0, 1024, 1e-3, 1.0, output_every=500)
+        initial = sample_gtwp(packet, profile, spec.grid, 0.0)
+        for f in propagate_one(propagate_cranknicolson, initial, profile, m, hbar, spec):
+            assert l2_error(f, sample_gtwp(packet, profile, spec.grid, f.t)) < 1e-5
+
     def test_default_stencil_beats_classic(self):
         spec = GridSpec(-20.0, 20.0, 1024, 1e-3, 1.0, output_every=1000)
         profile = ConstantForce(1.0)
@@ -122,6 +143,19 @@ class TestGuards:
         with pytest.raises(ValueError, match="normalized"):
             next(propagate_one(propagate_splitstep, bad, ConstantForce(0.0), M, HBAR, spec))
 
+    @pytest.mark.parametrize("excess", [0.995e-8, -0.995e-8, 1.005e-8, -1.005e-8])
+    def test_initial_norm_window(self, excess):
+        spec = GridSpec(-20.0, 20.0, 256, 1e-3, 1e-3)
+        field = sample_gtwp(PACKET, ConstantForce(0.0), spec.grid, 0.0)
+        values = field.values * np.sqrt((1.0 + excess) / field_norm(field) ** 2)
+        scaled = WaveField(grid=spec.grid, t=0.0, values=values, space=Space.POSITION)
+        frames = propagate_one(propagate_splitstep, scaled, ConstantForce(0.0), M, HBAR, spec)
+        if abs(excess) < oracle.INITIAL_NORM_TOL:
+            assert len(list(frames)) == 2
+        else:
+            with pytest.raises(ValueError, match="normalized"):
+                next(frames)
+
     def test_grid_mismatch(self):
         spec = GridSpec(-20.0, 20.0, 256, 1e-3, 1e-3)
         profile = ConstantForce(0.0)
@@ -137,6 +171,12 @@ class TestGuards:
         with pytest.raises(AliasingError):
             for _ in propagate_one(propagate_splitstep, initial, profile, M, HBAR, spec):
                 pass
+
+    def test_drift_is_measured_from_the_initial_norm_whatever_it_is(self):
+        grid = Grid1D(-10.0, 10.0, 256)
+        field = WaveField(grid=grid, t=0.5, values=1e3 * np.exp(-(grid.points**2)),
+                          space=Space.POSITION)
+        assert _checked(field, norm0=field_norm(field) ** 2) is field
 
     def test_instability_guard_trips_on_norm_drift(self):
         grid = Grid1D(-10.0, 10.0, 256)
@@ -164,6 +204,16 @@ class TestNonFinite:
         with pytest.raises(InstabilityError, match=r"^non-finite field at t=0\.005$"):
             for f in frames:
                 assert f.t < 0.0045
+
+    def test_an_edge_of_exactly_the_tolerance_passes(self):
+        _check_boundary(np.array([oracle.BOUNDARY_TOL, 0.0, oracle.BOUNDARY_TOL]), 0.5)
+        with pytest.raises(AliasingError):
+            _check_boundary(np.array([0.0, np.nextafter(oracle.BOUNDARY_TOL, 1.0)]), 0.5)
+
+    def test_huge_finite_edges_are_aliasing_not_non_finite(self):
+        # |ψ| = 1e308 at both edges: the sum of the two overflows, the edges do not
+        with pytest.raises(AliasingError, match=r"boundary amplitude 1\.000e\+308"):
+            _check_boundary(np.array([1e308, 0.0, 1e308]), 0.5)
 
     def test_guards_reject_nan(self):
         with pytest.raises(InstabilityError, match="non-finite"):
@@ -377,6 +427,24 @@ class TestObservables:
         for f in propagate_one(propagate_splitstep, initial, profile, M, HBAR, spec):
             rec = observables(f, M, HBAR, coeffs_at(PACKET.spec, M, profile, f.t))
             assert rec.dxdp >= 0.5 - 1e-9
+
+    def test_norm_of_an_unnormalized_field(self):
+        grid = Grid1D(-10.0, 10.0, 256)
+        values = 2.0 * np.exp(-(grid.points**2) / 2.0).astype(complex)
+        field = WaveField(grid=grid, t=0.0, values=values, space=Space.POSITION)
+        rec = observables(field, M, HBAR, (1.0, 0.0, 0.0))
+        assert rec.norm == pytest.approx(np.sum(np.abs(values) ** 2) * grid.spacing, rel=1e-14)
+        assert rec.norm == pytest.approx(4.0 * np.sqrt(np.pi), rel=1e-12)
+
+    def test_record_needs_a_positive_norm_and_allows_zero_widths(self):
+        record = dict(t=0.0, norm=1.0, x_mean=0.0, p_mean=0.0, dx=0.0, dp=0.0, dxdp=0.0,
+                      inv_expect=0j)
+        assert oracle.ObservableRecord(**record).dx == 0.0
+        with pytest.raises(DegenerateFieldError):
+            oracle.ObservableRecord(**{**record, "norm": 0.0})
+        for key in ("dx", "dp"):
+            with pytest.raises(ValueError, match="negative"):
+                oracle.ObservableRecord(**{**record, key: -1e-300})
 
     def test_degenerate_field(self):
         grid = Grid1D(-10.0, 10.0, 128)

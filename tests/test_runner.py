@@ -403,6 +403,17 @@ class TestSweep:
         results = run_sweep(cfg, tmp_path, jobs=1)
         assert [r[-1] for r in results] == ["ok", "error:ConfigError"]
 
+    def test_f0_imag_case_that_no_alpha0_normalizes_is_an_error_row(self, tmp_path):
+        # at ħ = 1e300, πħ/(−Im F0) is finite for F0 = −i but overflows for F0 = −1e-10·i
+        cfg = parse_config(
+            "[system]\nhbar = 1e300\n[packet]\nF0 = 0-1i\n"
+            "[grid]\nn = 64\nt_max = 0.1\ndt = 0.01\noutput_every = 1\n"
+            "[run]\nmode = sweep\nsweep_axis = F0_imag\nsweep_values = -1, -1e-10\n"
+            "sweep_mode = analytic\n"
+        )
+        results = run_sweep(cfg, tmp_path, jobs=1)
+        assert [r[-1] for r in results] == ["ok", "error:InvalidInvariantError"]
+
     def test_threshold_violations_keep_their_metrics(self, tmp_path):
         # dt = 5e-2 completes but breaks the L2 gate; the sweep should still
         # report the measured errors instead of discarding the case
