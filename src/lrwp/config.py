@@ -140,7 +140,7 @@ def _scan(text: str) -> dict[str, dict[str, tuple[str, int]]]:
 
 
 def _build_profile(sec: dict[str, tuple[str, int]]) -> ForceProfile:
-    kind, kind_line = sec.get("kind", ("zero", 0))
+    kind, kind_line = sec.get("kind", ("zero", None))
     kind = kind.lower()
 
     def need(key):
@@ -208,7 +208,7 @@ def _build_packet(
         )
     if gaussian_given or not invariant_keys:
         sigma = _parse_float(*sec["sigma"]) if gaussian_given else 1.0
-        line = sec["sigma"][1] if gaussian_given else 0
+        line = sec["sigma"][1] if gaussian_given else None
         try:
             packet = matched_packet(sigma, m, hbar, x0, p0)
         except ValueError as exc:
@@ -297,13 +297,13 @@ def parse_config(text: str, mode_override: str | None = None) -> RunConfig:
         raise ConfigError(f"the force is not defined up to t_max = {grid.t_max:g} ({exc})", line)
 
     rsec = sections["run"]
-    mode_text, mode_line = rsec.get("mode", ("analytic", 0))
+    mode_text, mode_line = rsec.get("mode", ("analytic", None))
     if mode_override is not None:
-        mode_text, mode_line = mode_override, 0
+        mode_text, mode_line = mode_override, None
     try:
         mode = RunMode(mode_text.lower())
     except ValueError:
-        raise ConfigError(f"unknown mode {mode_text!r}", mode_line or None)
+        raise ConfigError(f"unknown mode {mode_text!r}", mode_line)
 
     sweep_axis = None
     sweep_values: tuple[float, ...] = ()

@@ -36,15 +36,9 @@ class DegenerateFieldError(LrwpError):
 
 
 class AcceptanceViolation(LrwpError):
-    """A validation run finished but violated one of its quality thresholds.
-
-    ``summary`` carries the run's measured figures (the output file is still
-    written in full before this is raised).
-    """
-
-    def __init__(self, message: str, summary=None):
-        super().__init__(message)
-        self.summary = summary
+    """A validation run finished, and wrote its output in full, but broke one of
+    its quality thresholds. ``run_validate`` raises it from the summary's
+    ``violations``, which the message joins: each threshold's name, figure and limit."""
 
 
 class ConfigError(LrwpError):

@@ -11,6 +11,11 @@ values that would share one. Column orders are frozen:
     snapshots.csv     t,x,psi_re,psi_im,prob
     comparison.csv    t,max_abs_diff
     sweep_summary.csv param,value,final_l2_err_ss,final_l2_err_cn,min_dxdp,t_star,status
+
+A validate case has one outcome: its ``ValidateSummary``, whose ``violations``
+name the quality thresholds it broke, or the exception that stopped it.
+``run_validate`` raises that exception, or an AcceptanceViolation built from the
+violations; a sweep records either in the case's summary row.
 """
 
 import concurrent.futures
@@ -163,60 +168,48 @@ class ValidateSummary:
     max_l2_cn: float
     inv_drift: float
     max_norm_dev: float
-    violations: list[str]
+    violations: list[str]  # the quality thresholds the case broke; empty when it passed
 
 
-@dataclass
-class _ValidateCase:
-    """One validate run, checked and sampled at t = 0, before any propagation."""
-
-    cfg: RunConfig
-    out: Path
-    scale: float  # the invariant drift is relative to this
-    initial: WaveField
-
-
-def _validate_case(cfg: RunConfig, out_dir) -> _ValidateCase:
-    check_containment(cfg)
-    packet = cfg.packet
-    lam = eigenvalue(packet)
-    # invariant drift is relative to |lambda| or, when that vanishes, to the
-    # natural operator scale |A0|·dp + |B0|·dx at t = 0; a plane wave has no
-    # dp or dx, so it is rejected here, before any propagation
-    spec = packet.spec
-    scale = max(
-        abs(lam), abs(spec.A0) * delta_p(packet) + abs(spec.B0) * delta_x(packet, 0.0)
-    )
-    initial = _finite(sample_gtwp, packet, cfg.profile, cfg.grid.grid, 0.0)
-    return _ValidateCase(cfg, Path(out_dir), scale, initial)
-
-
-def _validate(cases: list[_ValidateCase]) -> list[ValidateSummary | Exception]:
+def _validate(cases: list[tuple[RunConfig, Path]]) -> list[ValidateSummary | Exception]:
     """Propagate validate cases that share grid, dt, force, m and ħ as one batch.
 
-    Per case, observables are measured on the split-step field (the sharper
-    oracle), and the Crank–Nicolson field contributes its own L2-error column.
-    Returns per case its summary, or the error that stopped it; a case that ran
-    to the end but broke a quality threshold writes its file in full and gets an
-    AcceptanceViolation. A case stops at the first snapshot where either oracle
-    or its own comparison fails, the split step's error first.
+    Each case gets one outcome: its summary, or the exception that stopped it.
+    A case first gets its containment check, its invariant-drift scale and its
+    t = 0 sample; one refused there is not propagated. Observables are measured
+    on the split-step field (the sharper oracle), and the Crank–Nicolson field
+    adds its own L2-error column. A case stops at the first snapshot where the
+    split step, then Crank–Nicolson, then its own comparison fails.
     """
-    cfg = cases[0].cfg
-    m, hbar, profile, grid = cfg.packet.m, cfg.packet.hbar, cfg.profile, cfg.grid.grid
-    initials = [case.initial for case in cases]
-    stream_ss = propagate_splitstep(initials, profile, m, hbar, cfg.grid)
-    stream_cn = propagate_cranknicolson(initials, profile, m, hbar, cfg.grid)
-    measured: list[list] = [[] for _ in cases]
     outcomes: list = [None] * len(cases)
-    for fields_ss, fields_cn in zip(stream_ss, stream_cn):
-        for i, (case, f_ss, f_cn) in enumerate(zip(cases, fields_ss, fields_cn)):
+    scales, initials = {}, {}
+    for i, (cfg, _) in enumerate(cases):
+        packet, spec = cfg.packet, cfg.packet.spec
+        try:
+            check_containment(cfg)
+            # invariant drift is relative to |lambda| or, when that vanishes, to |A0|·dp +
+            # |B0|·dx at t = 0; a plane wave has neither width, so it stops here
+            scales[i] = max(abs(eigenvalue(packet)),
+                            abs(spec.A0) * delta_p(packet) + abs(spec.B0) * delta_x(packet, 0.0))
+            initials[i] = _finite(sample_gtwp, packet, cfg.profile, cfg.grid.grid, 0.0)
+        except (LrwpError, ValueError) as exc:
+            outcomes[i] = exc
+    if not initials:
+        return outcomes
+    cfg = cases[0][0]
+    m, hbar, profile, grid = cfg.packet.m, cfg.packet.hbar, cfg.profile, cfg.grid.grid
+    streams = [propagate(list(initials.values()), profile, m, hbar, cfg.grid)
+               for propagate in (propagate_splitstep, propagate_cranknicolson)]
+    measured = {i: [] for i in initials}
+    for fields_ss, fields_cn in zip(*streams):
+        for i, f_ss, f_cn in zip(initials, fields_ss, fields_cn):
             if outcomes[i] is not None:
                 continue
             try:
                 for entry in (f_ss, f_cn):
                     if isinstance(entry, Exception):
                         raise entry
-                packet = case.cfg.packet
+                packet = cases[i][0].packet
                 analytic = _finite(sample_gtwp, packet, profile, grid, f_ss.t)
                 coeffs = coeffs_at(packet.spec, m, profile, f_ss.t)
                 rec = observables(f_ss, m, hbar, coeffs, analytic=analytic)
@@ -225,47 +218,41 @@ def _validate(cases: list[_ValidateCase]) -> list[ValidateSummary | Exception]:
                 outcomes[i] = exc
         if None not in outcomes:
             break
-    return [_judge(case, pairs) if outcome is None else outcome
-            for case, pairs, outcome in zip(cases, measured, outcomes)]
+    return [_judge(cases[i][1], scales[i], measured[i]) if outcome is None else outcome
+            for i, outcome in enumerate(outcomes)]
 
 
-def _judge(case: _ValidateCase, measured: list) -> ValidateSummary | AcceptanceViolation:
+def _judge(out_dir, scale: float, measured: list) -> ValidateSummary:
     """Write a finished case's observables and hold them to the quality thresholds."""
     rows = [[
         rec.t, rec.norm, rec.x_mean, rec.p_mean, rec.dx, rec.dp, rec.dxdp,
         rec.inv_expect.real, rec.inv_expect.imag, rec.l2_err_vs_analytic, l2_cn,
     ] for rec, l2_cn in measured]
-    write_csv_atomic(case.out / "observables.csv", OBSERVABLES_HEADER, rows)
+    write_csv_atomic(Path(out_dir) / "observables.csv", OBSERVABLES_HEADER, rows)
 
     records = [rec for rec, _ in measured]
-    max_l2_ss = max(r.l2_err_vs_analytic for r in records)
-    max_l2_cn = max([0.0, *(l2_cn for _, l2_cn in measured)])
     inv0 = records[0].inv_expect
-    inv_drift = max(abs(r.inv_expect - inv0) for r in records) / case.scale
-    max_norm_dev = max(abs(r.norm - 1.0) for r in records)
-
-    violations = []
-    if max_l2_ss >= L2_THRESHOLD:
-        violations.append(f"split-step L2 error {max_l2_ss:.3e} >= {L2_THRESHOLD:g}")
-    if max_l2_cn >= L2_THRESHOLD:
-        violations.append(f"crank-nicolson L2 error {max_l2_cn:.3e} >= {L2_THRESHOLD:g}")
-    if inv_drift >= INV_DRIFT_THRESHOLD:
-        violations.append(f"invariant drift {inv_drift:.3e} >= {INV_DRIFT_THRESHOLD:g}")
-    if max_norm_dev >= NORM_THRESHOLD:
-        violations.append(f"norm deviation {max_norm_dev:.3e} >= {NORM_THRESHOLD:g}")
-    summary = ValidateSummary(max_l2_ss, max_l2_cn, inv_drift, max_norm_dev, violations)
-    if violations:
-        return AcceptanceViolation("; ".join(violations), summary=summary)
-    return summary
+    figures = [  # (name, value, limit), in the summary's field order
+        ("split-step L2 error", max(r.l2_err_vs_analytic for r in records), L2_THRESHOLD),
+        ("crank-nicolson L2 error", max([0.0, *(l2_cn for _, l2_cn in measured)]), L2_THRESHOLD),
+        ("invariant drift", max(abs(r.inv_expect - inv0) for r in records) / scale,
+         INV_DRIFT_THRESHOLD),
+        ("norm deviation", max(abs(r.norm - 1.0) for r in records), NORM_THRESHOLD),
+    ]
+    violations = [f"{name} {value:.3e} >= {limit:g}" for name, value, limit in figures
+                  if value >= limit]
+    return ValidateSummary(*(value for _, value, _ in figures), violations)
 
 
 def run_validate(cfg: RunConfig, out_dir) -> ValidateSummary:
     """Propagate the packet with both oracles and compare to the closed form:
-    the batch of one. Raises AcceptanceViolation (after writing the full file)
-    if any quality threshold fails."""
-    [outcome] = _validate([_validate_case(cfg, out_dir)])
+    the batch of one. Raises the error that stopped the run, or, once the full
+    file is written, AcceptanceViolation if any quality threshold fails."""
+    [outcome] = _validate([(cfg, out_dir)])
     if isinstance(outcome, Exception):
         raise outcome
+    if outcome.violations:
+        raise AcceptanceViolation("; ".join(outcome.violations))
     return outcome
 
 
@@ -306,38 +293,31 @@ def _error_row(axis: str, value: float, kind: str) -> list:
 def _run_sweep_case(task) -> list[list]:
     """Summary rows of one batch of sweep cases, in batch order.
 
-    The validate cases that can be started propagate together; a batch of any
-    other mode holds one case.
+    A batch of validate cases propagates as one (``_validate``). Every other
+    case, and every case ``apply_sweep_value`` refuses, is a batch of its own
+    (``_batches``).
     """
     axis, cfg, batch = task
     nan = float("nan")
-    rows: list = [None] * len(batch)
-    started = []
-    for i, (value, case_dir) in enumerate(batch):
-        try:
-            case = apply_sweep_value(cfg, axis, value)
-            metrics = _packet_metrics(case)
-            if case.mode is RunMode.VALIDATE:
-                started.append((i, metrics, _validate_case(case, case_dir)))
-                continue
-            if case.mode is RunMode.ANALYTIC:
-                run_analytic(case, case_dir)
-            elif case.mode is RunMode.MOMENTUM:
-                run_momentum(case, case_dir)
-            rows[i] = [axis, value, nan, nan, *metrics, "ok"]
-        except (LrwpError, ValueError) as exc:
-            rows[i] = _error_row(axis, value, type(exc).__name__)
-    outcomes = _validate([case for _, _, case in started]) if started else []
-    for (i, metrics, _), outcome in zip(started, outcomes):
-        value = batch[i][0]
-        if isinstance(outcome, ValidateSummary):
-            rows[i] = [axis, value, outcome.max_l2_ss, outcome.max_l2_cn, *metrics, "ok"]
-        elif isinstance(outcome, AcceptanceViolation):
-            # the run completed and wrote its file; keep the measured figures
-            s = outcome.summary
-            rows[i] = [axis, value, s.max_l2_ss, s.max_l2_cn, *metrics, "acceptance_violation"]
-        else:
-            rows[i] = _error_row(axis, value, type(outcome).__name__)
+    try:
+        cases = [(apply_sweep_value(cfg, axis, value), case_dir) for value, case_dir in batch]
+        if cfg.sweep_mode is RunMode.ANALYTIC:
+            run_analytic(*cases[0])
+        elif cfg.sweep_mode is RunMode.MOMENTUM:
+            run_momentum(*cases[0])
+    except (LrwpError, ValueError) as exc:
+        return [_error_row(axis, value, type(exc).__name__) for value, _ in batch]
+    outcomes = _validate(cases) if cfg.sweep_mode is RunMode.VALIDATE else [None]
+    rows = []
+    for (value, _), (case, _), outcome in zip(batch, cases, outcomes):
+        metrics = _packet_metrics(case)
+        if isinstance(outcome, Exception):
+            rows.append(_error_row(axis, value, type(outcome).__name__))
+        elif outcome is None:  # analytic or momentum
+            rows.append([axis, value, nan, nan, *metrics, "ok"])
+        else:  # a case that broke a threshold still wrote its file; keep its figures
+            status = "acceptance_violation" if outcome.violations else "ok"
+            rows.append([axis, value, outcome.max_l2_ss, outcome.max_l2_cn, *metrics, status])
     return rows
 
 

@@ -130,12 +130,17 @@ def test_config_error_exit_two(tmp_path, capsys):
         # the conjugate momentum grid of an infinitely wide box has zero width
         ("momentum", "[grid]\nx_min = -1e308\nx_max = 1e308\n",
          "line 2: x_max - x_min overflows a float"),
+        # the default σ = 1 has no line of its own, so the message names none
+        ("analytic", "[system]\nm = 1e300\nhbar = 1e-10\n"
+         "[grid]\nn = 64\nt_max = 0.1\ndt = 0.01\noutput_every = 1\n",
+         "config error: spreading time 2m*sigma^2/hbar = inf, not finite and positive"),
     ]
     for mode, text, message in cases:
         cfg = _write(tmp_path, text)
         assert main([mode, "--config", cfg, "--out", str(tmp_path / "out")]) == 2
         err = capsys.readouterr().err
         assert message in err
+        assert "line 0" not in err
         assert "Traceback" not in err and err.count("\n") == 1
         assert not (tmp_path / "out").exists()
 
@@ -236,6 +241,14 @@ def test_acceptance_violation_exit_four(tmp_path, capsys):
     assert main(["validate", "--config", cfg, "--out", str(tmp_path / "out")]) == 4
     assert "acceptance violation" in capsys.readouterr().err
     assert (tmp_path / "out" / "observables.csv").exists()
+    # the whole line: each broken threshold's name, figure and limit, in table order
+    cfg = _write(tmp_path, "[force]\nkind = constant\namplitude = 1\n"
+                 "[grid]\nn = 256\ndt = 0.1\nt_max = 1.0\noutput_every = 1\n")
+    assert main(["validate", "--config", cfg, "--out", str(tmp_path / "coarse")]) == 4
+    assert capsys.readouterr().err == (
+        "lrwp: acceptance violation: split-step L2 error 4.167e-04 >= 0.0001; "
+        "crank-nicolson L2 error 3.308e-03 >= 0.0001\n"
+    )
 
 
 @pytest.mark.parametrize("jobs", ["0", "-1"])

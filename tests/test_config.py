@@ -1,8 +1,11 @@
+import math
+
 import pytest
 
 from lrwp.config import MAX_ROWS, RunMode, apply_sweep_value, parse_config
 from lrwp.errors import ConfigError
 from lrwp.forcing import ConstantForce, PiecewiseLinearForce, SinusoidalForce
+from lrwp.wavepacket import delta_x
 
 
 def test_empty_document_gets_defaults():
@@ -130,8 +133,10 @@ class TestDiagnostics:
             parse_config("[packet]\nA0 = 1\n")
 
     def test_nonpositive_mass(self):
-        with pytest.raises(ConfigError, match="m must be positive"):
-            parse_config("[system]\nm = -1\n")
+        # zero is refused on its own line, as a negative value is, for m and for ħ
+        for key, value in (("m", "-1"), ("m", "0"), ("hbar", "0")):
+            with pytest.raises(ConfigError, match=f"line 2: {key} must be positive"):
+                parse_config(f"[system]\n{key} = {value}\n")
 
     def test_grid_power_of_two(self):
         with pytest.raises(ConfigError, match="power of two"):
@@ -186,9 +191,50 @@ class TestModeValidation:
         with pytest.raises(ConfigError, match="does not contain"):
             parse_config(text)
 
+    def test_containment_margin_is_eight_widths(self):
+        # σ = 0.25 spreads to Δx(0.01) = 0.2508: the box must hold 0 ± 8·Δx = ±2.00639,
+        # and a margin that lands exactly on an edge is still inside
+        text = ("[packet]\nsigma = 0.25\n[grid]\nx_min = {}\nx_max = {}\nn = 256\n"
+                "dt = 1e-3\nt_max = 0.01\noutput_every = 10\n[run]\nmode = validate\n")
+        wide = parse_config(text.format(-10, 10))
+        margin = 8.0 * delta_x(wide.packet, wide.grid.t_max)
+        parse_config(text.format(-margin, margin))
+        inside = math.nextafter(margin, 0.0)
+        for lo, hi in ((-margin, inside), (-inside, margin)):
+            with pytest.raises(ConfigError, match=r"x_c\(t_max\) ± 8·Δx = 0 ± 2\.00639$"):
+                parse_config(text.format(lo, hi))
+
+    def test_alpha0_and_packet_norm_must_be_finite_and_positive(self):
+        # |F0| = 1e6 shrinks √(πħ/(−Im F0)) to 1.8e-3: e^{709.7827128} is the largest
+        # finite e^{−2·Im α0} here, and e^{−744} = 1e-323 is positive, but the norm is 0
+        text = "[packet]\nF0 = 0-1e6i\nalpha0 = {}\n"
+        parse_config(text.format("0-354.89135644i"))
+        with pytest.raises(ConfigError, match=r"line 3: .* = inf, not finite and positive$"):
+            parse_config(text.format("0-354.89135645i"))
+        with pytest.raises(ConfigError, match=r"line 3: the packet norm .* = 0, not finite"):
+            parse_config(text.format("0+372i"))
+
+    def test_validate_norm_window_is_centred_on_one(self):
+        # with F0 = −πi the norm is e^{−2·Im α0}: 1 ± 0.995e-8 passes, 1 ± 1.005e-8 does not
+        text = ("[packet]\nF0 = 0-3.141592653589793i\nalpha0 = 0{:+}i\n[grid]\nt_max = 0.1\n"
+                "[run]\nmode = validate\n")
+        for im in (4.975e-9, -4.975e-9):
+            parse_config(text.format(im))
+        for im in (5.025e-9, -5.025e-9):
+            with pytest.raises(ConfigError, match="line 3: validate mode needs a normalized packet"):
+                parse_config(text.format(im))
+
     def test_momentum_needs_gaussian(self):
         with pytest.raises(ConfigError, match="gaussian packet"):
             parse_config("[packet]\nF0 = 0-1i\n[run]\nmode = momentum\n")
+
+    def test_momentum_takes_the_smallest_normal_hbar_squared(self):
+        # ħ = 2⁻⁵¹¹ makes ħ² the smallest normal float; one ulp less underflows
+        text = "[system]\nhbar = {!r}\n[run]\nmode = momentum\n"
+        hbar = 2.0 ** -511
+        assert parse_config(text.format(hbar)).packet.hbar == hbar
+        with pytest.raises(ConfigError, match="line 2: .*divides by hbar\\^2, which underflows$"):
+            parse_config(text.format(math.nextafter(hbar, 0.0)))
 
     def test_sweep_needs_axis(self):
         with pytest.raises(ConfigError, match="sweep_axis"):
@@ -213,6 +259,13 @@ class TestRowBound:
         with pytest.raises(ConfigError, match=r"line 2: the run writes 2\.56e\+09 CSV rows"):
             parse_config(self.LONG + "[run]\nmode = analytic\n")
         assert parse_config(self.LONG + "[run]\nmode = momentum\n").grid.n_steps == 10**7
+
+    def test_limit_is_ten_to_the_eighth_rows(self):
+        # n = 128 with 781 250 snapshots is exactly 10⁸ rows; one more snapshot is too many
+        text = "[grid]\nn = 128\ndt = 1e-6\noutput_every = 1\nt_max = {}\n[run]\nmode = analytic\n"
+        assert parse_config(text.format(0.781249)).grid.n_steps == 781_249
+        with pytest.raises(ConfigError, match=r"1e\+08 CSV rows, above the limit of 100000000$"):
+            parse_config(text.format(0.78125))
 
     def test_sweep_multiplies_by_cases(self):
         # validate cases write only their snapshots: 9·(10⁷ + 1) rows pass, 10 cases do not

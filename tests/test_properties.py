@@ -5,6 +5,7 @@ no examples drawn from literals in the loaded modules.
 """
 
 import cmath
+import dataclasses
 import math
 
 import numpy as np
@@ -20,7 +21,7 @@ from lrwp.forcing import (  # noqa: E402
     SinusoidalForce,
 )
 from lrwp.classical import p_c, x_c  # noqa: E402
-from lrwp.fields import Grid1D, conjugate_momentum_grid  # noqa: E402
+from lrwp.fields import Grid1D, conjugate_momentum_grid, wavenumbers  # noqa: E402
 from lrwp.invariant import InvariantSpec, PacketState, coeffs_at, eigenvalue  # noqa: E402
 from lrwp.oracle import GridSpec, propagate_splitstep  # noqa: E402
 from lrwp.wavepacket import (  # noqa: E402
@@ -82,6 +83,15 @@ def _time(profile, fraction):
     # piecewise profiles end at their last knot; the others run to t = 10
     end = profile.knots[-1][0] if isinstance(profile, PiecewiseLinearForce) else 10.0
     return fraction * end
+
+
+def _box(packet, profile, t):
+    """A grid over x_c ± 12·Δx whose momenta reach p_c ± 12·Δp, where ψ is below 1e-15."""
+    half = 12.0 * delta_x(packet, t)
+    p_span = abs(float(p_c(packet, profile, t))) + 12.0 * delta_p(packet)
+    n = 1 << max(6, math.ceil(math.log2(2.0 * half * p_span / (math.pi * packet.hbar))))
+    xc = float(x_c(packet, profile, t))
+    return Grid1D(xc - half, xc + half, n)
 
 
 @settings(max_examples=100)
@@ -260,12 +270,7 @@ def test_sampled_packet_is_an_eigenfunction_of_the_invariant(profile, fraction, 
     # returns it times its launch-point eigenvalue, at any ħ
     packet = PacketState(m, hbar, x0, p0, InvariantSpec(a0, f0 * a0, c0))
     t = fraction * min(2.0, _time(profile, 1.0))
-    # the box holds x_c ± 12·Δx and the grid's momenta p_c ± 12·Δp, where ψ is below 1e-15
-    half = 12.0 * delta_x(packet, t)
-    p_span = abs(float(p_c(packet, profile, t))) + 12.0 * delta_p(packet)
-    n = 1 << max(6, math.ceil(math.log2(2.0 * half * p_span / (math.pi * hbar))))
-    xc = float(x_c(packet, profile, t))
-    field = sample_gtwp(packet, profile, Grid1D(xc - half, xc + half, n), t)
+    field = sample_gtwp(packet, profile, _box(packet, profile, t), t)
     coeffs = coeffs_at(packet.spec, m, profile, t)
     assert eigen_residual(coeffs, field, eigenvalue(packet), hbar) <= 1e-12
 
@@ -326,12 +331,7 @@ def test_momentum_route_rebuilds_the_matched_packet(profile, fraction, sigma, m,
     # shifted by G and transformed to position space, is the packet matched to σ
     packet = matched_packet(sigma, m, hbar, x0, p0)
     t = fraction * min(2.0, _time(profile, 1.0))
-    # the box holds x_c ± 12·Δx and the conjugate grid's momenta p_c ± 12·Δp
-    half = 12.0 * delta_x(packet, t)
-    p_span = abs(float(p_c(packet, profile, t))) + 12.0 * delta_p(packet)
-    n = 1 << max(6, math.ceil(math.log2(2.0 * half * p_span / (math.pi * hbar))))
-    xc = float(x_c(packet, profile, t))
-    grid = Grid1D(xc - half, xc + half, n)
+    grid = _box(packet, profile, t)  # its conjugate grid holds the momenta p_c ± 12·Δp
     pgrid = conjugate_momentum_grid(grid, hbar)
     phi = sample_gaussian_momentum(packet, sigma, profile, pgrid, t)
     bridged = fourier_bridge(phi, hbar, grid)
@@ -339,3 +339,99 @@ def test_momentum_route_rebuilds_the_matched_packet(profile, fraction, sigma, m,
     gap = np.max(np.abs(bridged.values - direct.values)) / np.max(np.abs(direct.values))
     # measured at most 8.0e-13 over these 50 examples, from rounding in phases of size ≫ 1
     assert gap <= 1e-10
+
+
+def _scaled(profile, s):
+    """The same force shape with every force value times s."""
+    if isinstance(profile, PiecewiseLinearForce):
+        return PiecewiseLinearForce(tuple((t, s * f) for t, f in profile.knots))
+    return dataclasses.replace(profile, amplitude=s * profile.amplitude)
+
+
+# the packets of the laws below: any invariant with Im F0 < 0, and any α0, at any m and ħ
+packet_laws = dict(
+    profile=profiles,
+    fraction=st.floats(0.0, 1.0),
+    a0=a0s,
+    c0=c0s,
+    f0=st.builds(complex, st.floats(-1.0, 1.0), st.floats(-2.0, -0.25)),
+    alpha0=st.builds(complex, st.floats(-1.0, 1.0), st.floats(-1.0, 1.0)),
+    m=st.floats(0.5, 5.0),
+    hbar=st.floats(0.2, 5.0),
+    x0=st.floats(-3.0, 3.0),
+    p0=st.floats(-3.0, 3.0),
+)
+
+
+def _packet_at(profile, fraction, a0, c0, f0, alpha0, m, hbar, x0, p0):
+    packet = PacketState(m, hbar, x0, p0, InvariantSpec(a0, f0 * a0, c0), alpha0)
+    return packet, fraction * min(2.0, _time(profile, 1.0))
+
+
+@settings(max_examples=50)
+@given(**packet_laws)
+def test_grid_norm_and_spectral_width_are_the_closed_forms(**draw):
+    # ∫|ψ|² and Δp do not change in time: on the grid, Σ|ψ|²Δx is analytic_norm_sq and
+    # the spread of ħk under |FFT ψ|² is delta_p, at any t
+    packet, t = _packet_at(**draw)
+    grid = _box(packet, draw["profile"], t)
+    psi = sample_gtwp(packet, draw["profile"], grid, t).values
+    norm = float(np.sum(np.abs(psi) ** 2) * grid.spacing)
+    weight = np.abs(np.fft.fft(psi)) ** 2
+    weight /= np.sum(weight)
+    p = packet.hbar * wavenumbers(grid)
+    spread = math.sqrt(float(np.sum(weight * (p - np.sum(weight * p)) ** 2)))
+    # both measured at most 1.3e-15 relative over 3000 random draws
+    assert norm == pytest.approx(analytic_norm_sq(packet), rel=1e-12, abs=0.0)
+    assert spread == pytest.approx(delta_p(packet), rel=1e-12, abs=0.0)
+
+
+@settings(max_examples=100)
+@given(profile=profiles, fraction=st.floats(0.0, 1.0), s=st.floats(-3.0, 3.0),
+       m=positive, hbar=positive, x0=st.floats(-5.0, 5.0), p0=st.floats(-5.0, 5.0))
+def test_center_moves_linearly_in_the_force(profile, fraction, s, m, hbar, x0, p0):
+    # x_c − x0 − p0·t/m = G1/m and p_c − p0 = G are linear in F: scaling the force
+    # by s scales both by s
+    packet = PacketState(m, hbar, x0, p0, InvariantSpec(1.0, -1j))
+    t = _time(profile, fraction)
+    free = x0 + p0 * t / m
+    drift = float(x_c(packet, profile, t)) - free
+    kick = float(p_c(packet, profile, t)) - p0
+    drift_s = float(x_c(packet, _scaled(profile, s), t)) - free
+    kick_s = float(p_c(packet, _scaled(profile, s), t)) - p0
+    # each difference rounds at the size of its operands; measured at most 5.1e-16 of that
+    assert abs(drift_s - s * drift) <= 1e-13 * max(1.0, abs(free) + abs(drift_s) + abs(s * drift))
+    assert abs(kick_s - s * kick) <= 1e-13 * max(1.0, abs(p0) + abs(kick_s) + abs(s * kick))
+
+
+@settings(max_examples=50)
+@given(d=st.floats(-3.0, 3.0), **packet_laws)
+def test_shifting_x0_translates_the_packet(d, **draw):
+    # x0 → x0 + d: ψ′(x + d) = ψ(x)·e^{i·p_c·d/ħ}; only the center and the phase move
+    packet, t = _packet_at(**draw)
+    shifted = dataclasses.replace(packet, x0=packet.x0 + d)
+    x = _box(packet, draw["profile"], t).points
+    psi = gtwp_psi(packet, draw["profile"], x, t)
+    moved = gtwp_psi(shifted, draw["profile"], x + d, t)
+    phase = np.exp(1j * float(p_c(packet, draw["profile"], t)) * d / packet.hbar)
+    # measured at most 1.5e-14 of max|ψ| over 3000 random draws
+    assert np.max(np.abs(moved - psi * phase)) <= 1e-11 * np.max(np.abs(psi))
+
+
+@settings(max_examples=50)
+@given(q=st.floats(-3.0, 3.0), **packet_laws)
+def test_shifting_p0_boosts_the_packet(q, **draw):
+    # p0 → p0 + q: |ψ′(x + q·t/m)| = |ψ(x)|, and ψ′(x + q·t/m)/ψ(x) is e^{iqx/ħ} times
+    # a factor that does not depend on x
+    packet, t = _packet_at(**draw)
+    boosted = dataclasses.replace(packet, p0=packet.p0 + q)
+    x = _box(packet, draw["profile"], t).points
+    psi = gtwp_psi(packet, draw["profile"], x, t)
+    moved = gtwp_psi(boosted, draw["profile"], x + q * t / packet.m, t)
+    peak = np.max(np.abs(psi))
+    # measured at most 1.2e-15 (moduli) and 2.8e-14 (ratio) of max|ψ| over 3000 draws
+    assert np.max(np.abs(np.abs(moved) - np.abs(psi))) <= 1e-12 * peak
+    unboosted = moved * np.exp(-1j * q * x / packet.hbar)
+    top = np.argmax(np.abs(psi))
+    factor = unboosted[top] / psi[top]
+    assert np.max(np.abs(unboosted - factor * psi)) <= 1e-11 * peak

@@ -9,6 +9,7 @@ import pytest
 from lrwp import runner
 from lrwp.config import parse_config
 from lrwp.errors import AcceptanceViolation, AliasingError
+from lrwp.oracle import ObservableRecord
 from lrwp.runner import (
     COMPARISON_HEADER,
     OBSERVABLES_HEADER,
@@ -227,6 +228,36 @@ class TestValidate:
         with pytest.raises(AcceptanceViolation, match="L2 error"):
             run_validate(parse_config(text), tmp_path)
         assert (tmp_path / "observables.csv").exists()
+
+    def test_drift_is_relative_to_the_operator_scale_when_lambda_vanishes(self, tmp_path):
+        # x0 = p0 = C0 = 0 make λ = 0; σ = 2 gives Δp = 1/4, Δx(0) = 2 and |F0| = 1/8
+        summary = run_validate(parse_config(self.CFG + "[packet]\nsigma = 2\n"), tmp_path)
+        header, rows = _read(tmp_path / "observables.csv")
+        inv = [complex(float(re), float(im))
+               for re, im in zip(_col(header, rows, "inv_re"), _col(header, rows, "inv_im"))]
+        drift = max(abs(z - inv[0]) for z in inv)
+        assert drift > 0.0
+        scale = 0.25 + 0.125 * 2.0  # |A0|·Δp + |B0|·Δx(0)
+        assert summary.inv_drift == pytest.approx(drift / scale, rel=1e-12, abs=0.0)
+
+    def test_a_figure_equal_to_its_limit_breaks_the_threshold(self, tmp_path, monkeypatch):
+        # near 1, norm − 1 is a multiple of 2⁻⁵³ and never 1e-10; 2⁻³³ can be met exactly
+        monkeypatch.setattr(runner, "NORM_THRESHOLD", 2.0 ** -33)
+
+        def record(t, norm, inv, l2_ss):
+            return ObservableRecord(t, norm, 0.0, 0.0, 1.0, 1.0, 1.0, inv, l2_ss)
+
+        measured = [(record(0.0, 1.0, 0.5 + 0j, 0.0), 0.0),
+                    (record(0.1, 1.0 + 2.0 ** -33, 0.5 + 2e-6j, 1e-4), 1e-4)]
+        # the drift is |Δinv| over the scale: 2e-6 / 2
+        summary = runner._judge(tmp_path, 2.0, measured)
+        assert summary == runner.ValidateSummary(1e-4, 1e-4, 1e-6, 2.0 ** -33, [
+            "split-step L2 error 1.000e-04 >= 0.0001",
+            "crank-nicolson L2 error 1.000e-04 >= 0.0001",
+            "invariant drift 1.000e-06 >= 1e-06",
+            "norm deviation 1.164e-10 >= 1.16415e-10",
+        ])
+        assert len(_read(tmp_path / "observables.csv")[1]) == 2
 
 
 class TestMomentum:
@@ -463,3 +494,17 @@ def _crash_on_sigma_one(task):
     if any(value == 1.0 for value, _ in batch):
         os._exit(1)  # the worker process dies without a result
     return _RUN_SWEEP_CASE(task)
+
+
+@pytest.mark.parametrize("jobs, values", [(1, "0.5, 1, 1.5"), (4, "0.5")])
+def test_a_single_worker_runs_in_process(tmp_path, monkeypatch, jobs, values):
+    # one job, or one task, needs no pool at all
+    started, batches = _inline_pool(monkeypatch)
+    cfg = parse_config(
+        SMALL_GRID
+        + f"[run]\nmode = sweep\nsweep_axis = sigma\nsweep_values = {values}\n"
+        "sweep_mode = analytic\n"
+    )
+    results = run_sweep(cfg, tmp_path, jobs=jobs)
+    assert started == [] and batches == []
+    assert all(r[-1] == "ok" for r in results)
