@@ -389,7 +389,7 @@ def _rows_to_write(cfg: RunConfig) -> int:
             except (LrwpError, ValueError):
                 pass
         return total
-    snapshots = cfg.grid.n_steps // cfg.grid.output_every + 1
+    snapshots = len(cfg.grid.snapshot_steps)
     return snapshots * cfg.grid.n if cfg.mode is RunMode.ANALYTIC else snapshots
 
 

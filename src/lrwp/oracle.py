@@ -89,7 +89,8 @@ FORCE_BLOCK = 4096
 
 @dataclass(frozen=True)
 class GridSpec:
-    """Spatial box, step sizes and output cadence of one propagation run."""
+    """Spatial box, step sizes and output cadence of one propagation run. A snapshot
+    is taken at each step of ``snapshot_steps`` and carries t = step·dt."""
 
     x_min: float
     x_max: float
@@ -123,6 +124,10 @@ class GridSpec:
     @property
     def n_steps(self) -> int:
         return int(round(self.t_max / self.dt))
+
+    @property
+    def snapshot_steps(self) -> range:
+        return range(0, self.n_steps + 1, self.output_every)  # len and in are O(1)
 
     @property
     def grid(self) -> Grid1D:
@@ -262,7 +267,7 @@ def propagate_splitstep(
     psi = rows.start
     x = spec.grid.points
     k = wavenumbers(spec.grid)
-    dt = spec.dt
+    dt, snapshots = spec.dt, spec.snapshot_steps
     kinetic = np.exp(-1j * hbar * k * k * dt / (2.0 * m))
     yield rows.snapshot(psi, 0.0)
     half = x * dt / (2.0 * hbar)
@@ -277,7 +282,7 @@ def propagate_splitstep(
                 kick = np.exp(1j * f * half)
             psi *= kick
             rows.check_edges(psi, step * dt)
-        if step % spec.output_every == 0:
+        if step in snapshots:
             yield rows.snapshot(psi, step * dt)
 
 
@@ -313,7 +318,7 @@ def propagate_cranknicolson(
     grid = spec.grid
     x = grid.points
     dx = grid.spacing
-    dt = spec.dt
+    dt, snapshots = spec.dt, spec.snapshot_steps
     kin, nb = _kinetic_bands(grid.n, hbar * hbar / (2.0 * m * dx * dx))
     scale = dt / (2.0 * hbar)
     # zgbtrf's layout: the LHS band in the bottom 2·nb + 1 rows, its fill-in above
@@ -337,7 +342,7 @@ def propagate_cranknicolson(
             # psi.T is Fortran-ordered: one right-hand side per row, solved in place
             psi = zgbtrs(lu, nb, nb, _banded_matvec(rhs_band, nb, psi).T, piv, overwrite_b=1)[0].T
             rows.check_edges(psi, step * dt)
-        if step % spec.output_every == 0:
+        if step in snapshots:
             yield rows.snapshot(psi, step * dt)
 
 

@@ -111,12 +111,6 @@ def write_csv_atomic(path: Path, header: list[str], rows) -> None:
         raise
 
 
-def _snapshot_times(cfg: RunConfig) -> np.ndarray:
-    g = cfg.grid
-    count = g.n_steps // g.output_every
-    return g.dt * g.output_every * np.arange(count + 1)
-
-
 def _finite(sample, *args) -> WaveField:
     """``sample(*args)``, a closed form on a grid, refused if any value overflowed."""
     with np.errstate(all="ignore"):
@@ -131,13 +125,13 @@ def run_analytic(cfg: RunConfig, out_dir) -> None:
     out = Path(out_dir)
     packet = cfg.packet
     lam = eigenvalue(packet)
-    times = _snapshot_times(cfg)
+    steps, dt = cfg.grid.snapshot_steps, cfg.grid.dt
     grid = cfg.grid.grid
 
     obs_rows = []
     nan = float("nan")
-    for t in times:
-        t = float(t)
+    for step in steps:
+        t = step * dt
         xc = float(x_c(packet, cfg.profile, t))
         pc = float(p_c(packet, cfg.profile, t))
         if packet.spec.is_packet:
@@ -150,8 +144,8 @@ def run_analytic(cfg: RunConfig, out_dir) -> None:
     x = grid.points
 
     def snapshots():
-        for t in times:
-            t = float(t)
+        for step in steps:
+            t = step * dt
             values = _finite(sample_gtwp, packet, cfg.profile, grid, t).values
             yield np.column_stack(
                 [np.full(len(x), t), x, values.real, values.imag, np.abs(values) ** 2]
@@ -266,8 +260,8 @@ def run_momentum(cfg: RunConfig, out_dir) -> float:
     pgrid = conjugate_momentum_grid(grid, packet.hbar)
     rows = []
     worst = 0.0
-    for t in _snapshot_times(cfg):
-        t = float(t)
+    for step in cfg.grid.snapshot_steps:
+        t = step * cfg.grid.dt
         phi = _finite(sample_gaussian_momentum, packet, cfg.sigma, cfg.profile, pgrid, t)
         bridged = fourier_bridge(phi, packet.hbar, position_grid=grid)
         direct = _finite(sample_gtwp, packet, cfg.profile, grid, t)

@@ -33,6 +33,27 @@ same bytes. The σ = 0.23 case passes the containment check and then reaches
 the box edge mid-run, so it ends as ``error:AliasingError`` with no case
 directory while the other two rows of its batch run on. These hashes were
 taken when every case still propagated on its own.
+
+Five hashes were retaken when every snapshot time became step·dt, the time
+the oracles already used, in place of dt·output_every·k. Only rows whose t
+moved by its last bit changed, and in them t and the cells computed from it.
+Relative figures are to the column's max|cell|: the tails of ψ are near zero,
+so ulps of a cell say little.
+
+- free_gaussian observables: 4 of 21 rows, 8 cells (t, dx, dxdp). t moved
+  at 0.3, 0.6, 1.2 and 1.7, by at most 2.2e-16; dx and dxdp by at most
+  2.2e-16 (1.6e-16 relative).
+- free_gaussian snapshots: the 4 snapshots at those t, 8192 of 43008 rows,
+  26319 cells: t, plus ψ by at most 1.1e-16 (psi_im 4.1e-16 relative) and
+  prob by at most 2.8e-16 (7.0e-16 relative).
+- driven_plane_wave observables: 2 of 11 rows, only t, at 0.3 and 0.6
+  (1.1e-16).
+- driven_plane_wave snapshots: the 2 snapshots at those t, 2048 of 11264
+  rows, 4537 cells: t, plus ψ by at most 1.1e-16 and prob by at most
+  6.7e-16, all of max|cell| 1.
+- small_b1_momentum comparison: 2 of 11 rows, 3 cells. t moved at 0.15 and
+  0.3 (5.6e-17); one max_abs_diff cell by 3.5e-18, where the column, the
+  rounding-level gap between two routes to one field, peaks at 2.0e-14.
 """
 
 import hashlib
@@ -83,13 +104,13 @@ SWEEP_GOLDEN = {
 
 GOLDEN = {
     ("free_gaussian", "observables.csv"):
-        "de45315b152bbb0b379835e80d262c88df510ffcb819f75496c3a7f4155ce70b",
+        "4e1b15d1c4045c1b6c3ff4a826e2133bbb7fb1bdd136aa8843d967eafae11814",
     ("free_gaussian", "snapshots.csv"):
-        "b522eda60370d1e06799f5328c3a69c750e460d8f2853d8317887840cbd9ebe3",
+        "cd179933f8786d051bc3d71d7209c66856a2205be2650483d4847efc19ba5116",
     ("driven_plane_wave", "observables.csv"):
-        "348a48862defce395dfbb8aefbe094fb60baf4a87df3935c5073063b66b41202",
+        "10302826629d0d0eed403b113d37f90a4581abf626af45c337ef5f8d81d906dc",
     ("driven_plane_wave", "snapshots.csv"):
-        "24c676154dbb735c51f6426de5049dabc7b6b53c04323a2da43ecce75f2e5cd6",
+        "d95ea991415017c12c39a61bfae669a9c2536432c319d5b809a652acede22768",
     ("small_b1_validate", "observables.csv"):
         "5a6fa3af057aa0e44842167418a73400b89290f32be908958dcb1b2250ce28f5",
     ("small_sinusoidal_validate", "observables.csv"):
@@ -97,7 +118,7 @@ GOLDEN = {
     ("small_tabulated_validate", "observables.csv"):
         "ca09814f594cb860af926f81c9c24f394161df954a93d8ceb933f08622cf8b06",
     ("small_b1_momentum", "comparison.csv"):
-        "56d7cf1c2fbb74d14cfa981e4de6e564261456616cff71253ed3be0571ff6b9a",
+        "0686713c5f8047598b1067877f970318fd92b332a2cbeea9a4b47b21a92df1df",
     ("small_b1_sweep", "sweep_summary.csv"):
         "e43d90281f62d391aded7b7141bae070630a630ec3e016be615c757bb4e69a99",
 }

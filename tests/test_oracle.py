@@ -314,7 +314,7 @@ class TestBatch:
         fields = _random_fields(np.random.default_rng(k), self.SPEC.grid, k)
         batch = list(propagator(fields, profile, M, HBAR, self.SPEC))
         alone = [list(propagator([f], profile, M, HBAR, self.SPEC)) for f in fields]
-        assert len(batch) == self.SPEC.n_steps // self.SPEC.output_every + 1
+        assert len(batch) == len(self.SPEC.snapshot_steps)
         for s, entries in enumerate(batch):
             assert len(entries) == k
             for i, entry in enumerate(entries):

@@ -7,6 +7,8 @@ no examples drawn from literals in the loaded modules.
 import cmath
 import dataclasses
 import math
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -21,9 +23,11 @@ from lrwp.forcing import (  # noqa: E402
     SinusoidalForce,
 )
 from lrwp.classical import p_c, x_c  # noqa: E402
+from lrwp.config import parse_config  # noqa: E402
 from lrwp.fields import Grid1D, conjugate_momentum_grid, wavenumbers  # noqa: E402
 from lrwp.invariant import InvariantSpec, PacketState, coeffs_at, eigenvalue  # noqa: E402
-from lrwp.oracle import GridSpec, propagate_splitstep  # noqa: E402
+from lrwp.oracle import GridSpec, propagate_cranknicolson, propagate_splitstep  # noqa: E402
+from lrwp.runner import run_analytic  # noqa: E402
 from lrwp.wavepacket import (  # noqa: E402
     analytic_norm_sq,
     delta_p,
@@ -435,3 +439,42 @@ def test_shifting_p0_boosts_the_packet(q, **draw):
     top = np.argmax(np.abs(psi))
     factor = unboosted[top] / psi[top]
     assert np.max(np.abs(unboosted - factor * psi)) <= 1e-11 * peak
+
+
+@st.composite
+def snapshot_clocks(draw):
+    """(dt, step count, output_every): dt includes values such as 0.3, for which
+    dt·output_every·k and (output_every·k)·dt differ in the last bit."""
+    dt = draw(st.one_of(st.sampled_from([0.1, 0.3, 1 / 3]), st.floats(1e-3, 1.0)))
+    steps = draw(st.integers(1, 60))
+    every = draw(st.sampled_from([k for k in range(1, steps + 1) if steps % k == 0]))
+    return dt, steps, every
+
+
+@settings(max_examples=50)
+@given(clock=snapshot_clocks())
+# (dt·output_every)·k misses step·dt at k = 3, 5, 6, 7, 10; 7, 11, 14, 15; and 9
+@example(clock=(0.1, 30, 3))
+@example(clock=(0.3, 60, 3))
+@example(clock=(1 / 3, 60, 5))
+def test_every_mode_takes_snapshots_at_step_times_dt(clock):
+    # one clock: both oracles and the closed form stamp snapshot s as s·dt, and the
+    # row count bounded at parse time is the count analytic writes
+    dt, steps, every = clock
+    cfg = parse_config(
+        f"[system]\nm = 1000\n[packet]\nsigma = 2\n[grid]\nx_min = -20\nx_max = 20\n"
+        f"n = 64\ndt = {dt!r}\nt_max = {steps * dt!r}\noutput_every = {every}\n"
+    )
+    spec = cfg.grid
+    assert spec.n_steps == steps
+    times = [s * dt for s in spec.snapshot_steps]
+    packet = cfg.packet
+    initial = sample_gtwp(packet, cfg.profile, spec.grid, 0.0)
+    for propagator in (propagate_splitstep, propagate_cranknicolson):
+        fields = propagate_one(propagator, initial, cfg.profile, packet.m, packet.hbar, spec)
+        assert [field.t for field in fields] == times
+    with tempfile.TemporaryDirectory() as out:
+        run_analytic(cfg, out)
+        rows = Path(out, "observables.csv").read_text().splitlines()[1:]
+    assert len(rows) == len(spec.snapshot_steps)
+    assert [float(row.split(",")[0]) for row in rows] == times

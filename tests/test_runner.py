@@ -2,13 +2,14 @@ import concurrent.futures
 import math
 import os
 import stat
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from lrwp import runner
 from lrwp.config import parse_config
-from lrwp.errors import AcceptanceViolation, AliasingError
+from lrwp.errors import AcceptanceViolation, AliasingError, ConfigError
 from lrwp.oracle import ObservableRecord
 from lrwp.runner import (
     COMPARISON_HEADER,
@@ -22,6 +23,7 @@ from lrwp.runner import (
     write_csv_atomic,
 )
 
+CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 SINUSOIDAL = "[force]\nkind = sinusoidal\namplitude = 0.5\nomega = 2\nphase = 0.3\n"
 SMALL_GRID = "[grid]\nx_min = -20\nx_max = 20\nn = 256\ndt = 1e-3\nt_max = 0.5\noutput_every = 50\n"
 
@@ -508,3 +510,29 @@ def test_a_single_worker_runs_in_process(tmp_path, monkeypatch, jobs, values):
     results = run_sweep(cfg, tmp_path, jobs=jobs)
     assert started == [] and batches == []
     assert all(r[-1] == "ok" for r in results)
+
+
+@pytest.mark.parametrize("path", sorted(CONFIGS.glob("*.ini")), ids=lambda p: p.stem)
+def test_every_mode_writes_the_same_t_column(tmp_path, path):
+    # the closed form is sampled at exactly the t that validate compares at: in every
+    # mode that accepts the config, each t cell is step·dt, step = 0, output_every, …
+    columns = {}
+    for mode, run, name in (("analytic", run_analytic, "observables.csv"),
+                            ("validate", run_validate, "observables.csv"),
+                            ("momentum", run_momentum, "comparison.csv")):
+        try:
+            cfg = parse_config(path.read_text(), mode_override=mode)
+        except ConfigError:
+            continue
+        try:
+            run(cfg, tmp_path / mode)
+        except AcceptanceViolation:
+            pass  # the observables are written before the thresholds are judged
+        header, rows = _read(tmp_path / mode / name)
+        columns[mode] = _col(header, rows, "t")
+    analytic = columns.pop("analytic")
+    for mode, column in columns.items():
+        assert column == analytic, mode
+    g = parse_config(path.read_text(), mode_override="analytic").grid
+    assert analytic == ["%.16e" % (step * g.dt)
+                        for step in range(0, g.n_steps + 1, g.output_every)]

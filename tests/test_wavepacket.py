@@ -210,8 +210,8 @@ class TestPlaneWave:
             1.0, 1.0, 0.0, 0.0, InvariantSpec(0.8 + 0.3j, 0j, 0.2 - 0.1j), alpha0=0.3 + 0.1j
         )
         g = cfg.grid
-        for t in g.dt * g.output_every * np.arange(g.n_steps // g.output_every + 1):
-            t = float(t)
+        for step in g.snapshot_steps:
+            t = step * g.dt
             for pk in (cfg.packet, general):
                 lam = eigenvalue(pk)
                 alpha = phase_reference(
