@@ -21,13 +21,14 @@ from dataclasses import dataclass, replace
 
 from .classical import x_c
 from .errors import ConfigError, ContainmentError, LrwpError, OutOfDomainError
+from .fields import conjugate_momentum_grid
 from .forcing import ConstantForce, ForceProfile, PiecewiseLinearForce, SinusoidalForce
 from .invariant import InvariantSpec, PacketState
 from .oracle import INITIAL_NORM_TOL, GridSpec
 from .wavepacket import analytic_norm_sq, delta_x, matched_packet
 
-__all__ = ["MAX_ROWS", "RunMode", "RunConfig", "parse_config", "check_containment",
-           "apply_sweep_value", "sweep_case_name"]
+__all__ = ["MAX_ROWS", "RunMode", "RunConfig", "parse_config", "apply_sweep_value",
+           "sweep_case_name"]
 
 CONTAINMENT_WIDTHS = 8.0
 # b1 `analytic` writes 411 648 CSV rows, 48 MB in about 2 s. 10⁸ rows, summed over
@@ -59,8 +60,8 @@ class RunConfig:
     grid: GridSpec
     mode: RunMode
     sweep_axis: str | None = None
-    sweep_values: tuple[float, ...] = ()
-    sweep_mode: RunMode = RunMode.VALIDATE
+    # the sweep plan, in sweep order: each value with its case, or the error that refused it
+    sweep: tuple[tuple[float, "RunConfig | Exception"], ...] = ()
 
 
 def _parse_complex(text: str, line: int) -> complex:
@@ -245,7 +246,7 @@ def _build_packet(
     return packet, None
 
 
-def check_containment(cfg: RunConfig) -> None:
+def _check_containment(cfg: RunConfig) -> None:
     """Validate-mode guard: the box must hold x_c(t_max) ± 8·Δx(t_max)."""
     if not cfg.packet.spec.is_packet:
         return
@@ -327,16 +328,9 @@ def parse_config(text: str, mode_override: str | None = None) -> RunConfig:
         if sweep_mode is RunMode.SWEEP:
             raise ConfigError("sweep_mode cannot itself be 'sweep'", line)
 
-    cfg = RunConfig(
-        profile=profile,
-        packet=packet,
-        sigma=sigma,
-        grid=grid,
-        mode=mode,
-        sweep_axis=sweep_axis,
-        sweep_values=sweep_values,
-        sweep_mode=sweep_mode,
-    )
+    # a sweep case inherits every field of the base but the one its axis sets
+    base = RunConfig(profile, packet, sigma, grid, mode=sweep_mode, sweep_axis=sweep_axis)
+    cfg = replace(base, mode=mode)
 
     if mode is RunMode.VALIDATE:
         if not packet.spec.is_packet:
@@ -346,7 +340,7 @@ def parse_config(text: str, mode_override: str | None = None) -> RunConfig:
             message = f"validate mode needs a normalized packet; alpha0 gives norm {norm_sq:.6g}"
             raise ConfigError(message, sections["packet"]["alpha0"][1])
         try:
-            check_containment(cfg)
+            _check_containment(cfg)
         except ContainmentError as exc:
             raise ConfigError(str(exc))
     if mode is RunMode.MOMENTUM and sigma is None:
@@ -354,13 +348,17 @@ def parse_config(text: str, mode_override: str | None = None) -> RunConfig:
     # gaussian_phi0 divides by ħ²; where ħ² underflows to 0 that ends in ZeroDivisionError,
     # where it is subnormal the prefactor (2σ²/πħ²)^{1/4} overflows and φ turns nan, and
     # where it overflows, hbar**2 raises OverflowError
-    momentum_route = mode is RunMode.MOMENTUM or (
-        mode is RunMode.SWEEP and sweep_mode is RunMode.MOMENTUM
-    )
-    if momentum_route and not sys.float_info.min <= hbar * hbar < math.inf:
-        flow = "underflows" if hbar < 1.0 else "overflows"
-        message = f"hbar = {hbar:g}: the momentum route divides by hbar^2, which {flow}"
-        raise ConfigError(message, system["hbar"][1])
+    momentum_route = (sweep_mode if mode is RunMode.SWEEP else mode) is RunMode.MOMENTUM
+    if momentum_route:
+        if not sys.float_info.min <= hbar * hbar < math.inf:
+            flow = "underflows" if hbar < 1.0 else "overflows"
+            message = f"hbar = {hbar:g}: the momentum route divides by hbar^2, which {flow}"
+            raise ConfigError(message, system["hbar"][1])
+        try:  # 2πħ/(x_max − x_min) may underflow to 0; no sweep axis changes ħ or the box
+            conjugate_momentum_grid(grid.grid, hbar)
+        except ValueError:
+            message = f"hbar = {hbar:g}: the momentum grid spacing 2*pi*hbar/(x_max - x_min) is 0"
+            raise ConfigError(message, system["hbar"][1])
     if mode is RunMode.SWEEP:
         if sweep_axis is None or not sweep_values:
             raise ConfigError("sweep mode needs sweep_axis and sweep_values")
@@ -369,6 +367,7 @@ def parse_config(text: str, mode_override: str | None = None) -> RunConfig:
         if sweep_mode is RunMode.MOMENTUM and sigma is None:
             message = "sweep_mode momentum requires the gaussian packet parameterization"
             raise ConfigError(message, rsec["sweep_mode"][1])
+        cfg = replace(cfg, sweep=tuple((value, _sweep_case(base, value)) for value in sweep_values))
     rows = _rows_to_write(cfg)
     if rows > MAX_ROWS:
         line = min((ln for _, ln in gsec.values()), default=0)
@@ -380,15 +379,9 @@ def parse_config(text: str, mode_override: str | None = None) -> RunConfig:
 
 def _rows_to_write(cfg: RunConfig) -> int:
     """CSV rows a run writes: snapshots × n in analytic mode, snapshots otherwise,
-    summed over the sweep cases that can be built."""
+    summed over the sweep cases that the plan holds."""
     if cfg.mode is RunMode.SWEEP:
-        total = 0
-        for value in cfg.sweep_values:
-            try:
-                total += _rows_to_write(apply_sweep_value(cfg, cfg.sweep_axis, value))
-            except (LrwpError, ValueError):
-                pass
-        return total
+        return sum(_rows_to_write(case) for _, case in cfg.sweep if isinstance(case, RunConfig))
     snapshots = len(cfg.grid.snapshot_steps)
     return snapshots * cfg.grid.n if cfg.mode is RunMode.ANALYTIC else snapshots
 
@@ -396,6 +389,17 @@ def _rows_to_write(cfg: RunConfig) -> int:
 def sweep_case_name(axis: str, value: float) -> str:
     """Directory name of the sweep case that sets ``axis`` to ``value``."""
     return f"{axis}={value:g}"
+
+
+def _sweep_case(base: RunConfig, value: float) -> RunConfig | Exception:
+    """The case that sets the base's sweep axis to ``value``, or the error that refuses it."""
+    try:
+        case = apply_sweep_value(base, base.sweep_axis, value)
+        if case.mode is RunMode.VALIDATE:
+            _check_containment(case)
+        return case
+    except (LrwpError, ValueError) as exc:
+        return exc
 
 
 def apply_sweep_value(cfg: RunConfig, axis: str, value: float) -> RunConfig:
@@ -406,21 +410,19 @@ def apply_sweep_value(cfg: RunConfig, axis: str, value: float) -> RunConfig:
             raise ConfigError("sigma sweep needs a gaussian-parameterized packet")
         packet = matched_packet(float(value), p.m, p.hbar, p.x0, p.p0)
         _check_norm(packet)
-        return replace(cfg, sigma=float(value), packet=packet, mode=cfg.sweep_mode)
+        return replace(cfg, sigma=float(value), packet=packet)
     if axis == "F0_imag":
         if cfg.sigma is not None:
             raise ConfigError("F0_imag sweep needs an invariant-parameterized packet")
         old = p.spec
         spec = InvariantSpec(A0=old.A0, B0=old.A0 * complex(old.F0.real, float(value)), C0=old.C0)
-        return replace(cfg, packet=replace(p, spec=spec, alpha0=None), mode=cfg.sweep_mode)
+        return replace(cfg, packet=replace(p, spec=spec, alpha0=None))
     if axis == "dt":
-        return replace(cfg, grid=replace(cfg.grid, dt=float(value)), mode=cfg.sweep_mode)
+        return replace(cfg, grid=replace(cfg.grid, dt=float(value)))
     if axis == "n":
-        return replace(cfg, grid=replace(cfg.grid, n=int(round(value))), mode=cfg.sweep_mode)
+        return replace(cfg, grid=replace(cfg.grid, n=int(round(value))))
     if axis == "force_amplitude":
         if not isinstance(cfg.profile, (ConstantForce, SinusoidalForce)):
             raise ConfigError("force_amplitude sweep needs a constant or sinusoidal force")
-        return replace(
-            cfg, profile=replace(cfg.profile, amplitude=float(value)), mode=cfg.sweep_mode
-        )
+        return replace(cfg, profile=replace(cfg.profile, amplitude=float(value)))
     raise ConfigError(f"unknown sweep axis {axis!r}")

@@ -179,7 +179,7 @@ def _check_initial(initial: WaveField, spec: GridSpec) -> float:
         raise ValueError("initial field grid does not match the run grid")
     norm0 = field_norm(initial) ** 2
     if abs(norm0 - 1.0) > INITIAL_NORM_TOL:
-        raise ValueError("initial field must be normalized")
+        raise InstabilityError(f"initial field must be normalized, its norm is {norm0:.12g}")
     return norm0
 
 
@@ -200,7 +200,7 @@ class _Rows:
                 self.norm0.append(_check_initial(initial, spec))
                 self.errors.append(None)
                 row[:] = initial.values
-            except ValueError as exc:
+            except (ValueError, InstabilityError) as exc:
                 self.norm0.append(None)
                 self.errors.append(exc)
 

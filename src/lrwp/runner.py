@@ -28,7 +28,7 @@ from pathlib import Path
 import numpy as np
 
 from .classical import p_c, x_c
-from .config import RunConfig, RunMode, apply_sweep_value, check_containment, sweep_case_name
+from .config import RunConfig, RunMode, sweep_case_name
 from .errors import AcceptanceViolation, InstabilityError, LrwpError
 from .fields import WaveField, conjugate_momentum_grid, l2_error
 from .invariant import coeffs_at, eigenvalue
@@ -169,18 +169,17 @@ def _validate(cases: list[tuple[RunConfig, Path]]) -> list[ValidateSummary | Exc
     """Propagate validate cases that share grid, dt, force, m and ħ as one batch.
 
     Each case gets one outcome: its summary, or the exception that stopped it.
-    A case first gets its containment check, its invariant-drift scale and its
-    t = 0 sample; one refused there is not propagated. Observables are measured
-    on the split-step field (the sharper oracle), and the Crank–Nicolson field
-    adds its own L2-error column. A case stops at the first snapshot where the
-    split step, then Crank–Nicolson, then its own comparison fails.
+    A case first gets its invariant-drift scale and its t = 0 sample; one refused
+    there is not propagated (containment is the parser's check). Observables are
+    measured on the split-step field (the sharper oracle), and the Crank–Nicolson
+    field adds its own L2-error column. A case stops at the first snapshot where
+    the split step, then Crank–Nicolson, then its own comparison fails.
     """
     outcomes: list = [None] * len(cases)
     scales, initials = {}, {}
     for i, (cfg, _) in enumerate(cases):
         packet, spec = cfg.packet, cfg.packet.spec
         try:
-            check_containment(cfg)
             # invariant drift is relative to |lambda| or, when that vanishes, to |A0|·dp +
             # |B0|·dx at t = 0; a plane wave has neither width, so it stops here
             scales[i] = max(abs(eigenvalue(packet)),
@@ -279,34 +278,36 @@ def _packet_metrics(cfg: RunConfig) -> tuple[float, float]:
     return uncertainty_product(cfg.packet, t_star), t_star
 
 
-def _error_row(axis: str, value: float, kind: str) -> list:
+def _error_row(axis: str, value: float, error: Exception) -> list:
     nan = float("nan")
-    return [axis, value, nan, nan, nan, nan, f"error:{kind}"]
+    return [axis, value, nan, nan, nan, nan, f"error:{type(error).__name__}"]
 
 
 def _run_sweep_case(task) -> list[list]:
-    """Summary rows of one batch of sweep cases, in batch order.
+    """Summary rows of one batch of ``(value, case, case_dir)``, in batch order.
 
     A batch of validate cases propagates as one (``_validate``). Every other
-    case, and every case ``apply_sweep_value`` refuses, is a batch of its own
-    (``_batches``).
+    case, and every case the parser refused, is a batch of its own (``_batches``).
     """
-    axis, cfg, batch = task
+    axis, batch = task
     nan = float("nan")
+    value, case, case_dir = batch[0]
+    if isinstance(case, Exception):  # refused at parse: nothing to run
+        return [_error_row(axis, value, case)]
     try:
-        cases = [(apply_sweep_value(cfg, axis, value), case_dir) for value, case_dir in batch]
-        if cfg.sweep_mode is RunMode.ANALYTIC:
-            run_analytic(*cases[0])
-        elif cfg.sweep_mode is RunMode.MOMENTUM:
-            run_momentum(*cases[0])
+        if case.mode is RunMode.ANALYTIC:
+            run_analytic(case, case_dir)
+        elif case.mode is RunMode.MOMENTUM:
+            run_momentum(case, case_dir)
     except (LrwpError, ValueError) as exc:
-        return [_error_row(axis, value, type(exc).__name__) for value, _ in batch]
-    outcomes = _validate(cases) if cfg.sweep_mode is RunMode.VALIDATE else [None]
+        return [_error_row(axis, value, exc)]
+    cases = [(case, case_dir) for _, case, case_dir in batch]
+    outcomes = _validate(cases) if case.mode is RunMode.VALIDATE else [None]
     rows = []
-    for (value, _), (case, _), outcome in zip(batch, cases, outcomes):
+    for (value, case, _), outcome in zip(batch, outcomes):
         metrics = _packet_metrics(case)
         if isinstance(outcome, Exception):
-            rows.append(_error_row(axis, value, type(outcome).__name__))
+            rows.append(_error_row(axis, value, outcome))
         elif outcome is None:  # analytic or momentum
             rows.append([axis, value, nan, nan, *metrics, "ok"])
         else:  # a case that broke a threshold still wrote its file; keep its figures
@@ -316,19 +317,15 @@ def _run_sweep_case(task) -> list[list]:
 
 
 def _batches(cfg: RunConfig, jobs: int) -> list[list[int]]:
-    """Indices into ``cfg.sweep_values``, one list per task, in sweep order.
+    """Indices into ``cfg.sweep``, one list per task, in sweep order.
 
     Validate cases that share grid, dt, force, m and ħ form a group, which is
     cut in sweep order into at most ``jobs`` contiguous batches of near-equal
     size, none above MAX_POINTS // n cases. Every other case is a batch of one.
     """
     batches, groups = [], {}
-    for i, value in enumerate(cfg.sweep_values):
-        try:
-            case = apply_sweep_value(cfg, cfg.sweep_axis, value)
-        except (LrwpError, ValueError):
-            case = None
-        if case is None or case.mode is not RunMode.VALIDATE:
+    for i, (_, case) in enumerate(cfg.sweep):
+        if isinstance(case, Exception) or case.mode is not RunMode.VALIDATE:
             batches.append([i])
             continue
         key = (case.grid, case.profile, case.packet.m, case.packet.hbar)
@@ -346,7 +343,7 @@ def _batches(cfg: RunConfig, jobs: int) -> list[list[int]]:
 
 
 def run_sweep(cfg: RunConfig, out_dir, jobs: int | None = None) -> list[list]:
-    """Repeat the configured sweep_mode once per axis value, concurrently.
+    """Run each case of the sweep plan (``cfg.sweep``) in its mode, concurrently.
 
     Validate cases that share grid, dt, force, m and ħ propagate as batches
     (``_batches``); each batch, or each case of another kind, is one task of a
@@ -354,15 +351,14 @@ def run_sweep(cfg: RunConfig, out_dir, jobs: int | None = None) -> list[list]:
     subdirectory; per-case failures are recorded in the summary and do not
     abort the sweep. Every case of a batch whose worker process died, or that
     was still pending when another worker died, is recorded as
-    ``error:BrokenProcessPool``. Summary rows follow ``sweep_values``.
+    ``error:BrokenProcessPool``. Summary rows follow the plan's order.
     """
     out = Path(out_dir)
     axis = cfg.sweep_axis
-    values = cfg.sweep_values
     jobs = jobs or os.cpu_count() or 1
     batches = _batches(cfg, jobs)
-    tasks = [(axis, cfg, [(values[i], str(out / sweep_case_name(axis, values[i]))) for i in batch])
-             for batch in batches]
+    plan = [(value, case, str(out / sweep_case_name(axis, value))) for value, case in cfg.sweep]
+    tasks = [(axis, [plan[i] for i in batch]) for batch in batches]
     # the pool forks all of its workers up front, so never ask for more than tasks
     workers = min(jobs, len(tasks))
     if workers <= 1:
@@ -371,12 +367,12 @@ def run_sweep(cfg: RunConfig, out_dir, jobs: int | None = None) -> list[list]:
         done = []
         with concurrent.futures.ProcessPoolExecutor(max_workers=workers) as pool:
             futures = [pool.submit(_run_sweep_case, task) for task in tasks]
-            for (_, _, batch), future in zip(tasks, futures):
+            for (_, batch), future in zip(tasks, futures):
                 try:
                     done.append(future.result())
                 except concurrent.futures.BrokenExecutor as exc:  # BrokenProcessPool
-                    done.append([_error_row(axis, value, type(exc).__name__) for value, _ in batch])
-    results = [None] * len(values)
+                    done.append([_error_row(axis, value, exc) for value, _, _ in batch])
+    results = [None] * len(plan)
     for batch, rows in zip(batches, done):
         for i, row in zip(batch, rows):
             results[i] = row

@@ -127,6 +127,11 @@ def test_config_error_exit_two(tmp_path, capsys):
         # πħ/(−Im F0) underflows to 0, so no α0 normalizes the packet
         ("analytic", "[system]\nhbar = 1e-300\n[packet]\nF0 = 0-1e300i\n",
          "line 4: pi*hbar/(-Im F0) = 0: no alpha0 normalizes the packet"),
+        # the conjugate momentum spacing 2πħ/(x_max − x_min) underflows to 0
+        *[(mode, "[system]\nhbar = 1e-150\n[grid]\nx_min = -1e300\nx_max = 1e300\n[run]\n"
+           "sweep_axis = sigma\nsweep_values = 1\nsweep_mode = momentum\n",
+           "line 2: hbar = 1e-150: the momentum grid spacing 2*pi*hbar/(x_max - x_min) is 0")
+          for mode in ("momentum", "sweep")],
         # the conjugate momentum grid of an infinitely wide box has zero width
         ("momentum", "[grid]\nx_min = -1e308\nx_max = 1e308\n",
          "line 2: x_max - x_min overflows a float"),
@@ -215,6 +220,18 @@ def test_closed_form_overflow_exit_three(tmp_path, capsys, mode, text):
     assert err.startswith("lrwp: numeric failure: ")
     assert not (tmp_path / "out" / "snapshots.csv").exists()
     assert not (tmp_path / "out" / "comparison.csv").exists()
+
+
+def test_under_resolved_validate_exit_three(tmp_path, capsys):
+    # 64 points over the 40-wide box sample the σ = 0.1 packet to a norm far from 1,
+    # so neither oracle can start from it
+    cfg = _write(tmp_path, "[packet]\nsigma = 0.1\n"
+                 "[grid]\nn = 64\ndt = 1e-3\nt_max = 0.01\noutput_every = 1\n")
+    assert main(["validate", "--config", cfg, "--out", str(tmp_path / "out")]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("lrwp: numeric failure: InstabilityError: "
+                          "initial field must be normalized, its norm is 2.493")
+    assert err.count("\n") == 1 and "Traceback" not in err
 
 
 def test_momentum_at_largest_finite_hbar_squared_exit_three(tmp_path, capsys):

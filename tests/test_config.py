@@ -301,7 +301,7 @@ class TestSweepDerivation:
 
     def test_sigma_axis(self):
         cfg = parse_config(self.BASE.format(axis="sigma", values="0.5, 2.0"))
-        derived = apply_sweep_value(cfg, "sigma", 2.0)
+        derived = cfg.sweep[1][1]
         assert derived.sigma == 2.0
         assert derived.mode is RunMode.ANALYTIC
 

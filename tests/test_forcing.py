@@ -135,6 +135,22 @@ def test_domain_end_tolerates_step_accumulation_fuzz():
         prof.force(2.0 + 1e-6)
 
 
+@pytest.mark.parametrize("last", [1e-6, 1.0, 1000.0])
+def test_domain_end_tolerance_is_1e_9_of_the_last_knot_time_or_of_1(last):
+    # the edge t_last + 1e-9·max(1, t_last) is inside the domain, the next float is not
+    prof = PiecewiseLinearForce(((0.0, 1.0), (last, 3.0)))
+    edge = last + 1e-9 * max(1.0, last)
+    assert prof.force(edge) == pytest.approx(3.0, rel=1e-12)
+    with pytest.raises(OutOfDomainError):
+        prof.force(float(np.nextafter(edge, np.inf)))
+
+
+@pytest.mark.parametrize("amplitude, omega", [(1e154, 1e102), (1.0, 2e-103)])
+def test_sinusoidal_with_finite_prefactors_is_accepted(amplitude, omega):
+    # a/ω, a/ω² and a²/ω³ are finite here, though a·ω² and 2a/ω³ would overflow
+    assert SinusoidalForce(amplitude, omega).omega == omega
+
+
 def test_piecewise_interpolates_linearly():
     prof = PiecewiseLinearForce(((0.0, 0.0), (2.0, 4.0)))
     assert prof.force(0.5) == pytest.approx(1.0)

@@ -140,7 +140,7 @@ class TestGuards:
         profile = ConstantForce(0.0)
         bad = sample_gtwp(PACKET, profile, spec.grid, 0.0)
         bad = WaveField(grid=bad.grid, t=0.0, values=2.0 * bad.values, space=Space.POSITION)
-        with pytest.raises(ValueError, match="normalized"):
+        with pytest.raises(InstabilityError, match="normalized"):
             next(propagate_one(propagate_splitstep, bad, ConstantForce(0.0), M, HBAR, spec))
 
     @pytest.mark.parametrize("excess", [0.995e-8, -0.995e-8, 1.005e-8, -1.005e-8])
@@ -153,7 +153,7 @@ class TestGuards:
         if abs(excess) < oracle.INITIAL_NORM_TOL:
             assert len(list(frames)) == 2
         else:
-            with pytest.raises(ValueError, match="normalized"):
+            with pytest.raises(InstabilityError, match="normalized"):
                 next(frames)
 
     def test_grid_mismatch(self):
@@ -352,12 +352,12 @@ class TestBatch:
                 assert _same(entry, alone[i][s][0])
         final = batch[-1]
         assert [type(e).__name__ for e in final] == [
-            "WaveField", "AliasingError", "ValueError", "InstabilityError", "InstabilityError",
-            "WaveField",
+            "WaveField", "AliasingError", "InstabilityError", "InstabilityError",
+            "InstabilityError", "WaveField",
         ]
         assert isinstance(batch[1][1], AliasingError)  # stopped between two snapshots
         assert isinstance(batch[0][1], WaveField)
-        assert str(final[2]) == "initial field must be normalized"
+        assert str(final[2]) == "initial field must be normalized, its norm is 4"
         assert str(final[3]) == "non-finite field at t=0"
         assert str(final[4]) == "norm drift nan at t=0"
 

@@ -7,7 +7,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from lrwp import runner
+from lrwp import config, runner
 from lrwp.config import parse_config
 from lrwp.errors import AcceptanceViolation, AliasingError, ConfigError
 from lrwp.oracle import ObservableRecord
@@ -356,6 +356,36 @@ class TestSweep:
             "error:ValueError", "ok", "error:ValueError", "error:ValueError"
         ]
 
+    def test_case_the_box_cannot_contain_is_an_error_row(self, tmp_path):
+        # at σ = 0.05 the packet spreads to Δx ≈ 5 by t_max, so x_c ± 8·Δx leaves the box
+        cfg = parse_config(
+            "[force]\nkind = constant\namplitude = 1\n"
+            "[grid]\nx_min = -10\nx_max = 10\nn = 512\ndt = 1e-3\nt_max = 0.5\noutput_every = 50\n"
+            "[run]\nmode = sweep\nsweep_axis = sigma\nsweep_values = 1, 0.05, 0.9\n"
+            "sweep_mode = validate\n"
+        )
+        results = run_sweep(cfg, tmp_path, jobs=1)
+        assert [r[-1] for r in results] == ["ok", "error:ContainmentError", "ok"]
+        assert not (tmp_path / "sigma=0.05").exists()
+        assert (tmp_path / "sigma=0.9" / "observables.csv").exists()
+
+    def test_each_case_is_built_once(self, tmp_path, monkeypatch):
+        # the parser builds the sweep plan, and the runner only reads it
+        built = []
+        apply_sweep_value = config.apply_sweep_value
+
+        def counted(cfg, axis, value):
+            built.append(value)
+            return apply_sweep_value(cfg, axis, value)
+
+        monkeypatch.setattr(config, "apply_sweep_value", counted)
+        if hasattr(runner, "apply_sweep_value"):
+            monkeypatch.setattr(runner, "apply_sweep_value", counted)
+        cfg = parse_config((CONFIGS / "sigma_sweep.ini").read_text())
+        results = run_sweep(cfg, tmp_path, jobs=1)
+        assert built == [0.8, 0.9, 1.0]
+        assert [r[-1] for r in results] == ["ok"] * 3
+
     def test_plane_wave_case_of_a_validate_sweep_stops_before_propagating(self, tmp_path):
         # F0_imag = 0 makes the case a plane wave, which has no width to validate against
         cfg = parse_config(
@@ -479,7 +509,7 @@ def _inline_pool(monkeypatch):
             return False
 
         def submit(self, fn, task):
-            batches.append([value for value, _ in task[2]])
+            batches.append([value for value, _, _ in task[1]])
             future = concurrent.futures.Future()
             future.set_result(fn(task))
             return future
@@ -492,8 +522,8 @@ _RUN_SWEEP_CASE = runner._run_sweep_case
 
 
 def _crash_on_sigma_one(task):
-    _, _, batch = task
-    if any(value == 1.0 for value, _ in batch):
+    _, batch = task
+    if any(value == 1.0 for value, _, _ in batch):
         os._exit(1)  # the worker process dies without a result
     return _RUN_SWEEP_CASE(task)
 
