@@ -21,7 +21,6 @@ from dataclasses import dataclass, replace
 
 from .classical import x_c
 from .errors import ConfigError, ContainmentError, LrwpError, OutOfDomainError
-from .fields import conjugate_momentum_grid
 from .forcing import ConstantForce, ForceProfile, PiecewiseLinearForce, SinusoidalForce
 from .invariant import InvariantSpec, PacketState
 from .oracle import INITIAL_NORM_TOL, GridSpec
@@ -354,10 +353,12 @@ def parse_config(text: str, mode_override: str | None = None) -> RunConfig:
             flow = "underflows" if hbar < 1.0 else "overflows"
             message = f"hbar = {hbar:g}: the momentum route divides by hbar^2, which {flow}"
             raise ConfigError(message, system["hbar"][1])
-        try:  # 2πħ/(x_max − x_min) may underflow to 0; no sweep axis changes ħ or the box
-            conjugate_momentum_grid(grid.grid, hbar)
-        except ValueError:
-            message = f"hbar = {hbar:g}: the momentum grid spacing 2*pi*hbar/(x_max - x_min) is 0"
+        # 2πħ/(x_max − x_min) must be a normal float: at 0 the conjugate grid has no width,
+        # and a subnormal one is too coarse for the Fourier bridge; no axis changes ħ or the box
+        dp = 2.0 * math.pi * hbar / (grid.x_max - grid.x_min)
+        if dp < sys.float_info.min:
+            message = (f"hbar = {hbar:g}: the momentum grid spacing 2*pi*hbar/(x_max - x_min) "
+                       f"is {dp:g}, below the smallest normal float {sys.float_info.min:g}")
             raise ConfigError(message, system["hbar"][1])
     if mode is RunMode.SWEEP:
         if sweep_axis is None or not sweep_values:

@@ -101,31 +101,27 @@ def l2_error(f: WaveField, reference: WaveField) -> float:
     return float(diff) / ref_norm
 
 
-def grid_moments(f: WaveField) -> tuple[float, float]:
-    """(mean, std) of the field's own coordinate under the density |ψ|²."""
-    w = np.abs(f.values) ** 2
+def _moments(u: np.ndarray, w: np.ndarray) -> tuple[float, float]:
+    """(mean, std) of the points ``u`` under the weights ``w``."""
     total = np.sum(w)
     if total == 0.0:
         raise DegenerateFieldError("field has zero norm")
-    u = f.grid.points
     mean = float(np.sum(u * w) / total)
     var = float(np.sum((u - mean) ** 2 * w) / total)
     return mean, float(np.sqrt(max(var, 0.0)))
+
+
+def grid_moments(f: WaveField) -> tuple[float, float]:
+    """(mean, std) of the field's own coordinate under the density |ψ|²."""
+    return _moments(f.grid.points, np.abs(f.values) ** 2)
 
 
 def momentum_moments(f: WaveField, hbar: float) -> tuple[float, float]:
     """(⟨p⟩, Δp) of a position-space field, computed spectrally."""
     if f.space is not Space.POSITION:
         raise ValueError("momentum_moments expects a position-space field")
-    spec = np.fft.fft(f.values)
-    w = np.abs(spec) ** 2 * _nyquist_mask(f.grid.n)
-    total = np.sum(w)
-    if total == 0.0:
-        raise DegenerateFieldError("field has zero norm")
-    p = hbar * wavenumbers(f.grid)
-    mean = float(np.sum(p * w) / total)
-    var = float(np.sum((p - mean) ** 2 * w) / total)
-    return mean, float(np.sqrt(max(var, 0.0)))
+    w = np.abs(np.fft.fft(f.values)) ** 2 * _nyquist_mask(f.grid.n)
+    return _moments(hbar * wavenumbers(f.grid), w)
 
 
 def boundary_amplitude(f: WaveField) -> float:

@@ -145,7 +145,8 @@ def _sin_moments(x):
     """
     x = np.asarray(x, dtype=float)
     small = np.abs(x) < 1.0
-    series = x**3 * np.polynomial.polynomial.polyval(x * x, _MOMENT_SERIES)
+    xs = np.where(small, x, 0.0)  # the series only where it is used: large x overflows it
+    series = xs**3 * np.polynomial.polynomial.polyval(xs * xs, _MOMENT_SERIES)
     f3 = np.where(small, series[0], (2.0 * x - np.sin(2.0 * x)) / 4.0)
     f5 = np.where(small, series[1], 1.5 * x - 2.0 * np.sin(x) + np.sin(2.0 * x) / 4.0)
     return f3, f5

@@ -55,7 +55,6 @@ from .fields import (
     WaveField,
     field_norm,
     grid_moments,
-    l2_error,
     momentum_moments,
     wavenumbers,
 )
@@ -146,7 +145,6 @@ class ObservableRecord:
     dp: float
     dxdp: float
     inv_expect: complex
-    l2_err_vs_analytic: float | None = None
 
     def __post_init__(self):
         if not self.norm > 0:
@@ -347,13 +345,9 @@ def propagate_cranknicolson(
 
 
 def observables(
-    field: WaveField,
-    m: float,
-    hbar: float,
-    coeffs: tuple[complex, complex, complex],
-    analytic: WaveField | None = None,
+    field: WaveField, m: float, hbar: float, coeffs: tuple[complex, complex, complex]
 ) -> ObservableRecord:
-    """Norm, center, widths, invariant expectation and optional L2 error."""
+    """Norm, center, widths and invariant expectation of one field."""
     dx_grid = field.grid.spacing
     norm = field_norm(field) ** 2
     if norm == 0.0:
@@ -362,7 +356,6 @@ def observables(
     p_mean, dp = momentum_moments(field, hbar)
     iv = apply_invariant(coeffs, field, hbar)
     inv_expect = complex(np.sum(np.conj(field.values) * iv.values) * dx_grid / norm)
-    l2 = l2_error(field, analytic) if analytic is not None else None
     return ObservableRecord(
         t=field.t,
         norm=norm,
@@ -372,5 +365,4 @@ def observables(
         dp=dp,
         dxdp=dx * dp,
         inv_expect=inv_expect,
-        l2_err_vs_analytic=l2,
     )

@@ -171,9 +171,9 @@ def _validate(cases: list[tuple[RunConfig, Path]]) -> list[ValidateSummary | Exc
     Each case gets one outcome: its summary, or the exception that stopped it.
     A case first gets its invariant-drift scale and its t = 0 sample; one refused
     there is not propagated (containment is the parser's check). Observables are
-    measured on the split-step field (the sharper oracle), and the Crank–Nicolson
-    field adds its own L2-error column. A case stops at the first snapshot where
-    the split step, then Crank–Nicolson, then its own comparison fails.
+    measured on the split-step field (the sharper oracle), and each oracle's field
+    meets the closed form through ``l2_error``. A case stops at the first snapshot
+    where the split step, then Crank–Nicolson, then its own comparison fails.
     """
     outcomes: list = [None] * len(cases)
     scales, initials = {}, {}
@@ -205,8 +205,8 @@ def _validate(cases: list[tuple[RunConfig, Path]]) -> list[ValidateSummary | Exc
                 packet = cases[i][0].packet
                 analytic = _finite(sample_gtwp, packet, profile, grid, f_ss.t)
                 coeffs = coeffs_at(packet.spec, m, profile, f_ss.t)
-                rec = observables(f_ss, m, hbar, coeffs, analytic=analytic)
-                measured[i].append((rec, l2_error(f_cn, analytic)))
+                rec = observables(f_ss, m, hbar, coeffs)
+                measured[i].append((rec, *(l2_error(f, analytic) for f in (f_ss, f_cn))))
             except (LrwpError, ValueError) as exc:
                 outcomes[i] = exc
         if None not in outcomes:
@@ -219,15 +219,15 @@ def _judge(out_dir, scale: float, measured: list) -> ValidateSummary:
     """Write a finished case's observables and hold them to the quality thresholds."""
     rows = [[
         rec.t, rec.norm, rec.x_mean, rec.p_mean, rec.dx, rec.dp, rec.dxdp,
-        rec.inv_expect.real, rec.inv_expect.imag, rec.l2_err_vs_analytic, l2_cn,
-    ] for rec, l2_cn in measured]
+        rec.inv_expect.real, rec.inv_expect.imag, *l2,
+    ] for rec, *l2 in measured]
     write_csv_atomic(Path(out_dir) / "observables.csv", OBSERVABLES_HEADER, rows)
 
-    records = [rec for rec, _ in measured]
+    records, l2_ss, l2_cn = zip(*measured)
     inv0 = records[0].inv_expect
     figures = [  # (name, value, limit), in the summary's field order
-        ("split-step L2 error", max(r.l2_err_vs_analytic for r in records), L2_THRESHOLD),
-        ("crank-nicolson L2 error", max([0.0, *(l2_cn for _, l2_cn in measured)]), L2_THRESHOLD),
+        ("split-step L2 error", max(l2_ss), L2_THRESHOLD),
+        ("crank-nicolson L2 error", max(l2_cn), L2_THRESHOLD),
         ("invariant drift", max(abs(r.inv_expect - inv0) for r in records) / scale,
          INV_DRIFT_THRESHOLD),
         ("norm deviation", max(abs(r.norm - 1.0) for r in records), NORM_THRESHOLD),

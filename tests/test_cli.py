@@ -127,11 +127,16 @@ def test_config_error_exit_two(tmp_path, capsys):
         # πħ/(−Im F0) underflows to 0, so no α0 normalizes the packet
         ("analytic", "[system]\nhbar = 1e-300\n[packet]\nF0 = 0-1e300i\n",
          "line 4: pi*hbar/(-Im F0) = 0: no alpha0 normalizes the packet"),
-        # the conjugate momentum spacing 2πħ/(x_max − x_min) underflows to 0
+        # the conjugate momentum spacing 2πħ/(x_max − x_min) underflows to 0, or to a
+        # subnormal float that cannot hold the grid's points
         *[(mode, "[system]\nhbar = 1e-150\n[grid]\nx_min = -1e300\nx_max = 1e300\n[run]\n"
            "sweep_axis = sigma\nsweep_values = 1\nsweep_mode = momentum\n",
            "line 2: hbar = 1e-150: the momentum grid spacing 2*pi*hbar/(x_max - x_min) is 0")
           for mode in ("momentum", "sweep")],
+        ("momentum", "[system]\nhbar = 2e-154\n[grid]\nx_min = -6e162\nx_max = 6e162\n"
+         "n = 64\ndt = 0.01\nt_max = 0.1\noutput_every = 1\n",
+         "line 2: hbar = 2e-154: the momentum grid spacing 2*pi*hbar/(x_max - x_min) "
+         "is 1.0472e-316, below the smallest normal float 2.22507e-308"),
         # the conjugate momentum grid of an infinitely wide box has zero width
         ("momentum", "[grid]\nx_min = -1e308\nx_max = 1e308\n",
          "line 2: x_max - x_min overflows a float"),

@@ -1,4 +1,5 @@
 import math
+import sys
 
 import pytest
 
@@ -235,6 +236,18 @@ class TestModeValidation:
         assert parse_config(text.format(hbar)).packet.hbar == hbar
         with pytest.raises(ConfigError, match="line 2: .*divides by hbar\\^2, which underflows$"):
             parse_config(text.format(math.nextafter(hbar, 0.0)))
+
+    def test_momentum_takes_the_smallest_normal_grid_spacing(self):
+        text = ("[system]\nhbar = {!r}\n[grid]\nx_min = {!r}\nx_max = {!r}\n"
+                "[run]\nmode = momentum\n")
+        hbar = 2.0 ** -511
+        # on this box the spacing 2πħ/(x_max − x_min) is the smallest normal float exactly
+        x_max = math.pi * hbar / sys.float_info.min
+        assert 2.0 * math.pi * hbar / (2.0 * x_max) == sys.float_info.min
+        assert parse_config(text.format(hbar, -x_max, x_max)).grid.x_max == x_max
+        wider = math.nextafter(x_max, math.inf)
+        with pytest.raises(ConfigError, match="line 2: .* below the smallest normal float"):
+            parse_config(text.format(hbar, -wider, wider))
 
     def test_sweep_needs_axis(self):
         with pytest.raises(ConfigError, match="sweep_axis"):

@@ -145,10 +145,13 @@ def test_domain_end_tolerance_is_1e_9_of_the_last_knot_time_or_of_1(last):
         prof.force(float(np.nextafter(edge, np.inf)))
 
 
-@pytest.mark.parametrize("amplitude, omega", [(1e154, 1e102), (1.0, 2e-103)])
+@pytest.mark.parametrize("amplitude, omega", [(1e154, 1e102), (1.0, 2e-103), (1.0, 1e30)])
 def test_sinusoidal_with_finite_prefactors_is_accepted(amplitude, omega):
-    # a/ω, a/ω² and a²/ω³ are finite here, though a·ω² and 2a/ω³ would overflow
-    assert SinusoidalForce(amplitude, omega).omega == omega
+    # a/ω, a/ω² and a²/ω³ are finite here, though a·ω² and 2a/ω³ would overflow;
+    # at a large ωt the unused Taylor series of f3 and f5 must not overflow either
+    prof = SinusoidalForce(amplitude, omega)
+    assert prof.omega == omega
+    assert all(math.isfinite(quadrature(0.1)) for quadrature in (prof.g, prof.g1, prof.g2))
 
 
 def test_piecewise_interpolates_linearly():

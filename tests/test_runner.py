@@ -246,11 +246,11 @@ class TestValidate:
         # near 1, norm − 1 is a multiple of 2⁻⁵³ and never 1e-10; 2⁻³³ can be met exactly
         monkeypatch.setattr(runner, "NORM_THRESHOLD", 2.0 ** -33)
 
-        def record(t, norm, inv, l2_ss):
-            return ObservableRecord(t, norm, 0.0, 0.0, 1.0, 1.0, 1.0, inv, l2_ss)
+        def record(t, norm, inv):
+            return ObservableRecord(t, norm, 0.0, 0.0, 1.0, 1.0, 1.0, inv)
 
-        measured = [(record(0.0, 1.0, 0.5 + 0j, 0.0), 0.0),
-                    (record(0.1, 1.0 + 2.0 ** -33, 0.5 + 2e-6j, 1e-4), 1e-4)]
+        measured = [(record(0.0, 1.0, 0.5 + 0j), 0.0, 0.0),
+                    (record(0.1, 1.0 + 2.0 ** -33, 0.5 + 2e-6j), 1e-4, 1e-4)]
         # the drift is |Δinv| over the scale: 2e-6 / 2
         summary = runner._judge(tmp_path, 2.0, measured)
         assert summary == runner.ValidateSummary(1e-4, 1e-4, 1e-6, 2.0 ** -33, [
