@@ -21,6 +21,7 @@ from dataclasses import dataclass, replace
 
 from .classical import x_c
 from .errors import ConfigError, ContainmentError, LrwpError, OutOfDomainError
+from .fields import conjugate_momentum_grid
 from .forcing import ConstantForce, ForceProfile, PiecewiseLinearForce, SinusoidalForce
 from .invariant import InvariantSpec, PacketState
 from .oracle import INITIAL_NORM_TOL, GridSpec
@@ -297,13 +298,13 @@ def parse_config(text: str, mode_override: str | None = None) -> RunConfig:
         raise ConfigError(f"the force is not defined up to t_max = {grid.t_max:g} ({exc})", line)
 
     rsec = sections["run"]
-    mode_text, mode_line = rsec.get("mode", ("analytic", None))
-    if mode_override is not None:
-        mode_text, mode_line = mode_override, None
-    try:
-        mode = RunMode(mode_text.lower())
-    except ValueError:
-        raise ConfigError(f"unknown mode {mode_text!r}", mode_line)
+    # the file's mode is checked even where the caller names the mode to run
+    for mode_text, mode_line in (rsec.get("mode", ("analytic", None)), (mode_override, None)):
+        if mode_text is not None:
+            try:
+                mode = RunMode(mode_text.lower())
+            except ValueError:
+                raise ConfigError(f"unknown mode {mode_text!r}", mode_line)
 
     sweep_axis = None
     sweep_values: tuple[float, ...] = ()
@@ -353,13 +354,11 @@ def parse_config(text: str, mode_override: str | None = None) -> RunConfig:
             flow = "underflows" if hbar < 1.0 else "overflows"
             message = f"hbar = {hbar:g}: the momentum route divides by hbar^2, which {flow}"
             raise ConfigError(message, system["hbar"][1])
-        # 2πħ/(x_max − x_min) must be a normal float: at 0 the conjugate grid has no width,
-        # and a subnormal one is too coarse for the Fourier bridge; no axis changes ħ or the box
-        dp = 2.0 * math.pi * hbar / (grid.x_max - grid.x_min)
-        if dp < sys.float_info.min:
-            message = (f"hbar = {hbar:g}: the momentum grid spacing 2*pi*hbar/(x_max - x_min) "
-                       f"is {dp:g}, below the smallest normal float {sys.float_info.min:g}")
-            raise ConfigError(message, system["hbar"][1])
+        # every sweep case has this momentum spacing 2πħ/(x_max − x_min): no axis sets ħ or the box
+        try:
+            conjugate_momentum_grid(grid.grid, hbar)
+        except ValueError as exc:
+            raise ConfigError(f"hbar = {hbar:g}: the momentum {exc}", system["hbar"][1])
     if mode is RunMode.SWEEP:
         if sweep_axis is None or not sweep_values:
             raise ConfigError("sweep mode needs sweep_axis and sweep_values")

@@ -1,11 +1,14 @@
 """Sampled complex fields on uniform grids, plus spectral helpers.
 
 Grids are endpoint-exclusive (points lo, lo+Δ, …, hi−Δ) so the FFT
-conventions line up exactly; n must be a power of two. The Nyquist bin is
-masked out of momentum observables and spectral derivatives.
+conventions line up exactly. ``Grid1D`` alone decides what a grid is: n is a
+power of two ≥ 16, and Δ = (hi − lo)/n a normal float wide enough for n distinct
+points. The Nyquist bin is masked out of momentum observables and spectral derivatives.
 """
 
 import enum
+import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -39,14 +42,21 @@ class Grid1D:
     n: int
 
     def __post_init__(self):
-        if not self.lo < self.hi:
-            raise ValueError("grid needs lo < hi")
         if self.n < 16 or self.n & (self.n - 1):
             raise ValueError("grid size must be a power of two, at least 16")
+        delta, end = self.spacing, max(abs(self.lo), abs(self.hi))
+        if not sys.float_info.min <= delta < math.inf:  # also refuses lo >= hi and nan
+            raise ValueError(f"grid spacing {delta!r} is not a finite normal float")
+        # With M = max(|lo|, |hi|), k·Δ < 2M rounds by at most ulp(M) and lo + k·Δ, at most M
+        # in size, by at most ulp(M)/2: two neighbours move by at most 3·ulp(M) together, so
+        # Δ > 3·ulp(M) keeps the points strictly increasing.
+        if not delta > 3.0 * math.ulp(end):
+            raise ValueError(f"grid spacing {delta:g} is within 3 ulp of {end:g}: points coincide")
 
     @property
     def spacing(self) -> float:
-        return (self.hi - self.lo) / self.n
+        # (hi − lo)/n for a power of two n, even one beyond the float range
+        return math.ldexp(self.hi - self.lo, 1 - self.n.bit_length())
 
     @property
     def points(self) -> np.ndarray:

@@ -43,7 +43,7 @@ not depend on what was reused.
 
 import math
 from collections.abc import Iterator, Sequence
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 from scipy.linalg.lapack import zgbtrf, zgbtrs
@@ -97,11 +97,10 @@ class GridSpec:
     dt: float
     t_max: float
     output_every: int = 1
+    grid: Grid1D = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        self.grid  # Grid1D checks x_min < x_max and that n is a power of two
-        if not math.isfinite(self.x_max - self.x_min):
-            raise ValueError("x_max - x_min overflows a float")
+        object.__setattr__(self, "grid", Grid1D(lo=self.x_min, hi=self.x_max, n=self.n))
         if self.n < 64:
             raise ValueError("n must be at least 64")
         if self.n > MAX_POINTS:
@@ -127,10 +126,6 @@ class GridSpec:
     @property
     def snapshot_steps(self) -> range:
         return range(0, self.n_steps + 1, self.output_every)  # len and in are O(1)
-
-    @property
-    def grid(self) -> Grid1D:
-        return Grid1D(lo=self.x_min, hi=self.x_max, n=self.n)
 
 
 @dataclass(frozen=True)

@@ -35,7 +35,7 @@ import numpy as np
 
 from .classical import kinetic_action, p_c, x_c
 from .errors import AliasingError, ModeMismatchError
-from .fields import Grid1D, Space, WaveField, boundary_amplitude
+from .fields import Grid1D, Space, WaveField, boundary_amplitude, conjugate_momentum_grid
 from .forcing import ForceProfile
 from .invariant import InvariantSpec, PacketState
 
@@ -162,20 +162,16 @@ def fourier_bridge(field: WaveField, hbar: float, position_grid: Grid1D) -> Wave
     ψ(x) = (2πħ)^{−1/2} ∫ φ(p) e^{ipx/ħ} dp,
 
     realized as a DFT onto ``position_grid``, with phase factors for the grid
-    offsets. The field's grid must be Fourier-conjugate to it, as
-    ``conjugate_momentum_grid(position_grid, hbar)`` is. The transform is
-    exactly unitary on the grid (Σ|ψ|²Δx = Σ|φ|²Δp). It raises
-    :class:`AliasingError` when an edge sample of φ exceeds ``ALIASING_TOL``
-    times max|φ|: relative, because φ scales as ħ^(−1/2).
+    offsets. The field's grid must be exactly ``conjugate_momentum_grid(
+    position_grid, hbar)``. The transform is exactly unitary on the grid
+    (Σ|ψ|²Δx = Σ|φ|²Δp). It raises :class:`AliasingError` when an edge sample
+    of φ exceeds ``ALIASING_TOL`` times max|φ|: relative, as φ scales as ħ^(−1/2).
     """
     if field.space is not Space.MOMENTUM:
         raise ValueError("fourier_bridge expects a momentum-space field")
-    pgrid = field.grid
-    n, dp, p_lo = pgrid.n, pgrid.spacing, pgrid.lo
-    if position_grid.n != n:
-        raise ValueError("position grid size must match the momentum grid")
-    if abs(position_grid.spacing * dp * n / (2.0 * np.pi * hbar) - 1.0) > 1e-9:
-        raise ValueError("grids are not Fourier-conjugate: Δp·Δx must equal 2πħ/n")
+    if field.grid != conjugate_momentum_grid(position_grid, hbar):
+        raise ValueError("the field's grid is not conjugate_momentum_grid(position_grid, hbar)")
+    n, dp, p_lo = field.grid.n, field.grid.spacing, field.grid.lo
     if boundary_amplitude(field) > ALIASING_TOL * np.max(np.abs(field.values)):
         raise AliasingError(f"momentum samples not contained on the grid at t={field.t:g}")
     x = position_grid.points

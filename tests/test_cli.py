@@ -53,6 +53,7 @@ def test_sweep_exit_zero(tmp_path):
 
 
 def test_config_error_exit_two(tmp_path, capsys):
+    short = "n = 64\ndt = 0.01\nt_max = 0.1\noutput_every = 1\n"  # [grid] keys of a 10-step run
     cases = [
         ("analytic", "[packet]\nF0 = +i\n", "unphysical invariant: Im(F0) > 0"),
         # an explicit alpha0 that does not normalize the packet cannot seed the oracles
@@ -131,15 +132,30 @@ def test_config_error_exit_two(tmp_path, capsys):
         # subnormal float that cannot hold the grid's points
         *[(mode, "[system]\nhbar = 1e-150\n[grid]\nx_min = -1e300\nx_max = 1e300\n[run]\n"
            "sweep_axis = sigma\nsweep_values = 1\nsweep_mode = momentum\n",
-           "line 2: hbar = 1e-150: the momentum grid spacing 2*pi*hbar/(x_max - x_min) is 0")
+           "line 2: hbar = 1e-150: the momentum grid spacing 0.0 is not a finite normal float")
           for mode in ("momentum", "sweep")],
         ("momentum", "[system]\nhbar = 2e-154\n[grid]\nx_min = -6e162\nx_max = 6e162\n"
          "n = 64\ndt = 0.01\nt_max = 0.1\noutput_every = 1\n",
-         "line 2: hbar = 2e-154: the momentum grid spacing 2*pi*hbar/(x_max - x_min) "
-         "is 1.0472e-316, below the smallest normal float 2.22507e-308"),
-        # the conjugate momentum grid of an infinitely wide box has zero width
+         "line 2: hbar = 2e-154: the momentum grid spacing 1.04719753e-316 "
+         "is not a finite normal float"),
+        # a box whose width overflows has an infinite spacing
         ("momentum", "[grid]\nx_min = -1e308\nx_max = 1e308\n",
-         "line 2: x_max - x_min overflows a float"),
+         "line 2: grid spacing inf is not a finite normal float"),
+        # a spacing that underflows to 0 would write every x as 0, and end momentum in a
+        # ZeroDivisionError
+        *[(mode, "[grid]\nx_min = 0\nx_max = 5e-324\n" + short,
+           "line 2: grid spacing 0.0 is not a finite normal float")
+          for mode in ("analytic", "momentum")],
+        # at 1e15 the ulp is 0.125, so a spacing of 2⁻⁹ would give 2 distinct x of 64
+        ("analytic", "[packet]\nx0 = 1e15\n[grid]\nx_min = 1e15\n"
+         "x_max = 1000000000000000.125\n" + short,
+         "line 4: grid spacing 0.00195312 is within 3 ulp of 1e+15: points coincide"),
+        # 2πħ/(x_max − x_min) overflows, so the momentum grid has no finite spacing
+        ("momentum", "[system]\nhbar = 1e150\n[grid]\nx_min = 0\nx_max = 1e-160\n" + short,
+         "line 2: hbar = 1e+150: the momentum grid spacing inf is not a finite normal float"),
+        # the file's mode is checked even though the command line names the mode to run
+        ("analytic", "[grid]\n" + short + "[run]\nmode = banana\n",
+         "line 7: unknown mode 'banana'"),
         # the default σ = 1 has no line of its own, so the message names none
         ("analytic", "[system]\nm = 1e300\nhbar = 1e-10\n"
          "[grid]\nn = 64\nt_max = 0.1\ndt = 0.01\noutput_every = 1\n",

@@ -1,4 +1,5 @@
 import math
+import re
 import sys
 
 import pytest
@@ -246,7 +247,9 @@ class TestModeValidation:
         assert 2.0 * math.pi * hbar / (2.0 * x_max) == sys.float_info.min
         assert parse_config(text.format(hbar, -x_max, x_max)).grid.x_max == x_max
         wider = math.nextafter(x_max, math.inf)
-        with pytest.raises(ConfigError, match="line 2: .* below the smallest normal float"):
+        message = (f"line 2: hbar = {hbar:g}: the momentum grid spacing "
+                   f"{math.nextafter(sys.float_info.min, 0.0)!r} is not a finite normal float")
+        with pytest.raises(ConfigError, match=f"^{re.escape(message)}$"):
             parse_config(text.format(hbar, -wider, wider))
 
     def test_sweep_needs_axis(self):

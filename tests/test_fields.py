@@ -1,5 +1,10 @@
+import math
+import sys
+
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from lrwp.errors import DegenerateFieldError
 from lrwp.fields import (
@@ -27,6 +32,65 @@ def test_grid_validation():
     g = Grid1D(-4.0, 4.0, 16)
     assert g.spacing == 0.5
     assert g.points[0] == -4.0 and g.points[-1] == 3.5  # endpoint-exclusive
+
+
+@pytest.mark.parametrize("lo, hi, n", [
+    (0.0, 16 * math.nextafter(sys.float_info.min, 0.0), 16),
+    (0.0, 5e-324, 64),
+    (-1e308, 1e308, 64),
+    (1.0, 0.0, 16),
+    (0.0, math.nan, 16),
+    (0.0, 1.0, 2**1100),  # n beyond the float range
+], ids=["subnormal", "underflow", "overflow", "reversed", "nan", "huge_n"])
+def test_grid_spacing_must_be_a_finite_normal_float(lo, hi, n):
+    with pytest.raises(ValueError, match="is not a finite normal float$"):
+        Grid1D(lo, hi, n)
+
+
+def test_grid_takes_the_smallest_normal_spacing():
+    assert Grid1D(0.0, 16 * sys.float_info.min, 16).spacing == sys.float_info.min
+
+
+@pytest.mark.parametrize("sign", [1.0, -1.0])
+def test_grid_spacing_must_exceed_three_ulps_of_its_ends(sign):
+    # at n = 2³², ends 2 − 3·2⁻¹⁹ and 2 give a spacing of exactly 3·ulp(2) = 3·2⁻⁵¹; one
+    # float further out the spacing grows by 2⁻⁸⁴, a relative 4e-11 (points never built)
+    n, end = 2**32, 2.0
+    inner = end - 3 * 2.0**-19
+    assert (end - inner) / n == 3 * math.ulp(end)
+    with pytest.raises(ValueError, match="is within 3 ulp of 2: points coincide$"):
+        Grid1D(*sorted((sign * inner, sign * end)), n)
+    wider = math.nextafter(inner, 0.0)
+    assert Grid1D(*sorted((sign * wider, sign * end)), n).spacing > 3 * math.ulp(end)
+
+
+_HUGE = st.floats(min_value=1e300, allow_infinity=False)
+_ENDS = {
+    "subnormal": st.floats(min_value=-sys.float_info.min, max_value=sys.float_info.min),
+    "huge": st.one_of(_HUGE, _HUGE.map(lambda x: -x)),
+}
+
+
+@st.composite
+def _boxes(draw):
+    """(lo, hi, n): subnormal or huge ends, or an offset box a few ulps of lo wide."""
+    n = draw(st.sampled_from([16, 64, 2048]))
+    kind = draw(st.sampled_from(["subnormal", "huge", "offset"]))
+    if kind == "offset":
+        lo = draw(st.floats(allow_nan=False, allow_infinity=False))
+        return lo, lo + draw(st.integers(-2, 8 * n)) * math.ulp(lo), n
+    return draw(_ENDS[kind]), draw(_ENDS[kind]), n
+
+
+@given(_boxes())
+def test_a_grid_has_distinct_finite_points_or_is_refused(box):
+    try:
+        grid = Grid1D(*box)
+    except ValueError:
+        return
+    x = grid.points
+    assert np.isfinite(x).all() and (np.diff(x) > 0).all()
+    assert grid.spacing >= sys.float_info.min
 
 
 def test_wavefield_length_check():
