@@ -6,7 +6,6 @@ from .errors import (
     AcceptanceViolation,
     AliasingError,
     ConfigError,
-    ContainmentError,
     DegenerateFieldError,
     InstabilityError,
     InvalidInvariantError,

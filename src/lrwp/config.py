@@ -11,6 +11,10 @@ The packet section accepts exactly one parameterization:
   * invariant:  A0, B0, C0, alpha0 — or the shorthand F0 (A0=1, C0=0).
 Either way x0 and p0 set the packet's launch point. The packet holds m, ħ, x0
 and p0; a RunConfig adds only σ, for the momentum route.
+
+Case rules (``_check_validate``, ``_check_momentum_grid``) hold alike for a lone run
+and for each sweep case, which the sweep plan keeps as its error when refused. Sweep
+rules (``_check_axis``) and the momentum route's σ and ħ² rules hold once per parse.
 """
 
 import cmath
@@ -20,7 +24,7 @@ import sys
 from dataclasses import dataclass, replace
 
 from .classical import x_c
-from .errors import ConfigError, ContainmentError, LrwpError, OutOfDomainError
+from .errors import ConfigError, InvalidInvariantError, LrwpError, OutOfDomainError
 from .fields import conjugate_momentum_grid
 from .forcing import ConstantForce, ForceProfile, PiecewiseLinearForce, SinusoidalForce
 from .invariant import InvariantSpec, PacketState
@@ -220,43 +224,47 @@ def _build_packet(
     if "F0" in sec and any(k in sec for k in ("A0", "B0", "C0")):
         raise ConfigError("F0 shorthand conflicts with explicit A0/B0/C0", sec["F0"][1])
     alpha0 = _parse_alpha0(*sec["alpha0"]) if "alpha0" in sec else None
+    if "F0" in sec:
+        line, coefficients = sec["F0"][1], (1.0 + 0j, _parse_complex(*sec["F0"]), 0j)
+    elif "A0" in sec and "B0" in sec:
+        line = sec["B0"][1]
+        coefficients = (_parse_complex(*sec["A0"]), _parse_complex(*sec["B0"]),
+                        _parse_complex(*sec["C0"]) if "C0" in sec else 0j)
+    else:
+        some = sec[invariant_keys[0]][1]
+        raise ConfigError("invariant parameterization needs both A0 and B0", some)
     try:
-        if "F0" in sec:
-            line = sec["F0"][1]
-            spec = InvariantSpec(A0=1.0 + 0j, B0=_parse_complex(*sec["F0"]), C0=0j)
-        else:
-            if "A0" not in sec or "B0" not in sec:
-                some = next(iter(invariant_keys))
-                raise ConfigError(
-                    "invariant parameterization needs both A0 and B0", sec[some][1]
-                )
-            line = sec["B0"][1]
-            spec = InvariantSpec(
-                A0=_parse_complex(*sec["A0"]),
-                B0=_parse_complex(*sec["B0"]),
-                C0=_parse_complex(*sec["C0"]) if "C0" in sec else 0j,
-            )
+        spec = InvariantSpec(*coefficients)
         packet = PacketState(m=m, hbar=hbar, x0=x0, p0=p0, spec=spec, alpha0=alpha0)
-    except LrwpError as exc:
-        if isinstance(exc, ConfigError):
-            raise
+    except InvalidInvariantError as exc:
         raise ConfigError(str(exc), line)
-    if alpha0 is not None:
-        _check_norm(packet, sec["alpha0"][1])
+    _check_norm(packet, sec.get("alpha0", ("", None))[1])  # only an explicit α0 can fail
     return packet, None
 
 
-def _check_containment(cfg: RunConfig) -> None:
-    """Validate-mode guard: the box must hold x_c(t_max) ± 8·Δx(t_max)."""
-    if not cfg.packet.spec.is_packet:
-        return
-    xc = float(x_c(cfg.packet, cfg.profile, cfg.grid.t_max))
-    margin = CONTAINMENT_WIDTHS * delta_x(cfg.packet, cfg.grid.t_max)
-    if xc - margin < cfg.grid.x_min or xc + margin > cfg.grid.x_max:
-        raise ContainmentError(
-            f"box [{cfg.grid.x_min:g}, {cfg.grid.x_max:g}] does not contain "
-            f"x_c(t_max) ± {CONTAINMENT_WIDTHS:g}·Δx = {xc:g} ± {margin:g}"
-        )
+def _check_validate(case: RunConfig, alpha0_line: int | None = None) -> None:
+    """Validate-mode case rules: a packet, normalized within INITIAL_NORM_TOL (only an
+    explicit alpha0 can break this), in a box that holds x_c(t_max) ± 8·Δx(t_max)."""
+    packet, grid = case.packet, case.grid
+    if not packet.spec.is_packet:
+        raise ConfigError("validate mode needs a packet (Im(F0) < 0), not a plane wave")
+    norm_sq = analytic_norm_sq(packet)
+    if abs(norm_sq - 1.0) > INITIAL_NORM_TOL:
+        message = f"validate mode needs a normalized packet; alpha0 gives norm {norm_sq:.6g}"
+        raise ConfigError(message, alpha0_line)
+    xc = float(x_c(packet, case.profile, grid.t_max))
+    margin = CONTAINMENT_WIDTHS * delta_x(packet, grid.t_max)
+    if xc - margin < grid.x_min or xc + margin > grid.x_max:
+        raise ConfigError(f"box [{grid.x_min:g}, {grid.x_max:g}] does not contain x_c(t_max) "
+                          f"± {CONTAINMENT_WIDTHS:g}·Δx = {xc:g} ± {margin:g}")
+
+
+def _check_momentum_grid(case: RunConfig, hbar_line: int | None) -> None:
+    """Momentum-mode case rule: the conjugate momentum grid meets the grid rule."""
+    try:
+        conjugate_momentum_grid(case.grid.grid, case.packet.hbar)
+    except ValueError as exc:
+        raise ConfigError(f"hbar = {case.packet.hbar:g}: the momentum {exc}", hbar_line)
 
 
 def parse_config(text: str, mode_override: str | None = None) -> RunConfig:
@@ -274,6 +282,7 @@ def parse_config(text: str, mode_override: str | None = None) -> RunConfig:
     packet, sigma = _build_packet(sections["packet"], m, hbar)
 
     gsec = sections["grid"]
+    grid_line = min((ln for _, ln in gsec.values()), default=None)  # where grid errors point
 
     def gval(key, default, caster):
         return caster(*gsec[key]) if key in gsec else default
@@ -288,8 +297,7 @@ def parse_config(text: str, mode_override: str | None = None) -> RunConfig:
             output_every=gval("output_every", 10, _parse_int),
         )
     except ValueError as exc:
-        line = min((ln for _, ln in gsec.values()), default=0)
-        raise ConfigError(str(exc), line or None)
+        raise ConfigError(str(exc), grid_line)
     try:
         profile.force(grid.t_max)  # same domain rule and end fuzz as every later call
     except OutOfDomainError as exc:
@@ -331,49 +339,34 @@ def parse_config(text: str, mode_override: str | None = None) -> RunConfig:
     # a sweep case inherits every field of the base but the one its axis sets
     base = RunConfig(profile, packet, sigma, grid, mode=sweep_mode, sweep_axis=sweep_axis)
     cfg = replace(base, mode=mode)
+    alpha0_line = sections["packet"].get("alpha0", ("", None))[1]
+    hbar_line = system.get("hbar", ("", None))[1]
 
     if mode is RunMode.VALIDATE:
-        if not packet.spec.is_packet:
-            raise ConfigError("validate mode needs a packet (Im(F0) < 0), not a plane wave")
-        norm_sq = analytic_norm_sq(packet)
-        if abs(norm_sq - 1.0) > INITIAL_NORM_TOL:  # only an explicit alpha0 can do this
-            message = f"validate mode needs a normalized packet; alpha0 gives norm {norm_sq:.6g}"
-            raise ConfigError(message, sections["packet"]["alpha0"][1])
-        try:
-            _check_containment(cfg)
-        except ContainmentError as exc:
-            raise ConfigError(str(exc))
-    if mode is RunMode.MOMENTUM and sigma is None:
-        raise ConfigError("momentum mode requires the gaussian packet parameterization")
-    # gaussian_phi0 divides by ħ²; where ħ² underflows to 0 that ends in ZeroDivisionError,
-    # where it is subnormal the prefactor (2σ²/πħ²)^{1/4} overflows and φ turns nan, and
-    # where it overflows, hbar**2 raises OverflowError
-    momentum_route = (sweep_mode if mode is RunMode.SWEEP else mode) is RunMode.MOMENTUM
-    if momentum_route:
+        _check_validate(cfg, alpha0_line)
+    if (sweep_mode if mode is RunMode.SWEEP else mode) is RunMode.MOMENTUM:
+        if sigma is None:
+            who, line = (("sweep_mode momentum", rsec["sweep_mode"][1]) if mode is RunMode.SWEEP
+                         else ("momentum mode", None))
+            raise ConfigError(f"{who} requires the gaussian packet parameterization", line)
+        # gaussian_phi0 divides by ħ²; where ħ² underflows to 0 that ends in ZeroDivisionError,
+        # where it is subnormal the prefactor (2σ²/πħ²)^{1/4} overflows and φ turns nan, and
+        # where it overflows, hbar**2 raises OverflowError
         if not sys.float_info.min <= hbar * hbar < math.inf:
             flow = "underflows" if hbar < 1.0 else "overflows"
             message = f"hbar = {hbar:g}: the momentum route divides by hbar^2, which {flow}"
-            raise ConfigError(message, system["hbar"][1])
-        # every sweep case has this momentum spacing 2πħ/(x_max − x_min): no axis sets ħ or the box
-        try:
-            conjugate_momentum_grid(grid.grid, hbar)
-        except ValueError as exc:
-            raise ConfigError(f"hbar = {hbar:g}: the momentum {exc}", system["hbar"][1])
+            raise ConfigError(message, hbar_line)
+        _check_momentum_grid(base, hbar_line)
     if mode is RunMode.SWEEP:
         if sweep_axis is None or not sweep_values:
             raise ConfigError("sweep mode needs sweep_axis and sweep_values")
-        if sweep_axis not in {"sigma", "F0_imag", "dt", "n", "force_amplitude"}:
-            raise ConfigError(f"unknown sweep axis {sweep_axis!r}")
-        if sweep_mode is RunMode.MOMENTUM and sigma is None:
-            message = "sweep_mode momentum requires the gaussian packet parameterization"
-            raise ConfigError(message, rsec["sweep_mode"][1])
-        cfg = replace(cfg, sweep=tuple((value, _sweep_case(base, value)) for value in sweep_values))
+        _check_axis(base, sweep_axis, rsec["sweep_axis"][1])
+        cfg = replace(cfg, sweep=tuple((value, _sweep_case(base, value, alpha0_line, hbar_line))
+                                       for value in sweep_values))
     rows = _rows_to_write(cfg)
     if rows > MAX_ROWS:
-        line = min((ln for _, ln in gsec.values()), default=0)
-        raise ConfigError(
-            f"the run writes {rows:.6g} CSV rows, above the limit of {MAX_ROWS}", line or None
-        )
+        message = f"the run writes {rows:.6g} CSV rows, above the limit of {MAX_ROWS}"
+        raise ConfigError(message, grid_line)
     return cfg
 
 
@@ -391,29 +384,42 @@ def sweep_case_name(axis: str, value: float) -> str:
     return f"{axis}={value:g}"
 
 
-def _sweep_case(base: RunConfig, value: float) -> RunConfig | Exception:
-    """The case that sets the base's sweep axis to ``value``, or the error that refuses it."""
+def _sweep_case(base: RunConfig, value: float, alpha0_line: int | None,
+                hbar_line: int | None) -> RunConfig | Exception:
+    """The case that sets the base's sweep axis to ``value``, held to the case rules of its
+    mode as a lone run is, or the error that refuses it."""
     try:
         case = apply_sweep_value(base, base.sweep_axis, value)
         if case.mode is RunMode.VALIDATE:
-            _check_containment(case)
+            _check_validate(case, alpha0_line)
+        elif case.mode is RunMode.MOMENTUM:  # only an n case moves the momentum grid
+            _check_momentum_grid(case, hbar_line)
         return case
     except (LrwpError, ValueError) as exc:
         return exc
 
 
+def _check_axis(base: RunConfig, axis: str, line: int | None = None) -> None:
+    """Sweep rules: a known axis, and what that axis needs of the base, for any value."""
+    if axis not in ("sigma", "F0_imag", "dt", "n", "force_amplitude"):
+        raise ConfigError(f"unknown sweep axis {axis!r}", line)
+    if axis == "sigma" and base.sigma is None:
+        raise ConfigError("sigma sweep needs a gaussian-parameterized packet", line)
+    if axis == "F0_imag" and base.sigma is not None:
+        raise ConfigError("F0_imag sweep needs an invariant-parameterized packet", line)
+    if axis == "force_amplitude" and not isinstance(base.profile, (ConstantForce, SinusoidalForce)):
+        raise ConfigError("force_amplitude sweep needs a constant or sinusoidal force", line)
+
+
 def apply_sweep_value(cfg: RunConfig, axis: str, value: float) -> RunConfig:
     """Derive a single-run config with one parameter replaced."""
+    _check_axis(cfg, axis)
     p = cfg.packet
     if axis == "sigma":
-        if cfg.sigma is None:
-            raise ConfigError("sigma sweep needs a gaussian-parameterized packet")
         packet = matched_packet(float(value), p.m, p.hbar, p.x0, p.p0)
         _check_norm(packet)
         return replace(cfg, sigma=float(value), packet=packet)
     if axis == "F0_imag":
-        if cfg.sigma is not None:
-            raise ConfigError("F0_imag sweep needs an invariant-parameterized packet")
         old = p.spec
         spec = InvariantSpec(A0=old.A0, B0=old.A0 * complex(old.F0.real, float(value)), C0=old.C0)
         return replace(cfg, packet=replace(p, spec=spec, alpha0=None))
@@ -421,8 +427,4 @@ def apply_sweep_value(cfg: RunConfig, axis: str, value: float) -> RunConfig:
         return replace(cfg, grid=replace(cfg.grid, dt=float(value)))
     if axis == "n":
         return replace(cfg, grid=replace(cfg.grid, n=int(round(value))))
-    if axis == "force_amplitude":
-        if not isinstance(cfg.profile, (ConstantForce, SinusoidalForce)):
-            raise ConfigError("force_amplitude sweep needs a constant or sinusoidal force")
-        return replace(cfg, profile=replace(cfg.profile, amplitude=float(value)))
-    raise ConfigError(f"unknown sweep axis {axis!r}")
+    return replace(cfg, profile=replace(cfg.profile, amplitude=float(value)))  # force_amplitude

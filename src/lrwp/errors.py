@@ -27,10 +27,6 @@ class AliasingError(LrwpError):
     """Wave amplitude at the grid boundary exceeded the allowed level."""
 
 
-class ContainmentError(LrwpError):
-    """Grid box cannot contain the packet over the requested time span."""
-
-
 class DegenerateFieldError(LrwpError):
     """Field with (numerically) zero norm."""
 

@@ -12,6 +12,8 @@ values that would share one. Column orders are frozen:
     comparison.csv    t,max_abs_diff
     sweep_summary.csv param,value,final_l2_err_ss,final_l2_err_cn,min_dxdp,t_star,status
 
+A case arrives vetted by the parser (a validate case is a normalized packet
+its box contains), and a sweep case it refused is an error row that never runs.
 A validate case has one outcome: its ``ValidateSummary``, whose ``violations``
 name the quality thresholds it broke, or the exception that stopped it.
 ``run_validate`` raises that exception, or an AcceptanceViolation built from the
@@ -169,21 +171,20 @@ def _validate(cases: list[tuple[RunConfig, Path]]) -> list[ValidateSummary | Exc
     """Propagate validate cases that share grid, dt, force, m and ħ as one batch.
 
     Each case gets one outcome: its summary, or the exception that stopped it.
-    A case first gets its invariant-drift scale and its t = 0 sample; one refused
-    there is not propagated (containment is the parser's check). Observables are
-    measured on the split-step field (the sharper oracle), and each oracle's field
-    meets the closed form through ``l2_error``. A case stops at the first snapshot
-    where the split step, then Crank–Nicolson, then its own comparison fails.
+    Each case is a normalized packet that its box contains, as the parser vets it;
+    one whose t = 0 sample is refused is not propagated. Observables are measured
+    on the split-step field (the sharper oracle), and each oracle's field meets the
+    closed form through ``l2_error``. A case stops at the first snapshot where the
+    split step, then Crank–Nicolson, then its own comparison fails.
     """
     outcomes: list = [None] * len(cases)
     scales, initials = {}, {}
     for i, (cfg, _) in enumerate(cases):
         packet, spec = cfg.packet, cfg.packet.spec
+        # invariant drift is relative to |lambda| or, when that vanishes, to |A0|·dp + |B0|·dx(0)
+        scales[i] = max(abs(eigenvalue(packet)),
+                        abs(spec.A0) * delta_p(packet) + abs(spec.B0) * delta_x(packet, 0.0))
         try:
-            # invariant drift is relative to |lambda| or, when that vanishes, to |A0|·dp +
-            # |B0|·dx at t = 0; a plane wave has neither width, so it stops here
-            scales[i] = max(abs(eigenvalue(packet)),
-                            abs(spec.A0) * delta_p(packet) + abs(spec.B0) * delta_x(packet, 0.0))
             initials[i] = _finite(sample_gtwp, packet, cfg.profile, cfg.grid.grid, 0.0)
         except (LrwpError, ValueError) as exc:
             outcomes[i] = exc

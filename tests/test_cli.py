@@ -153,6 +153,14 @@ def test_config_error_exit_two(tmp_path, capsys):
         # 2πħ/(x_max − x_min) overflows, so the momentum grid has no finite spacing
         ("momentum", "[system]\nhbar = 1e150\n[grid]\nx_min = 0\nx_max = 1e-160\n" + short,
          "line 2: hbar = 1e+150: the momentum grid spacing inf is not a finite normal float"),
+        # a sweep axis that does not fit the base packet or force fits no value of it
+        ("sweep", "[packet]\nF0 = 0-1i\n[run]\nsweep_axis = sigma\nsweep_values = 1\n",
+         "line 4: sigma sweep needs a gaussian-parameterized packet"),
+        ("sweep", "[run]\nsweep_axis = F0_imag\nsweep_values = -1\n",
+         "line 2: F0_imag sweep needs an invariant-parameterized packet"),
+        ("sweep", "[force]\nkind = piecewise_linear\nknots = 0:1, 3:0\n"
+         "[run]\nsweep_axis = force_amplitude\nsweep_values = 1\n",
+         "line 5: force_amplitude sweep needs a constant or sinusoidal force"),
         # the file's mode is checked even though the command line names the mode to run
         ("analytic", "[grid]\n" + short + "[run]\nmode = banana\n",
          "line 7: unknown mode 'banana'"),
@@ -241,6 +249,20 @@ def test_closed_form_overflow_exit_three(tmp_path, capsys, mode, text):
     assert err.startswith("lrwp: numeric failure: ")
     assert not (tmp_path / "out" / "snapshots.csv").exists()
     assert not (tmp_path / "out" / "comparison.csv").exists()
+
+
+@pytest.mark.parametrize("mode, code", [("analytic", 0), ("validate", 4)])
+def test_fast_sinusoid_exit_codes(tmp_path, capsys, mode, code):
+    # at omega = 1e30, omega*t once overflowed a series that the closed forms never used,
+    # which printed a RuntimeWarning (an error under this suite); the oracles cannot
+    # resolve such a force, so validate breaks its thresholds
+    text = "[force]\nkind = sinusoidal\namplitude = 1\nomega = 1e30\n" + TINY_GRID
+    cfg = _write(tmp_path, text)
+    assert main([mode, "--config", cfg, "--out", str(tmp_path / "out")]) == code
+    err = capsys.readouterr().err
+    assert err.count("\n") == (code != 0) and "Traceback" not in err
+    if code:
+        assert err.startswith("lrwp: acceptance violation: ")
 
 
 def test_under_resolved_validate_exit_three(tmp_path, capsys):

@@ -4,7 +4,7 @@ import sys
 
 import pytest
 
-from lrwp.config import MAX_ROWS, RunMode, apply_sweep_value, parse_config
+from lrwp.config import MAX_ROWS, RunConfig, RunMode, apply_sweep_value, parse_config
 from lrwp.errors import ConfigError
 from lrwp.forcing import ConstantForce, PiecewiseLinearForce, SinusoidalForce
 from lrwp.wavepacket import delta_x
@@ -338,6 +338,36 @@ class TestSweepDerivation:
             assert cfg.sweep_axis == "force_amplitude"
             derived = apply_sweep_value(cfg, "force_amplitude", 0.5)
             assert derived.profile == ConstantForce(0.5)
+
+    @pytest.mark.parametrize("text, axis", [
+        ("[packet]\nF0 = 0-1i\n", "sigma"),
+        ("", "F0_imag"),
+        ("[force]\nkind = piecewise_linear\nknots = 0:1, 3:0\n", "force_amplitude"),
+        ("", "omega"),
+    ])
+    def test_an_axis_the_base_cannot_take_is_refused_for_any_value(self, text, axis):
+        # parse_config names the sweep_axis line; apply_sweep_value holds the same rule
+        sweep = f"[run]\nmode = sweep\nsweep_axis = {axis}\nsweep_values = 1\n"
+        line = text.count("\n") + 3
+        with pytest.raises(ConfigError, match=f"^line {line}: ") as refused:
+            parse_config(text + sweep)
+        base = parse_config(text)
+        with pytest.raises(ConfigError) as applied:
+            apply_sweep_value(base, axis, 1.0)
+        assert str(refused.value) == f"line {line}: {applied.value}"
+
+    def test_n_case_of_a_momentum_sweep_meets_the_momentum_grid_rule(self):
+        # 2πħ/Δx is finite at n = 64 but overflows at n = 2²⁰, as it does alone
+        text = ("[system]\nhbar = 1e150\n[grid]\nx_min = 0\nx_max = 6.28e-154\nn = {}\n"
+                "dt = 0.01\nt_max = 0.1\noutput_every = 1\n")
+        cfg = parse_config(text.format(64) + "[run]\nmode = sweep\nsweep_axis = n\n"
+                           "sweep_values = 64, 1048576\nsweep_mode = momentum\n")
+        refused = r"^line 2: hbar = 1e\+150: the momentum grid spacing inf is not"
+        with pytest.raises(ConfigError, match=refused) as alone:
+            parse_config(text.format(1048576), mode_override="momentum")
+        [(_, small), (_, large)] = cfg.sweep
+        assert isinstance(small, RunConfig)
+        assert isinstance(large, ConfigError) and str(large) == str(alone.value)
 
     def test_f0_imag_axis(self):
         text = (

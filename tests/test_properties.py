@@ -23,7 +23,8 @@ from lrwp.forcing import (  # noqa: E402
     SinusoidalForce,
 )
 from lrwp.classical import p_c, x_c  # noqa: E402
-from lrwp.config import parse_config  # noqa: E402
+from lrwp.config import RunConfig, parse_config  # noqa: E402
+from lrwp.errors import ConfigError  # noqa: E402
 from lrwp.fields import Grid1D, conjugate_momentum_grid, wavenumbers  # noqa: E402
 from lrwp.invariant import InvariantSpec, PacketState, coeffs_at, eigenvalue  # noqa: E402
 from lrwp.oracle import GridSpec, propagate_cranknicolson, propagate_splitstep  # noqa: E402
@@ -478,3 +479,49 @@ def test_every_mode_takes_snapshots_at_step_times_dt(clock):
         rows = Path(out, "observables.csv").read_text().splitlines()[1:]
     assert len(rows) == len(spec.snapshot_steps)
     assert [float(row.split(",")[0]) for row in rows] == times
+
+
+@st.composite
+def validate_documents(draw):
+    """A [packet] and a 64-point [grid] that may break any validate case rule: a σ, or an
+    F0 (0 is the plane wave) with no α0 or one that may leave the packet unnormalized,
+    and a launch point, box and t_max for which the box may not contain the packet."""
+    kind = draw(st.sampled_from(["sigma", "F0", "F0", "plane wave"]))
+    if kind == "sigma":
+        packet = f"sigma = {draw(st.floats(0.05, 2.0))!r}\n"
+    else:
+        f0 = draw(st.floats(-5.0, -0.01)) if kind == "F0" else 0.0
+        packet = f"F0 = 0{f0:+.17g}i\n" if f0 else "F0 = 0\n"
+        if draw(st.booleans()):
+            # Im α0 = ¼·ln(π/(−Im F0)) normalizes the packet; 4e-9 off passes, 6e-9 does not
+            im = 0.25 * math.log(math.pi / -f0) if f0 else 0.0
+            im += draw(st.sampled_from([0.0, 4e-9, -6e-9, 0.5]))
+            packet += f"alpha0 = {draw(st.floats(-3.0, 3.0)):.17g}{im:+.17g}i\n"
+    x0, p0 = draw(st.floats(-3.0, 3.0)), draw(st.floats(-3.0, 3.0))
+    lo, hi = draw(st.floats(-30.0, -5.0)), draw(st.floats(5.0, 30.0))
+    t_max = draw(st.integers(1, 200)) * 0.01
+    return (f"[packet]\n{packet}x0 = {x0!r}\np0 = {p0!r}\n[grid]\nx_min = {lo!r}\n"
+            f"x_max = {hi!r}\nn = 64\ndt = 0.01\nt_max = {t_max!r}\noutput_every = 1\n")
+
+
+_GRID = "[grid]\nn = 256\ndt = 0.01\nt_max = 0.1\noutput_every = 5\n"
+
+
+@settings(max_examples=100)
+@given(doc=validate_documents())
+@example(doc="[packet]\nF0 = 0\n" + _GRID)  # a plane wave
+@example(doc="[packet]\nF0 = 0-0.5i\nalpha0 = 0\n" + _GRID)  # norm √(2π)
+def test_a_validate_case_is_refused_alone_exactly_when_in_a_sweep(doc):
+    # the case rules are one: a lone validate run and the one case of a dt sweep of the
+    # same document, at its own dt, are refused alike and with the same message
+    try:
+        parse_config(doc, mode_override="validate")
+        alone = None
+    except ConfigError as exc:
+        alone = str(exc)
+    sweep = "[run]\nmode = sweep\nsweep_axis = dt\nsweep_values = 0.01\nsweep_mode = validate\n"
+    [(_, case)] = parse_config(doc + sweep).sweep
+    if alone is None:
+        assert isinstance(case, RunConfig)
+    else:
+        assert isinstance(case, ConfigError) and str(case) == alone

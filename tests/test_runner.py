@@ -365,7 +365,7 @@ class TestSweep:
             "sweep_mode = validate\n"
         )
         results = run_sweep(cfg, tmp_path, jobs=1)
-        assert [r[-1] for r in results] == ["ok", "error:ContainmentError", "ok"]
+        assert [r[-1] for r in results] == ["ok", "error:ConfigError", "ok"]
         assert not (tmp_path / "sigma=0.05").exists()
         assert (tmp_path / "sigma=0.9" / "observables.csv").exists()
 
@@ -394,8 +394,8 @@ class TestSweep:
             "sweep_mode = validate\n"
         )
         results = run_sweep(cfg, tmp_path, jobs=1)
-        assert results[1][-1] == "error:ModeMismatchError"
-        assert results[0][-1] != "error:ModeMismatchError"
+        assert results[1][-1] == "error:ConfigError"
+        assert results[0][-1] != "error:ConfigError"
         assert not (tmp_path / "F0_imag=0" / "observables.csv").exists()
 
     def test_crashed_worker_keeps_the_summary(self, tmp_path, monkeypatch):

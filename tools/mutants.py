@@ -9,7 +9,7 @@ own ``tests/test_<name>.py`` first, since it fails fastest); a mutant the suite
 passes survives. Operators:
 
 * ``+`` ↔ ``-``, ``*`` ↔ ``/`` and ``**`` ↔ ``*`` on binary operations
-* ``<`` ↔ ``<=`` and ``>`` ↔ ``>=`` in comparisons
+* ``<`` ↔ ``<=``, ``>`` ↔ ``>=`` and ``==`` ↔ ``!=`` in comparisons
 * a nonzero numeric constant that is an arithmetic operand, scaled by 1 + 1e-10,
   which only precision tests can see
 
@@ -31,7 +31,7 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parent.parent
 SWAPS = {ast.Add: [ast.Sub], ast.Sub: [ast.Add], ast.Mult: [ast.Div, ast.Pow],
          ast.Div: [ast.Mult], ast.Pow: [ast.Mult], ast.Lt: [ast.LtE], ast.LtE: [ast.Lt],
-         ast.Gt: [ast.GtE], ast.GtE: [ast.Gt]}
+         ast.Gt: [ast.GtE], ast.GtE: [ast.Gt], ast.Eq: [ast.NotEq], ast.NotEq: [ast.Eq]}
 SCALE = 1.0 + 1e-10
 TIMEOUT_S = 600  # some 20 tier-1 runs; a mutant that loops forever must not stall the count
 
