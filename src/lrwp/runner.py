@@ -12,6 +12,13 @@ values that would share one. Column orders are frozen:
     comparison.csv    t,max_abs_diff
     sweep_summary.csv param,value,final_l2_err_ss,final_l2_err_cn,min_dxdp,t_star,status
 
+A float cell holds exactly the bytes of CPython's ``"%.16e" % (v + 0.0)``,
+formatted a chunk of rows at a time in NumPy: each value is rounded exactly to
+17 digits in double-double arithmetic and rendered through a table of 4-digit
+strings. The cells that path leaves (nan, inf, subnormals, |v| outside
+[1e-280, 1e281) and near-ties of the rounding) go to Python's own ``%.16e``,
+and text cells print as ``%s``.
+
 A case arrives vetted by the parser (a validate case is a normalized packet
 its box contains), and a sweep case it refused is an error row that never runs.
 A validate case has one outcome: its ``ValidateSummary``, whose ``violations``
@@ -21,6 +28,7 @@ violations; a sweep records either in the case's summary row.
 """
 
 import concurrent.futures
+import functools
 import os
 import secrets
 from collections.abc import Iterator
@@ -73,7 +81,111 @@ INV_DRIFT_THRESHOLD = 1e-6
 NORM_THRESHOLD = 1e-10
 
 
-_CHUNK_ROWS = 4096
+_CHUNK_ROWS = 1024  # a 5-column chunk's temporaries peak near 0.7 MB
+_PAD = 0  # fills each cell out to the widest; no cell holds it, and the join drops it
+_CELL = 24  # bytes of the widest table cell, "-d.dddddddddddddddde-ddd"
+_E_MAX = 280  # the table takes 1e-280 <= |x| < 1e281: no Dekker product leaves the normals
+_SPLIT = 2.0**27 + 1.0  # Dekker's splitter: a double is the sum of two 26-bit halves
+
+
+@functools.cache
+def _tables() -> tuple[np.ndarray, np.ndarray]:
+    """The 4-digit strings of 0..9999 as uint32, and 10^(16−e) for |e| <= _E_MAX + 2.
+
+    The second is a (4, N) array indexed by e + _E_MAX + 2: each power as hi + lo,
+    its nearest double and the exact remainder's, then hi as Dekker's halves. Both
+    come from exact rational arithmetic on Python ints, whose true division rounds
+    correctly.
+    """
+    digit = np.frombuffer(b"0123456789", np.uint8)
+    quads = np.stack(np.meshgrid(digit, digit, digit, digit, indexing="ij"), -1)
+    powers = []
+    for e in range(-_E_MAX - 2, _E_MAX + 3):
+        num, den = 10 ** max(16 - e, 0), 10 ** max(e - 16, 0)  # 10^(16−e) = num/den
+        hi = num / den
+        n, d = hi.as_integer_ratio()
+        powers.append((hi, (num * d - n * den) / (den * d)))  # num/den − n/d, rounded once
+    hi, lo = np.array(powers).T
+    split = _SPLIT * hi
+    head = split - (split - hi)
+    return quads.reshape(-1, 4).view(np.uint32).ravel(), np.array([hi, lo, head, hi - head])
+
+
+def _scaled(a: np.ndarray, e: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """a·10^(16−e) as a double-double hi + lo, by Dekker's exact product.
+
+    hi is the rounded product of a and the power's nearest double, and lo its
+    exact error plus a times the power's remainder: about 1e-15 from exact.
+    """
+    p_hi, p_lo, p_head, p_tail = (np.take(row, e + _E_MAX + 2) for row in _tables()[1])
+    split = _SPLIT * a
+    head = split - (split - a)
+    tail = a - head
+    hi = a * p_hi
+    lo = ((head * p_head - hi) + head * p_tail + tail * p_head) + tail * p_tail + a * p_lo
+    return hi, lo
+
+
+def _digits(a: np.ndarray, e: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """a rounded to 17 digits D·10^(e−16), 10^16 <= D < 10^17, from an exponent
+    estimate e off by at most one either way; and where the rounding is within
+    1e-9 of a tie, which the double-double cannot decide."""
+    hi, lo = _scaled(a, e)
+    shift = (hi - 1e17 + lo >= 0).astype(np.int64) - (hi - 1e16 + lo < 0)
+    e = e + shift
+    moved = np.flatnonzero(shift)
+    hi[moved], lo[moved] = _scaled(a[moved], e[moved])
+    whole = np.floor(lo)
+    rest = lo - whole
+    d = hi.astype(np.int64) + whole.astype(np.int64) + (rest > 0.5)
+    carry = d == 10**17  # 9.99…95 and up rounds to the next power of ten
+    return np.where(carry, 10**16, d), e + carry, np.abs(rest - 0.5) < 1e-9
+
+
+def _format_chunk(chunk: np.ndarray, text: np.ndarray) -> np.ndarray:
+    """The CSV lines of a 2-D chunk as uint8, byte for byte those of ``"%.16e" % (v + 0.0)``
+    for a float cell and ``"%s"`` for a cell of a ``text`` column.
+
+    Finite cells with 1e-280 <= |v| < 1e281, and zeros, are rounded exactly in
+    double-double arithmetic (``_digits``) and rendered by table into a padded
+    byte matrix, one row per cell. Text cells, nan, inf, subnormals and the rest
+    of the exponent range, and near-ties go to Python's own ``%.16e``, into the
+    same matrix.
+    """
+    quads = _tables()[0]
+    x = np.zeros(chunk.shape)
+    x[:, ~text] = chunk[:, ~text]
+    x = x.ravel()
+    a = np.abs(x)
+    table = (a >= 10.0**-_E_MAX) & (a < 10.0 ** (_E_MAX + 1))
+    a[~table] = 1.0  # zeros and fallback cells are rendered from 1.0, then replaced
+    d, e, tie = _digits(a, np.floor(np.log10(a)).astype(np.int64))
+    d[x == 0] = 0
+    fallback = np.flatnonzero(~table & (x != 0) | tie | np.tile(text, len(chunk)))
+    cols = len(text)
+    cells = [(f"{chunk[i // cols, i % cols]}" if text[i % cols] else "%.16e" % v).encode()
+             for i, v in zip(fallback.tolist(), x[fallback].tolist())]  # never a zero
+    width = max([_CELL, *map(len, cells)])
+
+    lead, rest = np.divmod(d, 10**16)
+    m = np.full((len(x), width + 1), _PAD, np.uint8)
+    m[:, 0] = (x < 0) * np.uint8(ord("-"))  # or _PAD, which is 0
+    m[:, 1] = lead + ord("0")
+    m[:, 2] = ord(".")
+    for col, half in ((3, rest // 10**8), (11, rest % 10**8)):  # 8 digits as two quads
+        pair = np.stack(np.divmod(half, 10**4), -1)
+        m[:, col:col + 8] = quads[pair].view(np.uint8).reshape(-1, 8)
+    m[:, 19] = ord("e")
+    m[:, 20] = ord("+") + (ord("-") - ord("+")) * (e < 0)
+    m[:, 21:24] = quads[np.abs(e)].view(np.uint8).reshape(-1, 4)[:, 1:]
+    m[:, 21] *= np.abs(e) >= 100  # two exponent digits below 100, as %e
+    m[:, -1] = ord(",")
+    m[cols - 1 :: cols, -1] = ord("\n")
+    m[fallback, :width] = _PAD
+    for i, cell in zip(fallback, cells):
+        m[i, : len(cell)] = np.frombuffer(cell, np.uint8)
+    flat = m.ravel()
+    return flat[flat != _PAD]
 
 
 def write_csv_atomic(path: Path, header: list[str], rows) -> None:
@@ -83,7 +195,7 @@ def write_csv_atomic(path: Path, header: list[str], rows) -> None:
     header name, or an iterator of such blocks, written one after another.
     Float cells print as ``%.16e``, with -0.0 as 0.0 and nan as ``nan``;
     a column whose first cell is a ``str`` prints as text. Each block is
-    formatted in chunks of ``_CHUNK_ROWS`` rows with one line template.
+    formatted in chunks of ``_CHUNK_ROWS`` rows (``_format_chunk``).
     """
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
@@ -91,8 +203,8 @@ def write_csv_atomic(path: Path, header: list[str], rows) -> None:
     tmp = path.with_name(f"{path.name}.{secrets.token_hex(8)}.tmp")
     fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)  # mode minus the umask
     try:
-        with os.fdopen(fd, "w", newline="\n") as fh:
-            fh.write(",".join(header) + "\n")
+        with os.fdopen(fd, "wb") as fh:
+            fh.write((",".join(header) + "\n").encode())
             for block in blocks:
                 if not isinstance(block, np.ndarray):
                     block = np.array(block, dtype=object)  # keeps str and float cells apart
@@ -101,11 +213,8 @@ def write_csv_atomic(path: Path, header: list[str], rows) -> None:
                 if not len(block):
                     continue
                 text = np.array([isinstance(cell, str) for cell in block[0]])
-                line = ",".join(np.where(text, "%s", "%.16e")) + "\n"
                 for start in range(0, len(block), _CHUNK_ROWS):
-                    chunk = block[start:start + _CHUNK_ROWS].copy()
-                    chunk[:, ~text] = chunk[:, ~text].astype(float) + 0.0  # -0.0 + 0.0 is 0.0
-                    fh.write(line * len(chunk) % tuple(chunk.ravel().tolist()))
+                    fh.write(_format_chunk(block[start:start + _CHUNK_ROWS], text))
         os.replace(tmp, path)
     except BaseException:
         if os.path.exists(tmp):

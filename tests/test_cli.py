@@ -168,6 +168,18 @@ def test_config_error_exit_two(tmp_path, capsys):
         ("analytic", "[system]\nm = 1e300\nhbar = 1e-10\n"
          "[grid]\nn = 64\nt_max = 0.1\ndt = 0.01\noutput_every = 1\n",
          "config error: spreading time 2m*sigma^2/hbar = inf, not finite and positive"),
+        # values that do not parse, and names the parser does not know
+        ("analytic", "[system]\nm = abc\n", "line 2: cannot parse number 'abc'"),
+        ("analytic", "[grid]\nn = 1.5\n", "line 2: cannot parse integer '1.5'"),
+        ("analytic", "[force]\nkind = piecewise_linear\nknots = 0:1, 3\n",
+         "line 3: expected t:F pairs, got '3'"),
+        ("analytic", "[force]\nkind = piecewise_linear\nknots = ,\n", "line 3: empty knot list"),
+        ("analytic", "[force]\nkind = banana\n", "line 2: unknown force kind 'banana'"),
+        ("sweep", "[run]\nsweep_axis = sigma\nsweep_values = 1\nsweep_mode = banana\n",
+         "line 4: unknown sweep_mode 'banana'"),
+        ("sweep", "[run]\nsweep_axis = sigma\nsweep_values = 1\nsweep_mode = sweep\n",
+         "line 4: sweep_mode cannot itself be 'sweep'"),
+        ("analytic", "[grid]\ndt = 0.1\nt_max = 0.05\n", "line 2: t_max must be at least dt"),
     ]
     for mode, text, message in cases:
         cfg = _write(tmp_path, text)
@@ -311,12 +323,14 @@ def test_acceptance_violation_exit_four(tmp_path, capsys):
     )
 
 
-@pytest.mark.parametrize("jobs", ["0", "-1"])
+@pytest.mark.parametrize("jobs", ["0", "-1", "two"])
 def test_jobs_below_one_exit_two(tmp_path, capsys, jobs):
+    # a count below one, or no integer at all
     cfg = _write(tmp_path, GOOD)
     with pytest.raises(SystemExit) as exc:
         main(["sweep", "--config", cfg, "--out", str(tmp_path / "out"), "--jobs", jobs])
     assert exc.value.code == 2
     err = capsys.readouterr().err.strip().splitlines()
-    assert err[-1] == f"lrwp: error: argument --jobs: must be at least 1, got {jobs}"
+    message = {"two": "expected an integer, got 'two'"}.get(jobs, f"must be at least 1, got {jobs}")
+    assert err[-1] == f"lrwp: error: argument --jobs: {message}"
     assert "Traceback" not in "\n".join(err)

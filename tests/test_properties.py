@@ -25,7 +25,9 @@ from lrwp.forcing import (  # noqa: E402
 from lrwp.classical import p_c, x_c  # noqa: E402
 from lrwp.config import RunConfig, parse_config  # noqa: E402
 from lrwp.errors import ConfigError  # noqa: E402
-from lrwp.fields import Grid1D, conjugate_momentum_grid, wavenumbers  # noqa: E402
+from lrwp.fields import (  # noqa: E402
+    Grid1D, Space, WaveField, conjugate_momentum_grid, wavenumbers,
+)
 from lrwp.invariant import InvariantSpec, PacketState, coeffs_at, eigenvalue  # noqa: E402
 from lrwp.oracle import GridSpec, propagate_cranknicolson, propagate_splitstep  # noqa: E402
 from lrwp.runner import run_analytic  # noqa: E402
@@ -44,6 +46,7 @@ from lrwp.wavepacket import (  # noqa: E402
     uncertainty_product,
 )
 from batch_of_one import propagate_one  # noqa: E402
+from cayley_reference import cayley_reference  # noqa: E402
 from cross_checks import eigen_residual, gaussian_phi_pt, phase_alpha  # noqa: E402
 from kick_train import KickTrainProfile  # noqa: E402
 from simpson_reference import phase_reference, simpson_reference  # noqa: E402
@@ -319,6 +322,38 @@ def test_splitstep_is_the_packet_under_its_kick_train(profile, f0, m, hbar, x0, 
         closed = gtwp_psi(packet, kicks, spec.grid.points, field.t)
         gap = np.max(np.abs(field.values - closed)) / np.max(np.abs(closed))
         assert gap <= 1e-11, f"gap {gap:.3e} at t = {field.t:g}"
+
+
+@settings(max_examples=30)
+@given(
+    profile=profiles,
+    m=st.floats(0.5, 5.0),
+    hbar=st.floats(0.2, 5.0),
+    dt=st.floats(1e-3, 2e-2),
+    steps=st.integers(1, 40),
+    n=st.sampled_from([64, 128, 256]),
+    packets=st.lists(
+        st.tuples(st.floats(-2.0, 2.0), st.floats(-2.0, 2.0), st.floats(0.8, 1.5)),
+        min_size=1, max_size=3,
+    ),
+)
+def test_cranknicolson_is_the_dense_cayley_step(profile, m, hbar, dt, steps, n, packets):
+    # the banded solve, the right-hand band and their rebuilds at each force change are
+    # the dense Cayley step of the 5-point Hamiltonian, to rounding, row by row
+    steps = max(1, min(steps, int(min(1.0, _time(profile, 1.0)) / dt)))
+    spec = GridSpec(-24.0, 24.0, n, dt, steps * dt, output_every=1)
+    x = spec.grid.points
+    rows = np.array([np.exp(-(((x - x0) / (2.0 * sigma)) ** 2) + 1j * p0 * x / hbar)
+                     for x0, p0, sigma in packets])
+    rows /= np.sqrt(np.sum(np.abs(rows) ** 2, axis=1, keepdims=True) * spec.grid.spacing)
+    initials = [WaveField(spec.grid, 0.0, row, Space.POSITION) for row in rows]
+    snapshots = propagate_cranknicolson(initials, profile, m, hbar, spec)
+    for step, (fields, expected) in enumerate(
+        zip(snapshots, cayley_reference(rows, profile, m, hbar, spec), strict=True)
+    ):
+        for field, want in zip(fields, expected, strict=True):
+            gap = np.max(np.abs(field.values - want)) / np.max(np.abs(want))
+            assert gap <= 1e-12, f"gap {gap:.3e} at step {step}"
 
 
 @settings(max_examples=50)

@@ -2,10 +2,14 @@ import concurrent.futures
 import math
 import os
 import stat
+import tempfile
+from decimal import Decimal
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from lrwp import config, runner
 from lrwp.config import parse_config
@@ -61,8 +65,8 @@ class TestFormatting:
     )
     def test_bytes_equal_per_cell_reference(self, tmp_path, table):
         blocks = _special_blocks()
-        if table == "streamed blocks":
-            header, rows = SNAPSHOTS_HEADER, iter(blocks)
+        if table == "streamed blocks":  # an empty block among them writes nothing
+            header, rows = SNAPSHOTS_HEADER, iter([*blocks[:3], np.empty((0, 5)), *blocks[3:]])
         elif table == "one array":
             header, rows = SNAPSHOTS_HEADER, np.concatenate(blocks)
         else:
@@ -99,6 +103,67 @@ class TestFormatting:
         assert in_effect == umask
         assert stat.S_IMODE((tmp_path / "x.csv").stat().st_mode) == mode
 
+    def test_fallback_cells_share_rows_and_chunks_with_table_cells(self, tmp_path):
+        # every row holds text, table and fallback cells, and each kind of fallback
+        # cell takes every float column in turn, the last one (before the newline) too
+        kinds = [1234567890123456.25, 5e-324, math.nan, -math.inf, 1e300, 1e-281, 0.15, -0.0]
+        rows = [["a status longer than any float cell", *np.roll(kinds, k)[:6], "ok"]
+                for k in range(runner._CHUNK_ROWS + 9)]
+        header = ["param", *"abcdef", "status"]
+        _reference_write(tmp_path / "ref.csv", header, rows)
+        write_csv_atomic(tmp_path / "new.csv", header, rows)
+        assert (tmp_path / "new.csv").read_bytes() == (tmp_path / "ref.csv").read_bytes()
+
+    @pytest.mark.parametrize("off", [-1, 0, 1])
+    def test_an_exponent_estimate_off_by_one_gives_the_same_digits(self, off):
+        rng = np.random.default_rng(3)
+        powers = 10.0 ** np.arange(-30, 31)
+        a = np.concatenate([
+            np.abs(rng.standard_normal(2000)) * 10.0 ** rng.integers(-270, 270, 2000),
+            powers, np.nextafter(powers, 0.0), np.nextafter(powers, math.inf),
+            [9.999999999999999e22, 1e-14, 1e98, 0.15, 0.3],
+        ])
+        exact = np.array([Decimal(v).adjusted() for v in a.tolist()])  # floor(log10 a)
+        d, e, tie = runner._digits(a, exact + off)
+        a, d, e = a[~tie], d[~tie], e[~tie]  # a tie, such as 1e15's neighbour below, is %e's
+        cells = [f"{di // 10**16}.{di % 10**16:016d}e{ei:+03d}"
+                 for di, ei in zip(d.tolist(), e.tolist())]
+        assert cells == ["%.16e" % v for v in a.tolist()]
+
+
+_HARD_CASES = [
+    0.15, 0.3, 0.1, 1 / 3, float(2**53 + 1), 2.0**53 + 2.0, 2.0**60,
+    # the half-way values that %.16e rounds to even: 18 digits ending in 5
+    1234567890123456.25, 2.0**50 + 0.25, 2.0**50 + 0.75, 999999999999999.875,
+    1e16, 1e17, 9.999999999999999e22, np.nextafter(1e16, 0.0), np.nextafter(1e17, math.inf),
+    # just below a power of ten, so 17 digits round up to it: 1.0000000000000000e-14
+    1e-14, 1e98,
+    # the last two-digit and the first three-digit exponents
+    9.9e99, 1e100, 1e-99, 1e-100,
+    # the table's ends, subnormals and the float limits
+    1e-280, np.nextafter(1e-280, 0.0), 1e281, np.nextafter(1e281, 0.0),
+    5e-324, 2.2250738585072014e-308, 1.7976931348623157e308,
+]
+
+
+def _bit_patterns(*values):
+    return np.array(values, dtype=np.float64).view(np.uint64).tolist()
+
+
+@settings(max_examples=300)
+@given(st.lists(st.integers(0, 2**64 - 1), min_size=1, max_size=64))
+@example(_bit_patterns(*_HARD_CASES))
+@example(_bit_patterns(*(-v for v in _HARD_CASES)))
+@example(_bit_patterns(0.0, -0.0, math.inf, -math.inf, math.nan, -math.nan))
+def test_each_float_cell_is_its_percent_e(bits):
+    # over raw bit patterns: every finite double, ±0.0, ±inf and nan of any payload
+    values = np.array(bits, dtype=np.uint64).view(np.float64)
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "x.csv"
+        write_csv_atomic(path, ["v"], values.reshape(-1, 1))
+        cells = path.read_bytes().split(b"\n")[1:-1]
+    assert cells == [("%.16e" % (v + 0.0)).encode() for v in values.tolist()]
+
 
 def _reference_write(path, header, rows):
     """The per-cell writer the array writer replaced: the byte reference."""
@@ -132,7 +197,7 @@ def _special_blocks():
     repeated from the block before (once with the signs of its zeros
     flipped, once with one value moved by an ulp), special values in the
     middle columns, and a constant nan column. The last two blocks span
-    more than two chunks; the last one moves an x value in its second chunk.
+    more than two chunks; the last one moves an x value in a later chunk.
     """
     rng = np.random.default_rng(7)
     x = rng.standard_normal(2048)
