@@ -18,27 +18,30 @@ Each propagator carries a batch: initial fields that share the grid, dt,
 force, m and ħ (the cases of a σ or F0 sweep, which differ only in their
 initial state) travel as the rows of one C-ordered (cases, n) array. The
 split step runs one FFT pair along the last axis, with the kicks and the
-kinetic factor broadcast over the rows; Crank–Nicolson runs one banded
-product over the rows and one ``zgbtrs`` solve with a right-hand side per
-row, passed as the array's transpose, which is Fortran-ordered without a
-copy. Rows never mix, and each row gets the same bits it would get alone.
-Every check works per row: the initial norm, the boundary amplitude at every
-step, a non-finite edge and the norm drift at every snapshot. A row that
-fails one stops there: it keeps its error, is zeroed, and is not checked
-again. So each snapshot yields one entry per case, its field or the error
-that stopped it. A singular Crank–Nicolson matrix stops every row.
+kinetic factor broadcast over the rows; Crank–Nicolson runs one ``zgbtrs``
+solve with a right-hand side per row, passed as the array's transpose, which
+is Fortran-ordered without a copy. Rows never mix, and each row gets the same
+bits it would get alone. Every check works per row: the initial norm, the
+boundary amplitude at every step, a non-finite edge and the norm drift at
+every snapshot. A row that fails one stops there: it keeps its error, is
+zeroed, and is not checked again. So each snapshot yields one entry per case,
+its field or the error that stopped it. A singular Crank–Nicolson matrix
+stops every row.
 
 Each step does only the work that changes. The force is sampled in blocks of
 ``FORCE_BLOCK`` steps, one vectorized ``profile.force`` call per block, and
 each sample is flagged when its bits differ from the previous one. Only then
-does Crank–Nicolson rebuild its two bands and LU-factor the left one
-(``zgbtrf``) for the whole batch, and split-step recompute its kick. Beyond
-that, every step is one banded product and one ``zgbtrs`` solve, or two kicks
-and two FFTs. The split step's closing kick is the next step's opening kick.
-A constant force factors once per run, a sinusoidal one every step, a
+does Crank–Nicolson copy its prebuilt left band, add the force to its
+diagonal and LU-factor it (``zgbtrf``) for the whole batch, and split-step
+recompute its kick. Beyond that, every step is two kicks and two FFTs, or one
+``zgbtrs`` solve and one scaled add: by the Cayley identity
+(1 + iA)⁻¹(1 − iA)ψ = 2(1 + iA)⁻¹ψ − ψ, A = H·dt/2ħ, no right-hand band is
+needed. The split step's closing kick is the next step's opening kick. A
+constant force factors once per run, a sinusoidal one every step, a
 piecewise-linear one once per flat segment plus once per sloped step.
 Rebuilding the same operands would give the same bytes, so the output does
-not depend on what was reused.
+not depend on what was reused. SciPy's LAPACK is imported by the first
+Crank–Nicolson run, so a run that never propagates never loads SciPy.
 """
 
 import math
@@ -46,7 +49,6 @@ from collections.abc import Iterator, Sequence
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.linalg.lapack import zgbtrf, zgbtrs
 
 from .errors import AliasingError, DegenerateFieldError, InstabilityError, LrwpError
 from .fields import (
@@ -73,12 +75,12 @@ NORM_DRIFT_TOL = 1e-8
 INITIAL_NORM_TOL = 1e-8
 BOUNDARY_TOL = 1e-10
 # b1 takes 2·10³ steps. At n = 2048 on a 2-vCPU x86 VM a Crank–Nicolson step costs
-# about 100 µs of CPU under a constant force and 300–400 µs under one that changes
-# every step, so 10⁷ steps would run 15 min to 1 h; the snapshot count grows with them.
+# about 90–120 µs of CPU under a constant force and 240–300 µs under one that changes
+# every step, so 10⁷ steps would run 15 to 50 min; the snapshot count grows with them.
 MAX_STEPS = 10**7
-# The Crank–Nicolson operands (bands, LU factors with fill-in, right-hand side and
-# temporaries) take about 440 B per point, a whole validate run about 570 B (peaks
-# measured with tracemalloc), so 2²⁰ points need some 0.6 GB. b1 uses 2048. A sweep
+# The Crank–Nicolson operands (bands, LU factors with fill-in, the solution and its
+# predecessor) take about 320 B per point, a whole validate run about 490 B (peaks
+# measured with tracemalloc), so 2²⁰ points need some 0.5 GB. b1 uses 2048. A sweep
 # batch holds at most MAX_POINTS // n cases, so no process holds more points than
 # one case of n = MAX_POINTS would.
 MAX_POINTS = 2**20
@@ -288,15 +290,6 @@ def _kinetic_bands(n: int, c: float) -> tuple[np.ndarray, int]:
     return ab, 2
 
 
-def _banded_matvec(ab: np.ndarray, nb: int, v: np.ndarray) -> np.ndarray:
-    """The banded matrix ``ab`` times each row of ``v``."""
-    out = ab[nb, :] * v
-    for d in range(1, nb + 1):
-        out[..., :-d] += ab[nb - d, d:] * v[..., d:]
-        out[..., d:] += ab[nb + d, :-d] * v[..., :-d]
-    return out
-
-
 def propagate_cranknicolson(
     initials: Sequence[WaveField],
     profile: ForceProfile,
@@ -306,34 +299,37 @@ def propagate_cranknicolson(
 ) -> Iterator[list[WaveField | Exception]]:
     """Yield per snapshot (t=0 included) each case's Cayley-form Crank–Nicolson field,
     or its error."""
+    from scipy.linalg.lapack import zgbtrf, zgbtrs
+
     rows = _Rows(initials, spec)
     psi = rows.start
     grid = spec.grid
-    x = grid.points
     dx = grid.spacing
     dt, snapshots = spec.dt, spec.snapshot_steps
     kin, nb = _kinetic_bands(grid.n, hbar * hbar / (2.0 * m * dx * dx))
     scale = dt / (2.0 * hbar)
+    # the left band 1 + i·scale·H at zero force; a force f adds f·drive to its diagonal
+    left = 1j * scale * kin
+    left[nb, :] += 1.0
+    drive = -1j * scale * grid.points
     # zgbtrf's layout: the LHS band in the bottom 2·nb + 1 rows, its fill-in above
     lu = np.zeros((3 * nb + 1, grid.n), dtype=complex, order="F")
     yield rows.snapshot(psi, 0.0)
     forces = _force_samples(profile, 0.5, dt, spec.n_steps)
     for step, (f, changed) in enumerate(forces, start=1):
         if rows.running and changed:
-            h_band = kin.astype(complex)
-            h_band[nb, :] += -f * x
-            np.multiply(1j * scale, h_band, out=lu[nb:])
-            lu[2 * nb, :] += 1.0
-            rhs_band = -1j * scale * h_band
-            rhs_band[nb, :] += 1.0
+            lu[nb:] = left
+            lu[2 * nb, :] += f * drive
             lu, piv, info = zgbtrf(lu, nb, nb, overwrite_ab=1)
             if info > 0:
                 rows.stop_all(
                     psi, InstabilityError(f"singular Crank–Nicolson matrix at t={step * dt:g}")
                 )
         if rows.running:
-            # psi.T is Fortran-ordered: one right-hand side per row, solved in place
-            psi = zgbtrs(lu, nb, nb, _banded_matvec(rhs_band, nb, psi).T, piv, overwrite_b=1)[0].T
+            # psi.T is Fortran-ordered: one right-hand side per row; ψ' = 2·solved − ψ
+            solved = zgbtrs(lu, nb, nb, psi.T, piv)[0].T
+            solved *= 2.0
+            psi = np.subtract(solved, psi, out=solved)
             rows.check_edges(psi, step * dt)
         if step in snapshots:
             yield rows.snapshot(psi, step * dt)

@@ -3,8 +3,9 @@
 H = −(ħ²/2m)·D₄ − F((k + ½)·dt)·x on the grid, with D₄ the 5-point O(dx⁴) second
 difference (−1/12, 4/3, −5/2, 4/3, −1/12 over dx², zero past the box), and each
 step solves (I + i·dt·H/2ħ)ψ' = (I − i·dt·H/2ħ)ψ with ``np.linalg.solve``. The
-oracle factors the left band once per force change and multiplies by the right
-band; this reference forms both matrices in full, so it shares none of that code.
+oracle factors the left band once per force change and steps by the Cayley
+identity ψ' = 2(I + iA)⁻¹ψ − ψ; this reference forms both matrices in full and
+multiplies by the right one, so it shares none of that code.
 """
 
 import numpy as np

@@ -1,7 +1,11 @@
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 
+import lrwp
 from lrwp.cli import main
 
 GOOD = """
@@ -41,6 +45,35 @@ def test_momentum_exit_zero(tmp_path):
     cfg = _write(tmp_path, GOOD)
     assert main(["momentum", "--config", cfg, "--out", str(tmp_path / "out")]) == 0
     assert (tmp_path / "out" / "comparison.csv").exists()
+
+
+SCIPY_PROBE = """
+import sys
+from lrwp.cli import main
+
+def loaded():
+    return ",".join(n for n in ("scipy", "scipy.linalg") if n in sys.modules) or "none"
+
+config, out = sys.argv[1:]
+seen = [loaded()]
+for mode in ("analytic", "momentum", "validate"):
+    assert main([mode, "--config", config, "--out", f"{out}/{mode}"]) == 0, mode
+    seen.append(loaded())
+print(*seen)
+"""
+
+
+def test_closed_form_modes_never_load_scipy(tmp_path):
+    # a fresh interpreter: this one has loaded SciPy for other tests
+    src = str(Path(lrwp.__file__).resolve().parent.parent)
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    result = subprocess.run(
+        [sys.executable, "-c", SCIPY_PROBE, _write(tmp_path, GOOD), str(tmp_path)],
+        capture_output=True, text=True, timeout=120, env={**os.environ, "PYTHONPATH": path},
+    )
+    assert result.returncode == 0, result.stderr
+    # import, analytic and momentum load no SciPy; validate propagates, so it must
+    assert result.stdout.splitlines()[-1].split() == ["none"] * 3 + ["scipy,scipy.linalg"]
 
 
 def test_sweep_exit_zero(tmp_path):
