@@ -40,8 +40,10 @@ needed. The split step's closing kick is the next step's opening kick. A
 constant force factors once per run, a sinusoidal one every step, a
 piecewise-linear one once per flat segment plus once per sloped step.
 Rebuilding the same operands would give the same bytes, so the output does
-not depend on what was reused. SciPy's LAPACK is imported by the first
-Crank–Nicolson run, so a run that never propagates never loads SciPy.
+not depend on what was reused. SciPy's LAPACK is imported when
+``propagate_cranknicolson`` is called, not when its stream first steps: the
+runner iterates that stream in a forked child, which inherits it loaded. A run
+that never propagates never loads SciPy.
 """
 
 import math
@@ -78,11 +80,13 @@ BOUNDARY_TOL = 1e-10
 # about 90–120 µs of CPU under a constant force and 240–300 µs under one that changes
 # every step, so 10⁷ steps would run 15 to 50 min; the snapshot count grows with them.
 MAX_STEPS = 10**7
-# The Crank–Nicolson operands (bands, LU factors with fill-in, the solution and its
-# predecessor) take about 320 B per point, a whole validate run about 490 B (peaks
-# measured with tracemalloc), so 2²⁰ points need some 0.5 GB. b1 uses 2048. A sweep
-# batch holds at most MAX_POINTS // n cases, so no process holds more points than
-# one case of n = MAX_POINTS would.
+# A validate run splits its operands across two processes. The Crank–Nicolson child
+# holds the bands, the LU factors with fill-in, the solution, its predecessor and the
+# snapshot it sends: about 340 B per point. The calling process holds the split step,
+# the closed form and the comparisons: about 210 B (peaks measured with tracemalloc at
+# n = 2¹⁶). So 2²⁰ points need some 0.35 GB in one process and 0.55 GB in the two.
+# b1 uses 2048. A sweep batch holds at most MAX_POINTS // n cases, so no process holds
+# more points than one case of n = MAX_POINTS would.
 MAX_POINTS = 2**20
 # steps whose force samples come from one profile.force call: O(1) memory at MAX_STEPS
 FORCE_BLOCK = 4096
@@ -297,10 +301,15 @@ def propagate_cranknicolson(
     hbar: float,
     spec: GridSpec,
 ) -> Iterator[list[WaveField | Exception]]:
-    """Yield per snapshot (t=0 included) each case's Cayley-form Crank–Nicolson field,
-    or its error."""
+    """Per snapshot (t=0 included), each case's Cayley-form Crank–Nicolson field, or
+    its error, as a stream. SciPy's LAPACK is imported by this call, before any step."""
     from scipy.linalg.lapack import zgbtrf, zgbtrs
 
+    return _cranknicolson(initials, profile, m, hbar, spec, zgbtrf, zgbtrs)
+
+
+def _cranknicolson(initials, profile, m, hbar, spec, zgbtrf, zgbtrs):
+    """The stream of ``propagate_cranknicolson``, stepped by the routines it imported."""
     rows = _Rows(initials, spec)
     psi = rows.start
     grid = spec.grid

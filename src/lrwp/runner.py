@@ -25,9 +25,17 @@ A validate case has one outcome: its ``ValidateSummary``, whose ``violations``
 name the quality thresholds it broke, or the exception that stopped it.
 ``run_validate`` raises that exception, or an AcceptanceViolation built from the
 violations; a sweep records either in the case's summary row.
+
+A validate batch runs its two oracles at once: the split step in the calling
+process, and Crank–Nicolson in a child forked for the batch (``_in_child``),
+which sends each snapshot through a pipe as it is made. The child is joined
+before ``_validate`` returns or raises; one that dies early stops every running
+case with an LrwpError. So a validate task is two processes, and a sweep of them
+runs ``--jobs N // 2`` tasks (at least one) at once.
 """
 
 import concurrent.futures
+import contextlib
 import functools
 import os
 import secrets
@@ -276,15 +284,68 @@ class ValidateSummary:
     violations: list[str]  # the quality thresholds the case broke; empty when it passed
 
 
+def _feed(stream: Iterator, receiver, sender) -> None:
+    """The child's side of ``_in_child``: send each item of ``stream``, then the end
+    or the exception that stopped it. A parent that stopped reading ends it quietly."""
+    receiver.close()  # else the pipe keeps a reader, and a send to a closed parent blocks
+    try:
+        for item in stream:
+            sender.send(("snapshot", item))
+        sender.send(("end", None))
+    except BrokenPipeError:
+        pass
+    except Exception as exc:
+        with contextlib.suppress(BrokenPipeError):
+            sender.send(("raise", exc))
+
+
+def _in_child(stream: Iterator) -> Iterator:
+    """Yield the items of ``stream``, iterated in a forked child process.
+
+    The child sends each item through a one-way pipe as it is made and blocks while
+    the pipe is full, so no more than a pipe's buffer and one item are in flight
+    (one b1 snapshot fills half of it). An exception that stops
+    ``stream`` is raised here with its type and message; a child that dies before
+    its end raises LrwpError with its exit code. Closing the generator closes the
+    pipe and joins the child, which stops at its next send.
+    """
+    import multiprocessing  # here, not at the top: importing the package does not load it
+
+    context = multiprocessing.get_context("fork")
+    receiver, sender = context.Pipe(duplex=False)
+    child = context.Process(target=_feed, args=(stream, receiver, sender))
+    child.start()
+    sender.close()
+    try:
+        while True:
+            try:
+                kind, payload = receiver.recv()
+            except EOFError:
+                child.join()
+                raise LrwpError(f"the Crank–Nicolson process exited with code {child.exitcode} "
+                                "before its last snapshot") from None
+            if kind == "end":
+                return
+            if kind == "raise":
+                raise payload
+            yield payload
+    finally:
+        receiver.close()
+        child.join()
+
+
 def _validate(cases: list[tuple[RunConfig, Path]]) -> list[ValidateSummary | Exception]:
     """Propagate validate cases that share grid, dt, force, m and ħ as one batch.
 
     Each case gets one outcome: its summary, or the exception that stopped it.
     Each case is a normalized packet that its box contains, as the parser vets it;
-    one whose t = 0 sample is refused is not propagated. Observables are measured
-    on the split-step field (the sharper oracle), and each oracle's field meets the
-    closed form through ``l2_error``. A case stops at the first snapshot where the
-    split step, then Crank–Nicolson, then its own comparison fails.
+    one whose t = 0 sample is refused is not propagated. The split step runs here
+    and Crank–Nicolson at the same time in a forked child (``_in_child``); both
+    streams are closed, and the child joined, before this returns or raises.
+    Observables are measured on the split-step field (the sharper oracle), and each
+    oracle's field meets the closed form through ``l2_error``. A case stops at the
+    first snapshot where the split step, then Crank–Nicolson, then its own
+    comparison fails; an error that stops a stream stops every running case.
     """
     outcomes: list = [None] * len(cases)
     scales, initials = {}, {}
@@ -301,26 +362,32 @@ def _validate(cases: list[tuple[RunConfig, Path]]) -> list[ValidateSummary | Exc
         return outcomes
     cfg = cases[0][0]
     m, hbar, profile, grid = cfg.packet.m, cfg.packet.hbar, cfg.profile, cfg.grid.grid
-    streams = [propagate(list(initials.values()), profile, m, hbar, cfg.grid)
-               for propagate in (propagate_splitstep, propagate_cranknicolson)]
+    args = (list(initials.values()), profile, m, hbar, cfg.grid)
+    streams = [propagate_splitstep(*args), _in_child(propagate_cranknicolson(*args))]
     measured = {i: [] for i in initials}
-    for fields_ss, fields_cn in zip(*streams):
-        for i, f_ss, f_cn in zip(initials, fields_ss, fields_cn):
-            if outcomes[i] is not None:
-                continue
-            try:
-                for entry in (f_ss, f_cn):
-                    if isinstance(entry, Exception):
-                        raise entry
-                packet = cases[i][0].packet
-                analytic = _finite(sample_gtwp, packet, profile, grid, f_ss.t)
-                coeffs = coeffs_at(packet.spec, m, profile, f_ss.t)
-                rec = observables(f_ss, m, hbar, coeffs)
-                measured[i].append((rec, *(l2_error(f, analytic) for f in (f_ss, f_cn))))
-            except (LrwpError, ValueError) as exc:
-                outcomes[i] = exc
-        if None not in outcomes:
-            break
+    try:
+        for fields_ss, fields_cn in zip(*streams):
+            for i, f_ss, f_cn in zip(initials, fields_ss, fields_cn):
+                if outcomes[i] is not None:
+                    continue
+                try:
+                    for entry in (f_ss, f_cn):
+                        if isinstance(entry, Exception):
+                            raise entry
+                    packet = cases[i][0].packet
+                    analytic = _finite(sample_gtwp, packet, profile, grid, f_ss.t)
+                    coeffs = coeffs_at(packet.spec, m, profile, f_ss.t)
+                    rec = observables(f_ss, m, hbar, coeffs)
+                    measured[i].append((rec, *(l2_error(f, analytic) for f in (f_ss, f_cn))))
+                except (LrwpError, ValueError) as exc:
+                    outcomes[i] = exc
+            if None not in outcomes:
+                break
+    except (LrwpError, ValueError) as exc:
+        outcomes = [exc if outcome is None else outcome for outcome in outcomes]
+    finally:
+        for stream in streams:
+            stream.close()
     return [_judge(cases[i][1], scales[i], measured[i]) if outcome is None else outcome
             for i, outcome in enumerate(outcomes)]
 
@@ -426,12 +493,18 @@ def _run_sweep_case(task) -> list[list]:
     return rows
 
 
+def _slots(jobs: int) -> int:
+    """Validate tasks that ``jobs`` processes run at once: each is two processes."""
+    return max(1, jobs // 2)
+
+
 def _batches(cfg: RunConfig, jobs: int) -> list[list[int]]:
     """Indices into ``cfg.sweep``, one list per task, in sweep order.
 
     Validate cases that share grid, dt, force, m and ħ form a group, which is
-    cut in sweep order into at most ``jobs`` contiguous batches of near-equal
-    size, none above MAX_POINTS // n cases. Every other case is a batch of one.
+    cut in sweep order into at most ``_slots(jobs)`` contiguous batches of
+    near-equal size, none above MAX_POINTS // n cases. Every other case is a
+    batch of one.
     """
     batches, groups = [], {}
     for i, (_, case) in enumerate(cfg.sweep):
@@ -442,7 +515,7 @@ def _batches(cfg: RunConfig, jobs: int) -> list[list[int]]:
         groups.setdefault(key, []).append(i)
     for (spec, *_), members in groups.items():
         cap = MAX_POINTS // spec.n  # cases per batch
-        count = max(min(jobs, len(members)), -(-len(members) // cap))
+        count = max(min(_slots(jobs), len(members)), -(-len(members) // cap))
         size, extra = divmod(len(members), count)
         start = 0
         for b in range(count):
@@ -457,7 +530,9 @@ def run_sweep(cfg: RunConfig, out_dir, jobs: int | None = None) -> list[list]:
 
     Validate cases that share grid, dt, force, m and ħ propagate as batches
     (``_batches``); each batch, or each case of another kind, is one task of a
-    pool of at most ``jobs`` workers. Each case writes into its own
+    pool of at most ``jobs`` workers. A validate task is two processes, its own
+    and its Crank–Nicolson child, so a validate sweep's pool holds at most
+    ``_slots(jobs)`` workers. One worker runs in process. Each case writes into its own
     subdirectory; per-case failures are recorded in the summary and do not
     abort the sweep. Every case of a batch whose worker process died, or that
     was still pending when another worker died, is recorded as
@@ -469,8 +544,10 @@ def run_sweep(cfg: RunConfig, out_dir, jobs: int | None = None) -> list[list]:
     batches = _batches(cfg, jobs)
     plan = [(value, case, str(out / sweep_case_name(axis, value))) for value, case in cfg.sweep]
     tasks = [(axis, [plan[i] for i in batch]) for batch in batches]
+    validates = any(not isinstance(case, Exception) and case.mode is RunMode.VALIDATE
+                    for _, case in cfg.sweep)
     # the pool forks all of its workers up front, so never ask for more than tasks
-    workers = min(jobs, len(tasks))
+    workers = min(_slots(jobs) if validates else jobs, len(tasks))
     if workers <= 1:
         done = [_run_sweep_case(task) for task in tasks]
     else:

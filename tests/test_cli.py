@@ -52,7 +52,8 @@ import sys
 from lrwp.cli import main
 
 def loaded():
-    return ",".join(n for n in ("scipy", "scipy.linalg") if n in sys.modules) or "none"
+    names = ("scipy", "scipy.linalg", "multiprocessing")
+    return ",".join(n for n in names if n in sys.modules) or "none"
 
 config, out = sys.argv[1:]
 seen = [loaded()]
@@ -72,8 +73,10 @@ def test_closed_form_modes_never_load_scipy(tmp_path):
         capture_output=True, text=True, timeout=120, env={**os.environ, "PYTHONPATH": path},
     )
     assert result.returncode == 0, result.stderr
-    # import, analytic and momentum load no SciPy; validate propagates, so it must
-    assert result.stdout.splitlines()[-1].split() == ["none"] * 3 + ["scipy,scipy.linalg"]
+    # import, analytic and momentum load neither SciPy nor multiprocessing; validate
+    # propagates, with Crank–Nicolson in a forked child, so it loads both
+    assert result.stdout.splitlines()[-1].split() == (
+        ["none"] * 3 + ["scipy,scipy.linalg,multiprocessing"])
 
 
 def test_sweep_exit_zero(tmp_path):

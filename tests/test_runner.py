@@ -1,5 +1,6 @@
 import concurrent.futures
 import math
+import multiprocessing
 import os
 import stat
 import tempfile
@@ -13,8 +14,15 @@ from hypothesis import strategies as st
 
 from lrwp import config, runner
 from lrwp.config import parse_config
-from lrwp.errors import AcceptanceViolation, AliasingError, ConfigError
-from lrwp.oracle import ObservableRecord
+from lrwp.cli import main
+from lrwp.errors import (
+    AcceptanceViolation,
+    AliasingError,
+    ConfigError,
+    DegenerateFieldError,
+    LrwpError,
+)
+from lrwp.oracle import ObservableRecord, propagate_cranknicolson
 from lrwp.runner import (
     COMPARISON_HEADER,
     OBSERVABLES_HEADER,
@@ -327,6 +335,120 @@ class TestValidate:
         assert len(_read(tmp_path / "observables.csv")[1]) == 2
 
 
+def _child_stream(monkeypatch, after_first, dt=None):
+    """Make Crank–Nicolson's stream (of the run with step ``dt``, or of every run)
+    yield its first snapshot and then call ``after_first`` in the child."""
+
+    def stream(*args):
+        snapshots = propagate_cranknicolson(*args)
+        if dt is not None and args[-1].dt != dt:
+            return snapshots
+
+        def in_child():
+            yield next(snapshots)
+            after_first()
+
+        return in_child()
+
+    monkeypatch.setattr(runner, "propagate_cranknicolson", stream)
+
+
+def _exit_nine():
+    os._exit(9)
+
+
+def _raise_value_error():
+    raise ValueError("the child's own error")
+
+
+class TestCrankNicolsonChild:
+    """validate runs Crank–Nicolson in a forked child, joined on every path."""
+
+    CFG = TestValidate.CFG
+
+    def test_a_stream_in_a_child_yields_its_items_then_ends(self):
+        # in _validate the split step's end stops zip first, so "end" is read here
+        items = [[1.0, np.arange(3)], "two", None]
+        got = list(runner._in_child(iter(items)))
+        assert got[1:] == items[1:] and got[0][0] == 1.0
+        np.testing.assert_array_equal(got[0][1], items[0][1])
+        assert multiprocessing.active_children() == []
+
+    def test_a_run_every_case_stops_at_the_first_snapshot_ends_early(self, tmp_path, monkeypatch):
+        produced = tmp_path / "produced"
+
+        def counted(*args):
+            def in_child(snapshots):
+                for entries in snapshots:
+                    with open(produced, "a") as fh:
+                        fh.write(".")
+                    yield entries
+
+            return in_child(propagate_cranknicolson(*args))
+
+        def stop(*args):
+            raise DegenerateFieldError("stopped at t = 0")
+
+        monkeypatch.setattr(runner, "propagate_cranknicolson", counted)
+        monkeypatch.setattr(runner, "observables", stop)
+        cfg = parse_config(self.CFG.replace("output_every = 50", "output_every = 1"))
+        with pytest.raises(DegenerateFieldError, match="stopped at t = 0"):
+            run_validate(cfg, tmp_path / "out")
+        assert multiprocessing.active_children() == []
+        # of 501 snapshots, the child makes those the pipe holds, then finds it closed
+        assert 1 <= len(produced.read_text()) < 100
+        assert not (tmp_path / "out").exists()
+
+    def test_a_comparison_that_raises_reaps_the_child(self, tmp_path, monkeypatch):
+        def broken(*args):
+            raise RuntimeError("comparison failed")
+
+        monkeypatch.setattr(runner, "l2_error", broken)
+        with pytest.raises(RuntimeError, match="comparison failed"):
+            run_validate(parse_config(self.CFG), tmp_path)
+        assert multiprocessing.active_children() == []
+        assert not (tmp_path / "observables.csv").exists()
+
+    def test_a_child_that_dies_stops_every_case(self, tmp_path, monkeypatch):
+        _child_stream(monkeypatch, _exit_nine)
+        with pytest.raises(LrwpError, match="exited with code 9 before its last snapshot"):
+            run_validate(parse_config(self.CFG), tmp_path)
+        assert multiprocessing.active_children() == []
+        assert not (tmp_path / "observables.csv").exists()
+
+    def test_a_child_that_dies_is_a_numeric_failure(self, tmp_path, monkeypatch, capsys):
+        _child_stream(monkeypatch, _exit_nine)
+        (tmp_path / "run.ini").write_text(self.CFG)
+        out = tmp_path / "out"
+        assert main(["validate", "--config", str(tmp_path / "run.ini"), "--out", str(out)]) == 3
+        err = capsys.readouterr().err
+        assert err == ("lrwp: numeric failure: LrwpError: the Crank–Nicolson process exited "
+                       "with code 9 before its last snapshot\n")
+        assert multiprocessing.active_children() == []
+        assert list(out.iterdir()) == []
+
+    def test_a_child_that_dies_is_an_error_row_and_the_sweep_runs_on(self, tmp_path, monkeypatch):
+        _child_stream(monkeypatch, _exit_nine, dt=1e-3)
+        cfg = parse_config(
+            "[force]\nkind = constant\namplitude = 1\n" + SMALL_GRID
+            + "[run]\nmode = sweep\nsweep_axis = dt\nsweep_values = 2e-3, 1e-3, 5e-4\n"
+            "sweep_mode = validate\n"
+        )
+        results = run_sweep(cfg, tmp_path, jobs=2)
+        assert [r[-1] for r in results] == ["ok", "error:LrwpError", "ok"]
+        assert multiprocessing.active_children() == []
+        assert not (tmp_path / "dt=0.001" / "observables.csv").exists()
+
+    def test_an_error_raised_in_the_child_is_raised_in_the_parent(self, tmp_path, monkeypatch):
+        _child_stream(monkeypatch, _raise_value_error)
+        with pytest.raises(ValueError) as info:
+            run_validate(parse_config(self.CFG), tmp_path)
+        assert type(info.value) is ValueError
+        assert str(info.value) == "the child's own error"
+        assert multiprocessing.active_children() == []
+        assert not (tmp_path / "observables.csv").exists()
+
+
 class TestMomentum:
     def test_constant_force_discrepancies(self, tmp_path):
         cfg = parse_config(
@@ -494,10 +616,13 @@ class TestSweep:
     def test_validate_cases_sharing_a_hamiltonian_batch_in_sweep_order(self):
         text = SINUSOIDAL + SMALL_GRID + "[run]\nmode = sweep\nsweep_mode = validate\n"
         sigma = parse_config(text + "sweep_axis = sigma\nsweep_values = 1, 1.1, -1, 1.2, 1.3\n")
-        # σ = −1 cannot be built, so it is a task of its own; the rest are one group
+        # σ = −1 cannot be built, so it is a task of its own; the rest are one group,
+        # cut into at most jobs // 2 batches, since each batch is two processes
         assert runner._batches(sigma, 1) == [[0, 1, 3, 4], [2]]
-        assert runner._batches(sigma, 2) == [[0, 1], [2], [3, 4]]
-        assert runner._batches(sigma, 3) == [[0, 1], [2], [3], [4]]
+        assert runner._batches(sigma, 2) == [[0, 1, 3, 4], [2]]
+        assert runner._batches(sigma, 3) == [[0, 1, 3, 4], [2]]
+        assert runner._batches(sigma, 4) == [[0, 1], [2], [3, 4]]
+        assert runner._batches(sigma, 6) == [[0, 1], [2], [3], [4]]
         assert runner._batches(sigma, 10) == [[0], [1], [2], [3], [4]]
         # another dt, or another mode, is another Hamiltonian step or no propagation
         dt = parse_config(text + "sweep_axis = dt\nsweep_values = 1e-3, 5e-4\n")
@@ -514,8 +639,9 @@ class TestSweep:
             + "[run]\nmode = sweep\nsweep_axis = sigma\nsweep_values = 1, 1.1, 1.2, 1.3, 1.4\n"
             "sweep_mode = validate\n"
         )
-        results = run_sweep(cfg, tmp_path, jobs=2)
-        # two jobs would take batches of 3 and 2; 512 points hold two cases of n = 256
+        results = run_sweep(cfg, tmp_path, jobs=4)
+        # four jobs are two validate slots, which would take batches of 3 and 2;
+        # 512 points hold two cases of n = 256
         assert started == [2]
         assert batches == [[1.0, 1.1], [1.2, 1.3], [1.4]]
         assert [r[-1] for r in results] == ["ok"] * 5
@@ -605,6 +731,30 @@ def test_a_single_worker_runs_in_process(tmp_path, monkeypatch, jobs, values):
     results = run_sweep(cfg, tmp_path, jobs=jobs)
     assert started == [] and batches == []
     assert all(r[-1] == "ok" for r in results)
+
+
+def test_a_validate_sweep_at_two_jobs_starts_no_pool(tmp_path, monkeypatch):
+    # two jobs are one validate slot: the group is one batch, run in process with
+    # its Crank–Nicolson child; one and four jobs write the same bytes
+    cfg = parse_config(
+        SINUSOIDAL + SMALL_GRID
+        + "[run]\nmode = sweep\nsweep_axis = sigma\nsweep_values = 0.9, 1, 1.1, 1.2\n"
+        "sweep_mode = validate\n"
+    )
+    with monkeypatch.context() as patch:
+        started, batches = _inline_pool(patch)
+        results = run_sweep(cfg, tmp_path / "2", jobs=2)
+    assert started == [] and batches == []
+    assert [r[-1] for r in results] == ["ok"] * 4
+    files = sorted(p.relative_to(tmp_path / "2") for p in (tmp_path / "2").rglob("*.csv"))
+    assert len(files) == 5
+    for jobs in (1, 4):
+        run_sweep(cfg, tmp_path / str(jobs), jobs=jobs)
+        assert sorted(p.relative_to(tmp_path / str(jobs))
+                      for p in (tmp_path / str(jobs)).rglob("*.csv")) == files
+        for name in files:
+            assert (tmp_path / str(jobs) / name).read_bytes() == (tmp_path / "2" / name).read_bytes()
+    assert multiprocessing.active_children() == []
 
 
 @pytest.mark.parametrize("path", sorted(CONFIGS.glob("*.ini")), ids=lambda p: p.stem)

@@ -10,12 +10,15 @@ compiled from its module maps an instruction to it. The tool prints each
 module's unrun lines with their text, then the totals; with no module named,
 it reports every module of the package.
 
-The count is approximate. The tracer does not follow the worker processes a
-sweep forks, and a line that the compiler folds into a jump (a bare
-``continue``, say) may count as unrun.
+Processes that ``multiprocessing`` forks (sweep workers, and the child that
+runs Crank–Nicolson) inherit the tracer, and each adds the lines it ran as it
+exits. The count is approximate: a child that ends without returning from its
+bootstrap (``os._exit`` in a test) adds nothing, and a line that the compiler
+folds into a jump (a bare ``continue``, say) may count as unrun.
 """
 
 import argparse
+import json
 import os
 import shutil
 import sys
@@ -25,6 +28,7 @@ import types
 from pathlib import Path
 
 import pytest
+from multiprocessing import process
 
 ROOT = Path(__file__).resolve().parent.parent
 PACKAGE = Path("src") / "lrwp"
@@ -55,9 +59,20 @@ def traced_suite(tree: Path) -> tuple[int, set[tuple[str, int]]]:
     def tracer(frame, _event, _arg):
         return local if frame.f_code.co_filename.startswith(package) else None
 
+    spool = tree / ".child-lines"
+    spool.mkdir()
+    bootstrap = process.BaseProcess._bootstrap
+
+    def bootstrap_and_report(self, *args, **kwargs):  # runs in the forked child
+        try:
+            return bootstrap(self, *args, **kwargs)
+        finally:
+            (spool / f"{os.getpid()}.json").write_text(json.dumps(sorted(hits)))
+
     cwd, path = os.getcwd(), list(sys.path)
     os.chdir(tree)
     sys.path.insert(0, str(tree / "src"))
+    process.BaseProcess._bootstrap = bootstrap_and_report
     threading.settrace(tracer)
     sys.settrace(tracer)
     try:
@@ -65,8 +80,11 @@ def traced_suite(tree: Path) -> tuple[int, set[tuple[str, int]]]:
     finally:
         sys.settrace(None)
         threading.settrace(None)
+        process.BaseProcess._bootstrap = bootstrap
         os.chdir(cwd)
         sys.path[:] = path
+    for report in spool.iterdir():
+        hits.update(map(tuple, json.loads(report.read_text())))
     return int(code), hits
 
 
