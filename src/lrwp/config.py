@@ -12,27 +12,31 @@ The packet section accepts exactly one parameterization:
 Either way x0 and p0 set the packet's launch point. The packet holds m, ħ, x0
 and p0; a RunConfig adds only σ, for the momentum route.
 
-Case rules (``_check_validate``, ``_check_momentum_grid``) hold alike for a lone run
-and for each sweep case, which the sweep plan keeps as its error when refused. Sweep
-rules (``_check_axis``) and the momentum route's σ and ħ² rules hold once per parse.
+Document rules hold once per parse: every key's syntax and number, the mode
+and sweep settings (and what the axis needs, ``_AXES``), the momentum route's
+σ and ħ² rules, and MAX_ROWS. Case rules hold on the values a case runs: its
+force's, packet's and grid's (``_build_*``), and ``_check_validate``. A lone
+run is the plan of one case, and raises its error. A sweep's document is a
+template: each value replaces what its axis sets, and the plan keeps that case
+or its error. A part that the axis does not set is built once, and its error
+refuses the document.
 """
 
 import cmath
 import enum
 import math
 import sys
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 from .classical import x_c
-from .errors import ConfigError, InvalidInvariantError, LrwpError, OutOfDomainError
+from .errors import ConfigError, InvalidInvariantError, OutOfDomainError
 from .fields import conjugate_momentum_grid
 from .forcing import ConstantForce, ForceProfile, PiecewiseLinearForce, SinusoidalForce
 from .invariant import InvariantSpec, PacketState
 from .oracle import INITIAL_NORM_TOL, GridSpec
 from .wavepacket import analytic_norm_sq, delta_x, matched_packet
 
-__all__ = ["MAX_ROWS", "RunMode", "RunConfig", "parse_config", "apply_sweep_value",
-           "sweep_case_name"]
+__all__ = ["MAX_ROWS", "RunMode", "RunConfig", "parse_config", "sweep_case_name"]
 
 CONTAINMENT_WIDTHS = 8.0
 # b1 `analytic` writes 411 648 CSV rows, 48 MB in about 2 s. 10⁸ rows, summed over
@@ -58,10 +62,11 @@ _SECTIONS = {
 
 @dataclass(frozen=True)
 class RunConfig:
-    profile: ForceProfile
-    packet: PacketState
+    # a sweep holds the parts its cases share, and None for the part its axis sets
+    profile: ForceProfile | None
+    packet: PacketState | None
     sigma: float | None  # the width the packet was matched from; None for an invariant packet
-    grid: GridSpec
+    grid: GridSpec | None
     mode: RunMode
     sweep_axis: str | None = None
     # the sweep plan, in sweep order: each value with its case, or the error that refused it
@@ -144,33 +149,29 @@ def _scan(text: str) -> dict[str, dict[str, tuple[str, int]]]:
     return out
 
 
-def _build_profile(sec: dict[str, tuple[str, int]]) -> ForceProfile:
-    kind, kind_line = sec.get("kind", ("zero", None))
+def _parse_force(sec: dict[str, tuple[str, int]]) -> tuple[type, dict, int | None, int | None]:
+    """The force's type, its constructor's arguments, and the lines of its kind and knots."""
+    kind, line = sec.get("kind", ("zero", None))
     kind = kind.lower()
 
     def need(key):
         if key not in sec:
-            raise ConfigError(f"force kind {kind!r} needs key {key!r}", kind_line)
+            raise ConfigError(f"force kind {kind!r} needs key {key!r}", line)
         return sec[key]
 
-    try:
-        if kind == "zero":
-            return ConstantForce(amplitude=0.0)
-        if kind == "constant":
-            return ConstantForce(amplitude=_parse_float(*need("amplitude")))
-        if kind == "sinusoidal":
-            phase = _parse_float(*sec["phase"]) if "phase" in sec else 0.0
-            return SinusoidalForce(
-                amplitude=_parse_float(*need("amplitude")),
-                omega=_parse_float(*need("omega")),
-                phase=phase,
-            )
-        if kind in ("piecewise_linear", "tabulated"):  # tabulated samples interpolate linearly
-            key = "knots" if kind == "piecewise_linear" else "samples"
-            return PiecewiseLinearForce(knots=_parse_pairs(*need(key)))
-    except ValueError as exc:
-        raise ConfigError(str(exc), kind_line)
-    raise ConfigError(f"unknown force kind {kind!r}", kind_line)
+    if kind == "zero":
+        return ConstantForce, {"amplitude": 0.0}, line, None
+    if kind == "constant":
+        return ConstantForce, {"amplitude": _parse_float(*need("amplitude"))}, line, None
+    if kind == "sinusoidal":
+        phase = _parse_float(*sec["phase"]) if "phase" in sec else 0.0
+        args = {"amplitude": _parse_float(*need("amplitude")),
+                "omega": _parse_float(*need("omega")), "phase": phase}
+        return SinusoidalForce, args, line, None
+    if kind in ("piecewise_linear", "tabulated"):  # tabulated samples interpolate linearly
+        key = "knots" if kind == "piecewise_linear" else "samples"
+        return PiecewiseLinearForce, {"knots": _parse_pairs(*need(key))}, line, sec[key][1]
+    raise ConfigError(f"unknown force kind {kind!r}", line)
 
 
 def _parse_alpha0(text: str, line: int) -> complex:
@@ -186,40 +187,18 @@ def _parse_alpha0(text: str, line: int) -> complex:
     return alpha0
 
 
-def _check_norm(packet: PacketState, line: int | None = None) -> None:
-    """Refuse a packet whose ∫|ψ|² = e^{−2·Im α0}·√(πħ/(−Im F0)) is not a finite positive
-    float. Only an explicit α0 can do this, from the config or from ``matched_packet``:
-    the default one normalizes the packet, and ``PacketState`` refuses an ħ and F0 for
-    which no α0 does."""
-    if packet.spec.is_packet:
-        norm = analytic_norm_sq(packet)
-        if not 0.0 < norm < math.inf:
-            raise ConfigError(f"the packet norm e^(-2*Im alpha0)*sqrt(pi*hbar/(-Im F0)) = "
-                              f"{norm:g}, not finite and positive", line)
-
-
-def _build_packet(
-    sec: dict[str, tuple[str, int]], m: float, hbar: float
-) -> tuple[PacketState, float | None]:
-    x0 = _parse_float(*sec["x0"]) if "x0" in sec else 0.0
-    p0 = _parse_float(*sec["p0"]) if "p0" in sec else 0.0
+def _parse_packet(sec: dict[str, tuple[str, int]]) -> dict:
+    """The packet's launch point and parameterization: σ, or the invariant's A0, B0, C0
+    and α0, each with the line its rules name."""
+    args = {"x0": _parse_float(*sec["x0"]) if "x0" in sec else 0.0,
+            "p0": _parse_float(*sec["p0"]) if "p0" in sec else 0.0}
     invariant_keys = [k for k in ("A0", "B0", "C0", "F0", "alpha0") if k in sec]
-    gaussian_given = "sigma" in sec
-    if gaussian_given and invariant_keys:
-        raise ConfigError(
-            "packet mixes the gaussian (sigma) and invariant "
-            f"({'/'.join(invariant_keys)}) parameterizations",
-            sec["sigma"][1],
-        )
-    if gaussian_given or not invariant_keys:
-        sigma = _parse_float(*sec["sigma"]) if gaussian_given else 1.0
-        line = sec["sigma"][1] if gaussian_given else None
-        try:
-            packet = matched_packet(sigma, m, hbar, x0, p0)
-        except ValueError as exc:
-            raise ConfigError(str(exc), line)
-        _check_norm(packet, line)  # matched_packet gives α0 = (i/4)·ln(2πσ²)
-        return packet, sigma
+    if "sigma" in sec and invariant_keys:
+        raise ConfigError("packet mixes the gaussian (sigma) and invariant "
+                          f"({'/'.join(invariant_keys)}) parameterizations", sec["sigma"][1])
+    if "sigma" in sec or not invariant_keys:  # the default σ = 1 has no line
+        sigma, line = sec.get("sigma", ("1", None))
+        return {**args, "sigma": _parse_float(sigma, line), "line": line, "norm_line": line}
 
     if "F0" in sec and any(k in sec for k in ("A0", "B0", "C0")):
         raise ConfigError("F0 shorthand conflicts with explicit A0/B0/C0", sec["F0"][1])
@@ -233,13 +212,56 @@ def _build_packet(
     else:
         some = sec[invariant_keys[0]][1]
         raise ConfigError("invariant parameterization needs both A0 and B0", some)
+    return {**args, **dict(zip(("A0", "B0", "C0"), coefficients)), "alpha0": alpha0,
+            "line": line, "norm_line": sec.get("alpha0", ("", None))[1]}
+
+
+def _build_packet(args: dict, m: float, hbar: float) -> tuple[PacketState, float | None]:
+    """Packet case rules: the packet matched to σ, or the invariant's, with a finite norm."""
     try:
-        spec = InvariantSpec(*coefficients)
-        packet = PacketState(m=m, hbar=hbar, x0=x0, p0=p0, spec=spec, alpha0=alpha0)
-    except InvalidInvariantError as exc:
+        if "sigma" in args:
+            packet = matched_packet(args["sigma"], m, hbar, args["x0"], args["p0"])
+        else:
+            spec = InvariantSpec(args["A0"], args["B0"], args["C0"])
+            packet = PacketState(m, hbar, args["x0"], args["p0"], spec, args["alpha0"])
+    except (ValueError, InvalidInvariantError) as exc:
+        raise ConfigError(str(exc), args["line"])
+    # ∫|ψ|² = e^{−2·Im α0}·√(πħ/(−Im F0)) fails only with an explicit α0: matched_packet's,
+    # (i/4)·ln(2πσ²), or the config's; PacketState refuses an ħ and F0 that no α0 normalizes
+    norm = analytic_norm_sq(packet) if packet.spec.is_packet else 1.0
+    if not 0.0 < norm < math.inf:
+        raise ConfigError(f"the packet norm e^(-2*Im alpha0)*sqrt(pi*hbar/(-Im F0)) = "
+                          f"{norm:g}, not finite and positive", args["norm_line"])
+    return packet, args.get("sigma")
+
+
+def _build_force(kind: type, args: dict, line: int | None, knots_line: int | None,
+                 t_max: float) -> ForceProfile:
+    """Force case rules: its constructor's, and a domain that reaches t_max."""
+    try:
+        profile = kind(**args)
+        # the same domain rule and end fuzz as every later call; a t_max < 0 is GridSpec's
+        profile.force(max(t_max, 0.0))
+    except ValueError as exc:
         raise ConfigError(str(exc), line)
-    _check_norm(packet, sec.get("alpha0", ("", None))[1])  # only an explicit α0 can fail
-    return packet, None
+    except OutOfDomainError as exc:
+        raise ConfigError(f"the force is not defined up to t_max = {t_max:g} ({exc})", knots_line)
+    return profile
+
+
+def _build_grid(args: dict, line: int | None, hbar: float | None,
+                hbar_line: int | None) -> GridSpec:
+    """Grid case rules: GridSpec's, and given ħ, the conjugate momentum grid's."""
+    try:
+        grid = GridSpec(**args)
+    except ValueError as exc:
+        raise ConfigError(str(exc), line)
+    if hbar is not None:
+        try:
+            conjugate_momentum_grid(grid.grid, hbar)
+        except ValueError as exc:
+            raise ConfigError(f"hbar = {hbar:g}: the momentum {exc}", hbar_line)
+    return grid
 
 
 def _check_validate(case: RunConfig, alpha0_line: int | None = None) -> None:
@@ -259,16 +281,19 @@ def _check_validate(case: RunConfig, alpha0_line: int | None = None) -> None:
                           f"± {CONTAINMENT_WIDTHS:g}·Δx = {xc:g} ± {margin:g}")
 
 
-def _check_momentum_grid(case: RunConfig, hbar_line: int | None) -> None:
-    """Momentum-mode case rule: the conjugate momentum grid meets the grid rule."""
-    try:
-        conjugate_momentum_grid(case.grid.grid, case.packet.hbar)
-    except ValueError as exc:
-        raise ConfigError(f"hbar = {case.packet.hbar:g}: the momentum {exc}", hbar_line)
+# each sweep axis: the part of a case it sets, the argument it sets there, and what
+# the template needs to hold that argument
+_AXES = {
+    "sigma": ("packet", "sigma", "a gaussian-parameterized packet"),
+    "F0_imag": ("packet", "B0", "an invariant-parameterized packet"),  # Im(B0/A0)
+    "dt": ("grid", "dt", ""),
+    "n": ("grid", "n", ""),
+    "force_amplitude": ("force", "amplitude", "a constant or sinusoidal force"),
+}
 
 
 def parse_config(text: str, mode_override: str | None = None) -> RunConfig:
-    """Parse and fully validate a configuration document."""
+    """Parse a document, hold it to the document rules, and build its cases."""
     sections = _scan(text)
 
     system = sections["system"]
@@ -277,33 +302,16 @@ def parse_config(text: str, mode_override: str | None = None) -> RunConfig:
     for name, value in (("m", m), ("hbar", hbar)):
         if value <= 0:
             raise ConfigError(f"{name} must be positive", system[name][1])
+    hbar_line = system.get("hbar", ("", None))[1]
 
-    profile = _build_profile(sections["force"])
-    packet, sigma = _build_packet(sections["packet"], m, hbar)
-
+    force_type, force_args, kind_line, knots_line = _parse_force(sections["force"])
+    packet_args = _parse_packet(sections["packet"])
     gsec = sections["grid"]
     grid_line = min((ln for _, ln in gsec.values()), default=None)  # where grid errors point
-
-    def gval(key, default, caster):
-        return caster(*gsec[key]) if key in gsec else default
-
-    try:
-        grid = GridSpec(
-            x_min=gval("x_min", -20.0, _parse_float),
-            x_max=gval("x_max", 20.0, _parse_float),
-            n=gval("n", 2048, _parse_int),
-            dt=gval("dt", 1e-3, _parse_float),
-            t_max=gval("t_max", 2.0, _parse_float),
-            output_every=gval("output_every", 10, _parse_int),
-        )
-    except ValueError as exc:
-        raise ConfigError(str(exc), grid_line)
-    try:
-        profile.force(grid.t_max)  # same domain rule and end fuzz as every later call
-    except OutOfDomainError as exc:
-        fsec = sections["force"]
-        line = next(fsec[key][1] for key in ("knots", "samples") if key in fsec)
-        raise ConfigError(f"the force is not defined up to t_max = {grid.t_max:g} ({exc})", line)
+    grid_args = {key: caster(*gsec[key]) if key in gsec else default for key, caster, default in (
+        ("x_min", _parse_float, -20.0), ("x_max", _parse_float, 20.0), ("n", _parse_int, 2048),
+        ("dt", _parse_float, 1e-3), ("t_max", _parse_float, 2.0),
+        ("output_every", _parse_int, 10))}
 
     rsec = sections["run"]
     # the file's mode is checked even where the caller names the mode to run
@@ -314,38 +322,25 @@ def parse_config(text: str, mode_override: str | None = None) -> RunConfig:
             except ValueError:
                 raise ConfigError(f"unknown mode {mode_text!r}", mode_line)
 
-    sweep_axis = None
-    sweep_values: tuple[float, ...] = ()
-    sweep_mode = RunMode.VALIDATE
-    if "sweep_axis" in rsec:
-        sweep_axis = rsec["sweep_axis"][0].strip().replace("-", "_")
-    if "sweep_values" in rsec:
-        raw, line = rsec["sweep_values"]
-        sweep_values = tuple(_parse_float(v, line) for v in raw.split(",") if v.strip())
-        # concurrent cases must never write into the same directory
-        names = [sweep_case_name(sweep_axis or "", v) for v in sweep_values]
-        shared = [v for v, name in zip(sweep_values, names) if names.count(name) > 1]
-        if shared:
-            raise ConfigError(f"sweep values {shared} share a case directory name", line)
-    if "sweep_mode" in rsec:
-        raw, line = rsec["sweep_mode"]
-        try:
-            sweep_mode = RunMode(raw.strip().lower())
-        except ValueError:
-            raise ConfigError(f"unknown sweep_mode {raw!r}", line)
-        if sweep_mode is RunMode.SWEEP:
-            raise ConfigError("sweep_mode cannot itself be 'sweep'", line)
+    sweep_axis = rsec["sweep_axis"][0].strip().replace("-", "_") if "sweep_axis" in rsec else None
+    raw, line = rsec.get("sweep_values", ("", None))
+    sweep_values = tuple(_parse_float(v, line) for v in raw.split(",") if v.strip())
+    # concurrent cases must never write into the same directory
+    names = [sweep_case_name(sweep_axis or "", v) for v in sweep_values]
+    shared = [v for v, name in zip(sweep_values, names) if names.count(name) > 1]
+    if shared:
+        raise ConfigError(f"sweep values {shared} share a case directory name", line)
+    raw, line = rsec.get("sweep_mode", ("validate", None))
+    try:
+        sweep_mode = RunMode(raw.strip().lower())
+    except ValueError:
+        raise ConfigError(f"unknown sweep_mode {raw!r}", line)
+    if sweep_mode is RunMode.SWEEP:
+        raise ConfigError("sweep_mode cannot itself be 'sweep'", line)
 
-    # a sweep case inherits every field of the base but the one its axis sets
-    base = RunConfig(profile, packet, sigma, grid, mode=sweep_mode, sweep_axis=sweep_axis)
-    cfg = replace(base, mode=mode)
-    alpha0_line = sections["packet"].get("alpha0", ("", None))[1]
-    hbar_line = system.get("hbar", ("", None))[1]
-
-    if mode is RunMode.VALIDATE:
-        _check_validate(cfg, alpha0_line)
-    if (sweep_mode if mode is RunMode.SWEEP else mode) is RunMode.MOMENTUM:
-        if sigma is None:
+    case_mode = sweep_mode if mode is RunMode.SWEEP else mode
+    if case_mode is RunMode.MOMENTUM:
+        if "sigma" not in packet_args:
             who, line = (("sweep_mode momentum", rsec["sweep_mode"][1]) if mode is RunMode.SWEEP
                          else ("momentum mode", None))
             raise ConfigError(f"{who} requires the gaussian packet parameterization", line)
@@ -356,13 +351,55 @@ def parse_config(text: str, mode_override: str | None = None) -> RunConfig:
             flow = "underflows" if hbar < 1.0 else "overflows"
             message = f"hbar = {hbar:g}: the momentum route divides by hbar^2, which {flow}"
             raise ConfigError(message, hbar_line)
-        _check_momentum_grid(base, hbar_line)
-    if mode is RunMode.SWEEP:
+    parts = {"force": force_args, "packet": packet_args, "grid": grid_args}
+    axis_part = axis_key = None
+    if mode is RunMode.SWEEP:  # the sweep rules: what the axis needs, for any value
         if sweep_axis is None or not sweep_values:
             raise ConfigError("sweep mode needs sweep_axis and sweep_values")
-        _check_axis(base, sweep_axis, rsec["sweep_axis"][1])
-        cfg = replace(cfg, sweep=tuple((value, _sweep_case(base, value, alpha0_line, hbar_line))
-                                       for value in sweep_values))
+        line = rsec["sweep_axis"][1]
+        if sweep_axis not in _AXES:
+            raise ConfigError(f"unknown sweep axis {sweep_axis!r}", line)
+        axis_part, axis_key, needs = _AXES[sweep_axis]
+        if axis_key not in parts[axis_part]:
+            raise ConfigError(f"{sweep_axis} sweep needs {needs}", line)
+
+    builders = {  # each part's case rules
+        "force": lambda args: _build_force(force_type, args, kind_line, knots_line,
+                                           grid_args["t_max"]),
+        "packet": lambda args: _build_packet(args, m, hbar),
+        "grid": lambda args: _build_grid(
+            args, grid_line, hbar if case_mode is RunMode.MOMENTUM else None, hbar_line),
+    }
+    # every case shares the parts its axis does not set: each is built, and judged, once
+    built = {part: builders[part](args) for part, args in parts.items() if part != axis_part}
+
+    def case(value: float | None = None) -> RunConfig:  # the template, ``value`` on its axis
+        own = dict(built)
+        if axis_part is not None:
+            args = parts[axis_part]
+            if axis_key == "n":
+                value = int(round(value))
+            elif sweep_axis == "F0_imag":  # A0 and Re F0 stay
+                value = args["A0"] * complex((args["B0"] / args["A0"]).real, value)
+            own[axis_part] = builders[axis_part]({**args, axis_key: value})
+        packet, sigma = own["packet"]
+        config = RunConfig(own["force"], packet, sigma, own["grid"], case_mode)
+        if case_mode is RunMode.VALIDATE:
+            _check_validate(config, packet_args["norm_line"])
+        return config
+
+    if mode is RunMode.SWEEP:
+        plan = []
+        for value in sweep_values:
+            try:
+                plan.append((value, case(value)))
+            except ConfigError as exc:
+                plan.append((value, exc))
+        packet, sigma = built.get("packet", (None, None))
+        cfg = RunConfig(built.get("force"), packet, sigma, built.get("grid"), mode,
+                        sweep_axis, tuple(plan))
+    else:
+        cfg = case()
     rows = _rows_to_write(cfg)
     if rows > MAX_ROWS:
         message = f"the run writes {rows:.6g} CSV rows, above the limit of {MAX_ROWS}"
@@ -371,8 +408,7 @@ def parse_config(text: str, mode_override: str | None = None) -> RunConfig:
 
 
 def _rows_to_write(cfg: RunConfig) -> int:
-    """CSV rows a run writes: snapshots × n in analytic mode, snapshots otherwise,
-    summed over the sweep cases that the plan holds."""
+    """CSV rows a run writes: snapshots × n in analytic mode, else snapshots; a sweep's sum."""
     if cfg.mode is RunMode.SWEEP:
         return sum(_rows_to_write(case) for _, case in cfg.sweep if isinstance(case, RunConfig))
     snapshots = len(cfg.grid.snapshot_steps)
@@ -382,49 +418,3 @@ def _rows_to_write(cfg: RunConfig) -> int:
 def sweep_case_name(axis: str, value: float) -> str:
     """Directory name of the sweep case that sets ``axis`` to ``value``."""
     return f"{axis}={value:g}"
-
-
-def _sweep_case(base: RunConfig, value: float, alpha0_line: int | None,
-                hbar_line: int | None) -> RunConfig | Exception:
-    """The case that sets the base's sweep axis to ``value``, held to the case rules of its
-    mode as a lone run is, or the error that refuses it."""
-    try:
-        case = apply_sweep_value(base, base.sweep_axis, value)
-        if case.mode is RunMode.VALIDATE:
-            _check_validate(case, alpha0_line)
-        elif case.mode is RunMode.MOMENTUM:  # only an n case moves the momentum grid
-            _check_momentum_grid(case, hbar_line)
-        return case
-    except (LrwpError, ValueError) as exc:
-        return exc
-
-
-def _check_axis(base: RunConfig, axis: str, line: int | None = None) -> None:
-    """Sweep rules: a known axis, and what that axis needs of the base, for any value."""
-    if axis not in ("sigma", "F0_imag", "dt", "n", "force_amplitude"):
-        raise ConfigError(f"unknown sweep axis {axis!r}", line)
-    if axis == "sigma" and base.sigma is None:
-        raise ConfigError("sigma sweep needs a gaussian-parameterized packet", line)
-    if axis == "F0_imag" and base.sigma is not None:
-        raise ConfigError("F0_imag sweep needs an invariant-parameterized packet", line)
-    if axis == "force_amplitude" and not isinstance(base.profile, (ConstantForce, SinusoidalForce)):
-        raise ConfigError("force_amplitude sweep needs a constant or sinusoidal force", line)
-
-
-def apply_sweep_value(cfg: RunConfig, axis: str, value: float) -> RunConfig:
-    """Derive a single-run config with one parameter replaced."""
-    _check_axis(cfg, axis)
-    p = cfg.packet
-    if axis == "sigma":
-        packet = matched_packet(float(value), p.m, p.hbar, p.x0, p.p0)
-        _check_norm(packet)
-        return replace(cfg, sigma=float(value), packet=packet)
-    if axis == "F0_imag":
-        old = p.spec
-        spec = InvariantSpec(A0=old.A0, B0=old.A0 * complex(old.F0.real, float(value)), C0=old.C0)
-        return replace(cfg, packet=replace(p, spec=spec, alpha0=None))
-    if axis == "dt":
-        return replace(cfg, grid=replace(cfg.grid, dt=float(value)))
-    if axis == "n":
-        return replace(cfg, grid=replace(cfg.grid, n=int(round(value))))
-    return replace(cfg, profile=replace(cfg.profile, amplitude=float(value)))  # force_amplitude

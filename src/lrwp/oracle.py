@@ -40,10 +40,11 @@ needed. The split step's closing kick is the next step's opening kick. A
 constant force factors once per run, a sinusoidal one every step, a
 piecewise-linear one once per flat segment plus once per sloped step.
 Rebuilding the same operands would give the same bytes, so the output does
-not depend on what was reused. SciPy's LAPACK is imported when
-``propagate_cranknicolson`` is called, not when its stream first steps: the
-runner iterates that stream in a forked child, which inherits it loaded. A run
-that never propagates never loads SciPy.
+not depend on what was reused. SciPy's LAPACK is imported by ``load_lapack``,
+which ``propagate_cranknicolson`` calls, not when its stream first steps: the
+runner iterates that stream in a forked child, which inherits it loaded, and
+loads it before a validate sweep forks its pool. A run that never propagates
+never loads SciPy.
 """
 
 import math
@@ -302,10 +303,14 @@ def propagate_cranknicolson(
     spec: GridSpec,
 ) -> Iterator[list[WaveField | Exception]]:
     """Per snapshot (t=0 included), each case's Cayley-form Crank–Nicolson field, or
-    its error, as a stream. SciPy's LAPACK is imported by this call, before any step."""
-    from scipy.linalg.lapack import zgbtrf, zgbtrs
+    its error, as a stream. SciPy's LAPACK is loaded by this call, before any step."""
+    return _cranknicolson(initials, profile, m, hbar, spec, *load_lapack())
 
-    return _cranknicolson(initials, profile, m, hbar, spec, zgbtrf, zgbtrs)
+
+def load_lapack():
+    """SciPy's banded LU routines ``zgbtrf`` and ``zgbtrs``, the one place that imports them."""
+    from scipy.linalg.lapack import zgbtrf, zgbtrs
+    return zgbtrf, zgbtrs
 
 
 def _cranknicolson(initials, profile, m, hbar, spec, zgbtrf, zgbtrs):

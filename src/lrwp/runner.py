@@ -50,7 +50,8 @@ from .config import RunConfig, RunMode, sweep_case_name
 from .errors import AcceptanceViolation, InstabilityError, LrwpError
 from .fields import WaveField, conjugate_momentum_grid, l2_error
 from .invariant import coeffs_at, eigenvalue
-from .oracle import MAX_POINTS, observables, propagate_cranknicolson, propagate_splitstep
+from .oracle import (MAX_POINTS, load_lapack, observables, propagate_cranknicolson,
+                     propagate_splitstep)
 from .wavepacket import (
     analytic_norm_sq,
     delta_p,
@@ -548,6 +549,8 @@ def run_sweep(cfg: RunConfig, out_dir, jobs: int | None = None) -> list[list]:
                     for _, case in cfg.sweep)
     # the pool forks all of its workers up front, so never ask for more than tasks
     workers = min(_slots(jobs) if validates else jobs, len(tasks))
+    if validates:  # here, once: every worker the pool forks inherits it loaded
+        load_lapack()
     if workers <= 1:
         done = [_run_sweep_case(task) for task in tasks]
     else:

@@ -57,8 +57,9 @@ def loaded():
 
 config, out = sys.argv[1:]
 seen = [loaded()]
-for mode in ("analytic", "momentum", "validate"):
-    assert main([mode, "--config", config, "--out", f"{out}/{mode}"]) == 0, mode
+for mode in ("analytic", "momentum", "sweep", "validate"):
+    jobs = ["--jobs", "4"] if mode == "sweep" else []
+    assert main([mode, "--config", config, "--out", f"{out}/{mode}", *jobs]) == 0, mode
     seen.append(loaded())
 print(*seen)
 """
@@ -68,15 +69,55 @@ def test_closed_form_modes_never_load_scipy(tmp_path):
     # a fresh interpreter: this one has loaded SciPy for other tests
     src = str(Path(lrwp.__file__).resolve().parent.parent)
     path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    sweep = "[run]\nsweep_axis = sigma\nsweep_values = 0.5, 1\nsweep_mode = analytic\n"
     result = subprocess.run(
-        [sys.executable, "-c", SCIPY_PROBE, _write(tmp_path, GOOD), str(tmp_path)],
+        [sys.executable, "-c", SCIPY_PROBE, _write(tmp_path, GOOD + sweep), str(tmp_path)],
         capture_output=True, text=True, timeout=120, env={**os.environ, "PYTHONPATH": path},
     )
     assert result.returncode == 0, result.stderr
-    # import, analytic and momentum load neither SciPy nor multiprocessing; validate
-    # propagates, with Crank–Nicolson in a forked child, so it loads both
+    # import, analytic and momentum load neither SciPy nor multiprocessing; an analytic
+    # sweep at --jobs 4 forks a pool, but loads no SciPy; validate propagates, with
+    # Crank–Nicolson in a forked child, so it loads both
     assert result.stdout.splitlines()[-1].split() == (
-        ["none"] * 3 + ["scipy,scipy.linalg,multiprocessing"])
+        ["none"] * 3 + ["multiprocessing", "scipy,scipy.linalg,multiprocessing"])
+
+
+TINY = "dt = 0.01\nt_max = 0.02\noutput_every = 1\n"
+MOMENTUM_BOX = "[system]\nhbar = 1e150\n[grid]\nx_min = 0\nx_max = 6.28e-154\n"
+
+
+@pytest.mark.parametrize("base, old, new, axis, mode, status", [
+    ("[grid]\nn = 4194304\n" + TINY, "n = 4194304", "n = 64", "n", "analytic", "ok"),
+    ("[grid]\nn = 100\n" + TINY, "n = 100", "n = 64", "n", "analytic", "ok"),
+    ("[grid]\nn = 64\ndt = 0\nt_max = 0.02\noutput_every = 1\n", "dt = 0", "dt = 0.01", "dt",
+     "analytic", "ok"),
+    ("[packet]\nsigma = -1\n[grid]\nn = 64\n" + TINY, "sigma = -1", "sigma = 1", "sigma",
+     "analytic", "ok"),
+    # the base's 2²⁰-point momentum grid overflows; the 64-point one of the case does not,
+    # but ħ = 1e150 on a box 6e-154 wide is not finite, alone or in the sweep
+    (MOMENTUM_BOX + "n = 1048576\n" + TINY, "n = 1048576", "n = 64", "n", "momentum",
+     "error:InstabilityError"),
+], ids=["n_above_limit", "n_not_a_power_of_two", "dt_zero", "sigma_negative", "momentum_grid"])
+def test_a_base_value_that_the_axis_replaces_is_never_judged(
+        tmp_path, base, old, new, axis, mode, status):
+    # the base is a template: the sweep runs its one case as the lone document that
+    # holds the case's value, and writes the same bytes
+    value = new.split(" = ")[1]
+    sweep = f"[run]\nsweep_axis = {axis}\nsweep_values = {value}\nsweep_mode = {mode}\n"
+    cfg = _write(tmp_path, base + sweep)
+    assert main(["sweep", "--config", cfg, "--out", str(tmp_path / "sweep"), "--jobs", "1"]) == 0
+    summary = (tmp_path / "sweep" / "sweep_summary.csv").read_text().splitlines()
+    assert [row.split(",")[-1] for row in summary[1:]] == [status]
+    lone = _write(tmp_path, (base + sweep).replace(old, new), "lone.ini")
+    code = main([mode, "--config", lone, "--out", str(tmp_path / "lone")])
+    assert code == (0 if status == "ok" else 3)
+    case = tmp_path / "sweep" / f"{axis}={float(value):g}"
+
+    def files(path):
+        return {f.name: f.read_bytes() for f in path.iterdir()} if path.exists() else {}
+
+    assert files(case) == files(tmp_path / "lone")
+    assert len(files(case)) == (2 if status == "ok" else 0)
 
 
 def test_sweep_exit_zero(tmp_path):

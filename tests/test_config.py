@@ -4,7 +4,7 @@ import sys
 
 import pytest
 
-from lrwp.config import MAX_ROWS, RunConfig, RunMode, apply_sweep_value, parse_config
+from lrwp.config import MAX_ROWS, RunConfig, RunMode, parse_config
 from lrwp.errors import ConfigError
 from lrwp.forcing import ConstantForce, PiecewiseLinearForce, SinusoidalForce
 from lrwp.wavepacket import delta_x
@@ -323,12 +323,13 @@ class TestSweepDerivation:
 
     def test_dt_axis(self):
         cfg = parse_config(self.BASE.format(axis="dt", values="2e-3"))
-        derived = apply_sweep_value(cfg, "dt", 2e-3)
+        [(_, derived)] = cfg.sweep
         assert derived.grid.dt == 2e-3
 
     def test_n_axis(self):
         cfg = parse_config(self.BASE.format(axis="n", values="1024"))
-        assert apply_sweep_value(cfg, "n", 1024).grid.n == 1024
+        [(_, derived)] = cfg.sweep
+        assert derived.grid.n == 1024
 
     def test_force_amplitude_axis(self):
         # kind = zero is ConstantForce(0.0), so its amplitude sweeps too
@@ -336,7 +337,7 @@ class TestSweepDerivation:
             text = self.BASE.format(axis="force-amplitude", values="0.5")
             cfg = parse_config(text.replace("kind = constant\namplitude = 1\n", force))
             assert cfg.sweep_axis == "force_amplitude"
-            derived = apply_sweep_value(cfg, "force_amplitude", 0.5)
+            [(_, derived)] = cfg.sweep
             assert derived.profile == ConstantForce(0.5)
 
     @pytest.mark.parametrize("text, axis", [
@@ -346,15 +347,18 @@ class TestSweepDerivation:
         ("", "omega"),
     ])
     def test_an_axis_the_base_cannot_take_is_refused_for_any_value(self, text, axis):
-        # parse_config names the sweep_axis line; apply_sweep_value holds the same rule
+        # the document is refused once, on the sweep_axis line, with no case built
+        message = {
+            "sigma": "sigma sweep needs a gaussian-parameterized packet",
+            "F0_imag": "F0_imag sweep needs an invariant-parameterized packet",
+            "force_amplitude": "force_amplitude sweep needs a constant or sinusoidal force",
+            "omega": "unknown sweep axis 'omega'",
+        }[axis]
         sweep = f"[run]\nmode = sweep\nsweep_axis = {axis}\nsweep_values = 1\n"
         line = text.count("\n") + 3
-        with pytest.raises(ConfigError, match=f"^line {line}: ") as refused:
+        with pytest.raises(ConfigError) as refused:
             parse_config(text + sweep)
-        base = parse_config(text)
-        with pytest.raises(ConfigError) as applied:
-            apply_sweep_value(base, axis, 1.0)
-        assert str(refused.value) == f"line {line}: {applied.value}"
+        assert str(refused.value) == f"line {line}: {message}"
 
     def test_n_case_of_a_momentum_sweep_meets_the_momentum_grid_rule(self):
         # 2πħ/Δx is finite at n = 64 but overflows at n = 2²⁰, as it does alone
@@ -376,5 +380,25 @@ class TestSweepDerivation:
             "sweep_mode = analytic\n"
         )
         cfg = parse_config(text)
-        derived = apply_sweep_value(cfg, "F0_imag", -2.0)
+        [_, (_, derived)] = cfg.sweep
         assert derived.packet.spec.F0 == pytest.approx(-2.0j)
+
+    def test_f0_imag_case_keeps_a0_and_the_real_part_of_f0(self):
+        # F0 = B0/A0 = 0.5-0.5i; the case sets Im F0 = -2 as B0 = A0·(0.5-2i) = 1-4i
+        text = ("[packet]\nA0 = 2\nB0 = 1-1i\n[grid]\nn = 64\ndt = 0.01\nt_max = 0.1\n"
+                "[run]\nmode = sweep\nsweep_axis = F0_imag\nsweep_values = -2\n"
+                "sweep_mode = analytic\n")
+        [(_, case)] = parse_config(text).sweep
+        assert case.packet.spec.A0 == 2.0 and case.packet.spec.F0 == 0.5 - 2j
+        alone = parse_config(text.replace("B0 = 1-1i", "B0 = 1-4i"), mode_override="analytic")
+        assert case.packet == alone.packet
+
+    def test_f0_imag_case_keeps_an_explicit_alpha0(self):
+        # the base is a template: a case is its document with F0 = 0-2i written in,
+        # and that document's alpha0 stays
+        text = ("[packet]\nF0 = 0-1i\nalpha0 = 0+0.3i\n[grid]\nn = 64\ndt = 0.01\nt_max = 0.1\n"
+                "[run]\nmode = sweep\nsweep_axis = F0_imag\nsweep_values = -2\n"
+                "sweep_mode = analytic\n")
+        [(_, case)] = parse_config(text).sweep
+        alone = parse_config(text.replace("F0 = 0-1i", "F0 = 0-2i"), mode_override="analytic")
+        assert case.packet == alone.packet and case.packet.alpha0 == 0.3j

@@ -148,7 +148,7 @@ GOLDEN = {
     ("b1_analytic", "observables.csv"):
         "aae4fbeb7bb2dd0c025004eda17c96d1e92e3951fd98b191b201e6a42f067c73",
     ("small_b1_sweep", "sweep_summary.csv"):
-        "7253de0852dca90ca766e6740b47d042291347380366269ed6f4c392832d6329",
+        "daae1f563ff4a2c939c43d14fddd6d9b686b71f128ca240be026120d70efa882",
 }
 
 

@@ -7,6 +7,7 @@ no examples drawn from literals in the loaded modules.
 import cmath
 import dataclasses
 import math
+import re
 import tempfile
 from pathlib import Path
 
@@ -24,13 +25,13 @@ from lrwp.forcing import (  # noqa: E402
 )
 from lrwp.classical import p_c, x_c  # noqa: E402
 from lrwp.config import RunConfig, parse_config  # noqa: E402
-from lrwp.errors import ConfigError  # noqa: E402
+from lrwp.errors import AcceptanceViolation, ConfigError, LrwpError  # noqa: E402
 from lrwp.fields import (  # noqa: E402
     Grid1D, Space, WaveField, conjugate_momentum_grid, wavenumbers,
 )
 from lrwp.invariant import InvariantSpec, PacketState, coeffs_at, eigenvalue  # noqa: E402
 from lrwp.oracle import GridSpec, propagate_cranknicolson, propagate_splitstep  # noqa: E402
-from lrwp.runner import run_analytic  # noqa: E402
+from lrwp.runner import run_analytic, run_momentum, run_sweep, run_validate  # noqa: E402
 from lrwp.wavepacket import (  # noqa: E402
     analytic_norm_sq,
     delta_p,
@@ -547,16 +548,145 @@ _GRID = "[grid]\nn = 256\ndt = 0.01\nt_max = 0.1\noutput_every = 5\n"
 @example(doc="[packet]\nF0 = 0\n" + _GRID)  # a plane wave
 @example(doc="[packet]\nF0 = 0-0.5i\nalpha0 = 0\n" + _GRID)  # norm √(2π)
 def test_a_validate_case_is_refused_alone_exactly_when_in_a_sweep(doc):
-    # the case rules are one: a lone validate run and the one case of a dt sweep of the
-    # same document, at its own dt, are refused alike and with the same message
+    # the case rules are one: a lone validate run and the one case of a dt or an n sweep
+    # of the same document, at its own dt or n, are refused alike and with the same message
     try:
         parse_config(doc, mode_override="validate")
         alone = None
     except ConfigError as exc:
         alone = str(exc)
-    sweep = "[run]\nmode = sweep\nsweep_axis = dt\nsweep_values = 0.01\nsweep_mode = validate\n"
-    [(_, case)] = parse_config(doc + sweep).sweep
-    if alone is None:
-        assert isinstance(case, RunConfig)
+    for axis in ("dt", "n"):
+        value = re.search(rf"^{axis} = (.*)$", doc, re.M).group(1)
+        sweep = (f"[run]\nmode = sweep\nsweep_axis = {axis}\nsweep_values = {value}\n"
+                 "sweep_mode = validate\n")
+        [(_, case)] = parse_config(doc + sweep).sweep
+        if alone is None:
+            assert isinstance(case, RunConfig)
+        else:
+            assert isinstance(case, ConfigError) and str(case) == alone
+
+
+# per sweep axis: the key it states in the document, base values for that key (the
+# template's value, which no case runs, so some are refused), and values to sweep
+_SWEEP_AXES = {
+    "sigma": ("sigma", [0.8, 1.0, -1.0], [0.6, 1.0, 1.3, -1.0, 0.0]),
+    "F0_imag": ("F0", [-0.5, -1.0, 0.5], [-0.5, -1.0, -2.0, 0.0, 0.5]),
+    "dt": ("dt", [0.01, 0.0, -0.01], [0.01, 0.005, 0.02, 0.03, 0.0]),
+    "n": ("n", [64, 100, 4194304], [64, 128, 100, 32, 2097152]),
+    "force_amplitude": ("amplitude", [1.0, 0.0], [0.0, 0.5, -1.0, 2.0]),
+}
+
+
+@st.composite
+def sweep_documents(draw, axis, mode):
+    """An accepted sweep document at n = 64 and a few steps, as ``(lines, key, write,
+    values)``: ``lines`` renders it, with the axis's ``key`` stated, and
+    ``write.format(value)`` is the text of that key in a case's lone document."""
+    key, bases, choices = _SWEEP_AXES[axis]
+    base = draw(st.sampled_from(bases))
+    values = draw(st.lists(st.sampled_from(choices), min_size=1, max_size=3, unique=True))
+    amplitude = repr(draw(st.sampled_from([0.0, 0.5, -1.0])))
+    lines = [("[system]", None), ("m", repr(draw(st.sampled_from([1.0, 2.0])))),
+             ("[force]", None)]
+    if draw(st.booleans()):
+        lines += [("kind", "constant"), ("amplitude", amplitude)]
     else:
-        assert isinstance(case, ConfigError) and str(case) == alone
+        lines += [("kind", "sinusoidal"), ("amplitude", amplitude), ("omega", "2.0")]
+    lines.append(("[packet]", None))
+    write = "{:.0f}" if axis == "n" else "{!r}"
+    if axis == "F0_imag":
+        write = f"{draw(st.sampled_from([0.0, 0.25]))!r}{{:+}}i"
+        lines.append(("F0", write.format(base)))
+        if draw(st.booleans()):
+            lines.append(("alpha0", "0+0.3i"))
+    else:
+        lines.append(("sigma", repr(draw(st.sampled_from([0.8, 1.0])))))
+    lines += [("x0", repr(draw(st.sampled_from([0.0, 0.5])))), ("p0", "1.0"), ("[grid]", None),
+              ("x_min", "-10.0"), ("x_max", "10.0"), ("n", "64")]
+    steps, every = draw(st.sampled_from([(2, 1), (4, 2), (6, 3), (8, 4)]))
+    lines += [("dt", "0.01"), ("t_max", repr(steps * 0.01)), ("output_every", str(every)),
+              ("[run]", None), ("mode", "sweep"), ("sweep_axis", axis),
+              ("sweep_values", ", ".join(map(repr, values))), ("sweep_mode", mode)]
+    at = next(i for i, (k, _) in enumerate(lines) if k == key)
+    lines[at] = (key, write.format(base))
+    return lines, key, write, values
+
+
+def _render(lines, key=None, text=None):
+    """The document, with ``key``'s value written as ``text``."""
+    return "".join(k + "\n" if v is None else f"{k} = {text if k == key else v}\n"
+                   for k, v in lines)
+
+
+def _files(path):
+    return {f.name: f.read_bytes() for f in sorted(path.iterdir())} if path.exists() else {}
+
+
+def _lone(text, mode, out):
+    """The outcome of the lone run: a sweep status and, if refused, the message."""
+    try:
+        cfg = parse_config(text, mode_override=mode)
+    except ConfigError as exc:
+        return "error:ConfigError", str(exc)
+    run = {"analytic": run_analytic, "validate": run_validate, "momentum": run_momentum}[mode]
+    try:
+        run(cfg, out)
+    except AcceptanceViolation:
+        return "acceptance_violation", None
+    except (LrwpError, ValueError) as exc:
+        return f"error:{type(exc).__name__}", None
+    return "ok", None
+
+
+def _holds_to_its_lone_runs(lines, key, write, values, mode):
+    """Each case of the sweep, at --jobs 1 and 2, writes the bytes and meets the outcome
+    of the lone document with the case's value written in."""
+    with tempfile.TemporaryDirectory() as tmp:
+        lone = []
+        for i, value in enumerate(values):
+            out = Path(tmp, f"lone{i}")
+            lone.append((_lone(_render(lines, key, write.format(value)), mode, out), _files(out)))
+        for jobs in (1, 2):
+            cfg = parse_config(_render(lines))
+            rows = run_sweep(cfg, Path(tmp, f"sweep{jobs}"), jobs=jobs)
+            for (value, case), row, ((status, message), files) in zip(cfg.sweep, rows, lone):
+                assert row[-1] == status, (value, jobs)
+                if message is not None:
+                    assert isinstance(case, ConfigError) and str(case) == message
+                case_dir = Path(tmp, f"sweep{jobs}", f"{cfg.sweep_axis}={value:g}")
+                assert _files(case_dir) == files, (value, jobs)
+
+
+@pytest.mark.parametrize("axis, mode", [
+    (axis, mode) for axis in sorted(_SWEEP_AXES) for mode in ("analytic", "validate", "momentum")
+    if (axis, mode) != ("F0_imag", "momentum")  # the momentum route needs a gaussian packet
+])
+@settings(max_examples=4)
+@given(data=st.data())
+def test_a_sweep_case_is_its_lone_run(axis, mode, data):
+    # the base is a template: a case is its lone document, whatever the base value was
+    lines, key, write, values = data.draw(sweep_documents(axis, mode))
+    _holds_to_its_lone_runs(lines, key, write, values, mode)
+
+
+@pytest.mark.parametrize("lines, key, write, values, mode", [
+    # a plane wave's metrics
+    ([("[packet]", None), ("F0", "0.0-0.5i"), ("[grid]", None), ("n", "64"), ("dt", "0.01"),
+      ("t_max", "0.02"), ("output_every", "1"), ("[run]", None), ("mode", "sweep"),
+      ("sweep_axis", "F0_imag"), ("sweep_values", "0.0, -0.5"), ("sweep_mode", "analytic")],
+     "F0", "0.0{:+}i", [0.0, -0.5], "analytic"),
+    # momentum cases, which run in process at --jobs 1
+    ([("[grid]", None), ("x_min", "-10.0"), ("x_max", "10.0"), ("n", "100"), ("dt", "0.01"),
+      ("t_max", "0.02"), ("output_every", "1"), ("[run]", None), ("mode", "sweep"),
+      ("sweep_axis", "n"), ("sweep_values", "64, 128"), ("sweep_mode", "momentum")],
+     "n", "{:.0f}", [64.0, 128.0], "momentum"),
+    # validate cases that propagate as one batch, two of them past a threshold
+    ([("[force]", None), ("kind", "constant"), ("amplitude", "0.5"), ("[packet]", None),
+      ("sigma", "-1.0"), ("p0", "1.0"), ("[grid]", None), ("n", "64"), ("x_min", "-10.0"),
+      ("x_max", "10.0"), ("dt", "0.01"), ("t_max", "0.08"), ("output_every", "4"),
+      ("[run]", None), ("mode", "sweep"), ("sweep_axis", "sigma"),
+      ("sweep_values", "0.6, 1.3, 1.0"), ("sweep_mode", "validate")],
+     "sigma", "{!r}", [0.6, 1.3, 1.0], "validate"),
+], ids=["plane_wave", "momentum", "validate_batch"])
+def test_a_sweep_case_is_its_lone_run_at(lines, key, write, values, mode):
+    _holds_to_its_lone_runs(lines, key, write, values, mode)

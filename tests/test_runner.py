@@ -3,6 +3,8 @@ import math
 import multiprocessing
 import os
 import stat
+import subprocess
+import sys
 import tempfile
 from decimal import Decimal
 from pathlib import Path
@@ -528,7 +530,7 @@ class TestSweep:
             "sweep_mode = analytic\n"
         )
         results = run_sweep(cfg, tmp_path, jobs=1)
-        assert [r[-1] for r in results] == ["ok", "error:ValueError"]
+        assert [r[-1] for r in results] == ["ok", "error:ConfigError"]
 
     def test_sigma_without_a_finite_spreading_time_is_an_error_row(self, tmp_path):
         # σ² overflows at 1e300 and underflows to 0 at 1e-300, so T = 2mσ²/ħ is not usable
@@ -540,7 +542,7 @@ class TestSweep:
         results = run_sweep(cfg, tmp_path, jobs=1)
         # at 1e-160, T = 2e-320 is finite and positive but F0 = -i·m/T overflows
         assert [r[-1] for r in results] == [
-            "error:ValueError", "ok", "error:ValueError", "error:ValueError"
+            "error:ConfigError", "ok", "error:ConfigError", "error:ConfigError"
         ]
 
     def test_case_the_box_cannot_contain_is_an_error_row(self, tmp_path):
@@ -559,19 +561,45 @@ class TestSweep:
     def test_each_case_is_built_once(self, tmp_path, monkeypatch):
         # the parser builds the sweep plan, and the runner only reads it
         built = []
-        apply_sweep_value = config.apply_sweep_value
+        build_packet = config._build_packet
 
-        def counted(cfg, axis, value):
-            built.append(value)
-            return apply_sweep_value(cfg, axis, value)
+        def counted(args, m, hbar):
+            built.append(args["sigma"])
+            return build_packet(args, m, hbar)
 
-        monkeypatch.setattr(config, "apply_sweep_value", counted)
-        if hasattr(runner, "apply_sweep_value"):
-            monkeypatch.setattr(runner, "apply_sweep_value", counted)
+        monkeypatch.setattr(config, "_build_packet", counted)
         cfg = parse_config((CONFIGS / "sigma_sweep.ini").read_text())
         results = run_sweep(cfg, tmp_path, jobs=1)
         assert built == [0.8, 0.9, 1.0]
         assert [r[-1] for r in results] == ["ok"] * 3
+
+    def test_a_validate_pool_forks_with_lapack_loaded(self, tmp_path):
+        # a fresh interpreter, which has not loaded SciPy: the sweep loads it once, before
+        # the pool of jobs // 2 = 2 workers forks, so that no worker imports it again
+        probe = (
+            "import sys\n"
+            "from lrwp import runner\n"
+            "from lrwp.config import parse_config\n"
+            "pool = runner.concurrent.futures.ProcessPoolExecutor\n"
+            "def probe(max_workers):\n"
+            "    print(max_workers, 'scipy.linalg.lapack' in sys.modules)\n"
+            "    return pool(max_workers=max_workers)\n"
+            "runner.concurrent.futures.ProcessPoolExecutor = probe\n"
+            "print('scipy.linalg.lapack' in sys.modules)\n"
+            "rows = runner.run_sweep(parse_config(sys.stdin.read()), sys.argv[1], jobs=4)\n"
+            "print(*[row[-1] for row in rows])\n"
+        )
+        text = (SINUSOIDAL + SMALL_GRID.replace("t_max = 0.5", "t_max = 0.1")
+                + "[run]\nmode = sweep\nsweep_axis = sigma\nsweep_values = 1, 1.1\n"
+                "sweep_mode = validate\n")
+        src = str(Path(runner.__file__).resolve().parent.parent)
+        path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+        result = subprocess.run(
+            [sys.executable, "-c", probe, str(tmp_path)], input=text, capture_output=True,
+            text=True, timeout=120, env={**os.environ, "PYTHONPATH": path},
+        )
+        assert result.returncode == 0, result.stderr
+        assert result.stdout.splitlines() == ["False", "2 True", "ok ok"]
 
     def test_plane_wave_case_of_a_validate_sweep_stops_before_propagating(self, tmp_path):
         # F0_imag = 0 makes the case a plane wave, which has no width to validate against
@@ -666,7 +694,7 @@ class TestSweep:
             "sweep_mode = analytic\n"
         )
         results = run_sweep(cfg, tmp_path, jobs=1)
-        assert [r[-1] for r in results] == ["ok", "error:InvalidInvariantError"]
+        assert [r[-1] for r in results] == ["ok", "error:ConfigError"]
 
     def test_threshold_violations_keep_their_metrics(self, tmp_path):
         # dt = 5e-2 completes but breaks the L2 gate; the sweep should still

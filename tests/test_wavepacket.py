@@ -5,9 +5,10 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import lrwp
 from lrwp.classical import kinetic_action, p_c, x_c
 from lrwp.config import parse_config
-from lrwp.errors import AliasingError
+from lrwp.errors import AliasingError, ModeMismatchError
 from lrwp.fields import (
     Grid1D,
     Space,
@@ -452,3 +453,18 @@ def test_closed_forms_reject_the_smallest_negative_time(name):
     AT_TIME[name](0.0)  # defined at t = 0
     with pytest.raises(ValueError, match="negative time"):
         AT_TIME[name](-1e-300)
+
+
+@pytest.mark.parametrize("scalar, args", [
+    (lrwp.delta_x, (0.5,)),
+    (lrwp.delta_p, ()),
+    (lrwp.uncertainty_product, (0.5,)),
+    (lrwp.min_uncertainty_time, (2.0,)),
+    (lrwp.analytic_norm_sq, ()),
+], ids=lambda v: getattr(v, "__name__", ""))
+def test_a_packet_scalar_of_a_plane_wave_is_refused(scalar, args):
+    # F0 = 0 is a plane wave, which has no width, norm or minimum-uncertainty time;
+    # these are public, so the guard holds input from outside the program
+    plane_wave = PacketState(m=1.0, hbar=1.0, x0=0.0, p0=1.0, spec=InvariantSpec(1.0, 0j))
+    with pytest.raises(ModeMismatchError, match="plane-wave packet"):
+        scalar(plane_wave, *args)
