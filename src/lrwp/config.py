@@ -222,7 +222,10 @@ def _build_packet(args: dict, m: float, hbar: float) -> tuple[PacketState, float
         if "sigma" in args:
             packet = matched_packet(args["sigma"], m, hbar, args["x0"], args["p0"])
         else:
-            spec = InvariantSpec(args["A0"], args["B0"], args["C0"])
+            a0, b0 = args["A0"], args["B0"]
+            if "F0_imag" in args and a0:  # A0 and Re F0 stay; InvariantSpec refuses A0 = 0
+                b0 = a0 * complex((b0 / a0).real, args["F0_imag"])
+            spec = InvariantSpec(a0, b0, args["C0"])
             packet = PacketState(m, hbar, args["x0"], args["p0"], spec, args["alpha0"])
     except (ValueError, InvalidInvariantError) as exc:
         raise ConfigError(str(exc), args["line"])
@@ -376,12 +379,10 @@ def parse_config(text: str, mode_override: str | None = None) -> RunConfig:
     def case(value: float | None = None) -> RunConfig:  # the template, ``value`` on its axis
         own = dict(built)
         if axis_part is not None:
-            args = parts[axis_part]
-            if axis_key == "n":
-                value = int(round(value))
-            elif sweep_axis == "F0_imag":  # A0 and Re F0 stay
-                value = args["A0"] * complex((args["B0"] / args["A0"]).real, value)
-            own[axis_part] = builders[axis_part]({**args, axis_key: value})
+            # an F0_imag case sets Im(B0/A0), which _build_packet composes into B0
+            key = "F0_imag" if sweep_axis == "F0_imag" else axis_key
+            value = int(round(value)) if key == "n" else value
+            own[axis_part] = builders[axis_part]({**parts[axis_part], key: value})
         packet, sigma = own["packet"]
         config = RunConfig(own["force"], packet, sigma, own["grid"], case_mode)
         if case_mode is RunMode.VALIDATE:

@@ -7,6 +7,7 @@ import pytest
 
 import lrwp
 from lrwp.cli import main
+from lrwp.config import parse_config
 
 GOOD = """
 [force]
@@ -118,6 +119,20 @@ def test_a_base_value_that_the_axis_replaces_is_never_judged(
 
     assert files(case) == files(tmp_path / "lone")
     assert len(files(case)) == (2 if status == "ok" else 0)
+
+
+def test_an_f0_imag_case_of_a_zero_a0_is_refused_as_its_lone_run(tmp_path, capsys):
+    # no Im F0 gives A0 = 0 a packet: each case reads the lone run's error, on B0's line
+    doc = ("[packet]\nA0 = 0\nB0 = 0-1i\n[grid]\nn = 64\n" + TINY + "[run]\n"
+           "sweep_axis = F0_imag\nsweep_values = -1, -0.5\nsweep_mode = analytic\n")
+    cfg = _write(tmp_path, doc)
+    assert main(["analytic", "--config", cfg, "--out", str(tmp_path / "lone")]) == 2
+    message = "line 3: A0 = 0 selects position eigenfunctions; not supported"
+    assert capsys.readouterr().err == f"lrwp: config error: {message}\n"
+    assert main(["sweep", "--config", cfg, "--out", str(tmp_path / "sweep"), "--jobs", "1"]) == 0
+    summary = (tmp_path / "sweep" / "sweep_summary.csv").read_text().splitlines()
+    assert [row.split(",")[-1] for row in summary[1:]] == ["error:ConfigError"] * 2
+    assert [str(case) for _, case in parse_config(doc, "sweep").sweep] == [message] * 2
 
 
 def test_sweep_exit_zero(tmp_path):

@@ -762,26 +762,27 @@ def test_a_single_worker_runs_in_process(tmp_path, monkeypatch, jobs, values):
 
 
 def test_a_validate_sweep_at_two_jobs_starts_no_pool(tmp_path, monkeypatch):
-    # two jobs are one validate slot: the group is one batch, run in process with
-    # its Crank–Nicolson child; one and four jobs write the same bytes
-    cfg = parse_config(
-        SINUSOIDAL + SMALL_GRID
-        + "[run]\nmode = sweep\nsweep_axis = sigma\nsweep_values = 0.9, 1, 1.1, 1.2\n"
-        "sweep_mode = validate\n"
-    )
-    with monkeypatch.context() as patch:
-        started, batches = _inline_pool(patch)
-        results = run_sweep(cfg, tmp_path / "2", jobs=2)
-    assert started == [] and batches == []
-    assert [r[-1] for r in results] == ["ok"] * 4
-    files = sorted(p.relative_to(tmp_path / "2") for p in (tmp_path / "2").rglob("*.csv"))
-    assert len(files) == 5
-    for jobs in (1, 4):
-        run_sweep(cfg, tmp_path / str(jobs), jobs=jobs)
-        assert sorted(p.relative_to(tmp_path / str(jobs))
-                      for p in (tmp_path / str(jobs)).rglob("*.csv")) == files
-        for name in files:
-            assert (tmp_path / str(jobs) / name).read_bytes() == (tmp_path / "2" / name).read_bytes()
+    # two jobs are one validate slot: each group is one batch, run in process with
+    # its Crank–Nicolson child; one and four jobs write the same bytes, here and in
+    # the shipped validate sweeps
+    docs = {"sinusoidal": SINUSOIDAL + SMALL_GRID + "[run]\nmode = sweep\nsweep_axis = sigma\n"
+            "sweep_values = 0.9, 1, 1.1, 1.2\nsweep_mode = validate\n",
+            **{name: (CONFIGS / f"{name}.ini").read_text() for name in ("dt_sweep", "sigma_sweep")}}
+    for name, doc in docs.items():
+        cfg, out = parse_config(doc), tmp_path / name
+        with monkeypatch.context() as patch:
+            started, batches = _inline_pool(patch)
+            results = run_sweep(cfg, out / "2", jobs=2)
+        assert started == [] and batches == []
+        assert [r[-1] for r in results] == ["ok"] * len(cfg.sweep), name
+        files = sorted(p.relative_to(out / "2") for p in (out / "2").rglob("*.csv"))
+        assert len(files) == len(cfg.sweep) + 1
+        for jobs in (1, 4):
+            run_sweep(cfg, out / str(jobs), jobs=jobs)
+            assert sorted(p.relative_to(out / str(jobs))
+                          for p in (out / str(jobs)).rglob("*.csv")) == files
+            for file in files:
+                assert (out / str(jobs) / file).read_bytes() == (out / "2" / file).read_bytes()
     assert multiprocessing.active_children() == []
 
 
