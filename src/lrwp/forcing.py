@@ -45,18 +45,6 @@ class ForceProfile:
     """Base class; subclasses provide force(t), g(t) = ∫F, g1(t) = ∫G and
     g2(t) = ∫G²."""
 
-    def force(self, t):
-        raise NotImplementedError
-
-    def g(self, t):
-        raise NotImplementedError
-
-    def g1(self, t):
-        raise NotImplementedError
-
-    def g2(self, t):
-        raise NotImplementedError
-
 
 @dataclass(frozen=True)
 class ConstantForce(ForceProfile):

@@ -17,7 +17,9 @@ formatted a chunk of rows at a time in NumPy: each value is rounded exactly to
 17 digits in double-double arithmetic and rendered through a table of 4-digit
 strings. The cells that path leaves (nan, inf, subnormals, |v| outside
 [1e-280, 1e281) and near-ties of the rounding) go to Python's own ``%.16e``,
-and text cells print as ``%s``.
+and text cells print as ``%s``. A cell that repeats is formatted once: in
+``snapshots.csv`` each x cell once per run and each t cell once per snapshot,
+so only ``psi_re``, ``psi_im`` and ``prob`` are formatted row by row.
 
 A case arrives vetted by the parser (a validate case is a normalized packet
 its box contains), and a sweep case it refused is an error row that never runs.
@@ -151,60 +153,98 @@ def _digits(a: np.ndarray, e: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.nd
     return np.where(carry, 10**16, d), e + carry, np.abs(rest - 0.5) < 1e-9
 
 
-def _format_chunk(chunk: np.ndarray, text: np.ndarray) -> np.ndarray:
-    """The CSV lines of a 2-D chunk as uint8, byte for byte those of ``"%.16e" % (v + 0.0)``
-    for a float cell and ``"%s"`` for a cell of a ``text`` column.
+def _cells(table: np.ndarray, text: np.ndarray | None = None) -> np.ndarray:
+    """The cells of a 2-D table as a (rows, columns, width) uint8 array, each cell
+    left-aligned and padded with _PAD: byte for byte ``"%.16e" % (v + 0.0)`` for a
+    float cell and ``"%s"`` for a cell of a ``text`` column (none by default).
 
     Finite cells with 1e-280 <= |v| < 1e281, and zeros, are rounded exactly in
-    double-double arithmetic (``_digits``) and rendered by table into a padded
-    byte matrix, one row per cell. Text cells, nan, inf, subnormals and the rest
-    of the exponent range, and near-ties go to Python's own ``%.16e``, into the
-    same matrix.
+    double-double arithmetic (``_digits``) and rendered by table. Text cells, nan,
+    inf, subnormals and the rest of the exponent range, and near-ties go to
+    Python's own ``%.16e``, into the same array.
     """
     quads = _tables()[0]
-    x = np.zeros(chunk.shape)
-    x[:, ~text] = chunk[:, ~text]
+    rows, cols = table.shape
+    text = np.zeros(cols, bool) if text is None else text
+    x = np.zeros(table.shape)
+    x[:, ~text] = table[:, ~text]
     x = x.ravel()
     a = np.abs(x)
-    table = (a >= 10.0**-_E_MAX) & (a < 10.0 ** (_E_MAX + 1))
-    a[~table] = 1.0  # zeros and fallback cells are rendered from 1.0, then replaced
+    in_table = (a >= 10.0**-_E_MAX) & (a < 10.0 ** (_E_MAX + 1))
+    a[~in_table] = 1.0  # zeros and fallback cells are rendered from 1.0, then replaced
     d, e, tie = _digits(a, np.floor(np.log10(a)).astype(np.int64))
     d[x == 0] = 0
-    fallback = np.flatnonzero(~table & (x != 0) | tie | np.tile(text, len(chunk)))
-    cols = len(text)
-    cells = [(f"{chunk[i // cols, i % cols]}" if text[i % cols] else "%.16e" % v).encode()
+    fallback = np.flatnonzero(~in_table & (x != 0) | tie | np.tile(text, rows))
+    cells = [(f"{table[i // cols, i % cols]}" if text[i % cols] else "%.16e" % v).encode()
              for i, v in zip(fallback.tolist(), x[fallback].tolist())]  # never a zero
     width = max([_CELL, *map(len, cells)])
 
-    lead, rest = np.divmod(d, 10**16)
-    m = np.full((len(x), width + 1), _PAD, np.uint8)
+    # d is a lead digit and four quads; by floor division, as NumPy's % is far slower
+    top = d // 10**8
+    lead = top // 10**8
+    halves = np.stack([top - lead * 10**8, d - top * 10**8], -1)
+    high = halves // 10**4
+    quad = np.stack([high, halves - high * 10**4], -1)
+    m = np.full((len(x), width), _PAD, np.uint8)
     m[:, 0] = (x < 0) * np.uint8(ord("-"))  # or _PAD, which is 0
     m[:, 1] = lead + ord("0")
     m[:, 2] = ord(".")
-    for col, half in ((3, rest // 10**8), (11, rest % 10**8)):  # 8 digits as two quads
-        pair = np.stack(np.divmod(half, 10**4), -1)
-        m[:, col:col + 8] = quads[pair].view(np.uint8).reshape(-1, 8)
+    m[:, 3:19] = quads[quad].view(np.uint8).reshape(-1, 16)
     m[:, 19] = ord("e")
     m[:, 20] = ord("+") + (ord("-") - ord("+")) * (e < 0)
     m[:, 21:24] = quads[np.abs(e)].view(np.uint8).reshape(-1, 4)[:, 1:]
     m[:, 21] *= np.abs(e) >= 100  # two exponent digits below 100, as %e
-    m[:, -1] = ord(",")
-    m[cols - 1 :: cols, -1] = ord("\n")
-    m[fallback, :width] = _PAD
+    m[fallback] = _PAD
     for i, cell in zip(fallback, cells):
         m[i, : len(cell)] = np.frombuffer(cell, np.uint8)
+    return m.reshape(rows, cols, width)
+
+
+def _lines(parts: list[np.ndarray]) -> np.ndarray:
+    """The CSV lines of cell arrays (``_cells``) of equal row count laid side by side,
+    as uint8: a comma after each cell but the last of a row, a newline after that."""
+    cols, width = sum(part.shape[1] for part in parts), max(part.shape[2] for part in parts)
+    m = np.full((len(parts[0]), cols, width + 1), _PAD, np.uint8)
+    col = 0
+    for part in parts:
+        m[:, col:col + part.shape[1], :part.shape[2]] = part
+        col += part.shape[1]
+    m[..., -1] = ord(",")
+    m[:, -1, -1] = ord("\n")
     flat = m.ravel()
     return flat[flat != _PAD]
+
+
+@dataclass(frozen=True)
+class _Cells:
+    """Cells formatted once (``_cells``), as a part of a ``write_csv_atomic`` block:
+    a column that repeats from block to block is then formatted once per file."""
+
+    cells: np.ndarray
+
+
+def _part(part) -> tuple[np.ndarray, np.ndarray | None]:
+    """A part of a block: the cells of a ``_Cells``, with None; or a 2-D table, with
+    which of its columns are text (those whose first cell is a ``str``)."""
+    if isinstance(part, _Cells):
+        return part.cells, None
+    if not isinstance(part, np.ndarray):
+        part = np.array(part, dtype=object)  # keeps str and float cells apart
+    if part.ndim != 2:
+        raise ValueError(f"a CSV block must be 2-D, got shape {part.shape}")
+    return part, np.array([isinstance(cell, str) for row in part[:1] for cell in row])
 
 
 def write_csv_atomic(path: Path, header: list[str], rows) -> None:
     """Write ``header`` and ``rows`` to ``path`` atomically.
 
-    ``rows`` is one 2-D table (array or nested list) with one column per
-    header name, or an iterator of such blocks, written one after another.
-    Float cells print as ``%.16e``, with -0.0 as 0.0 and nan as ``nan``;
-    a column whose first cell is a ``str`` prints as text. Each block is
-    formatted in chunks of ``_CHUNK_ROWS`` rows (``_format_chunk``).
+    ``rows`` is one block or an iterator of blocks, written one after another. A
+    block is a 2-D table (array or nested list), or a tuple of parts laid side by
+    side, each a 2-D table or ``_Cells``, all with one row count; it has one
+    column per header name. Float cells print as ``%.16e``, with -0.0 as 0.0 and
+    nan as ``nan``; a column whose first cell is a ``str`` prints as text. A
+    table is formatted ``_CHUNK_ROWS`` rows at a time (``_cells``), and ``_Cells``
+    are laid in as they are (``_lines``).
     """
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
@@ -215,15 +255,11 @@ def write_csv_atomic(path: Path, header: list[str], rows) -> None:
         with os.fdopen(fd, "wb") as fh:
             fh.write((",".join(header) + "\n").encode())
             for block in blocks:
-                if not isinstance(block, np.ndarray):
-                    block = np.array(block, dtype=object)  # keeps str and float cells apart
-                if block.ndim != 2:
-                    raise ValueError(f"a CSV block must be 2-D, got shape {block.shape}")
-                if not len(block):
-                    continue
-                text = np.array([isinstance(cell, str) for cell in block[0]])
-                for start in range(0, len(block), _CHUNK_ROWS):
-                    fh.write(_format_chunk(block[start:start + _CHUNK_ROWS], text))
+                parts = [_part(part) for part in (block if isinstance(block, tuple) else (block,))]
+                for start in range(0, max(len(table) for table, _ in parts), _CHUNK_ROWS):
+                    chunk = slice(start, start + _CHUNK_ROWS)
+                    fh.write(_lines([table[chunk] if text is None else _cells(table[chunk], text)
+                                     for table, text in parts]))
         os.replace(tmp, path)
     except BaseException:
         if os.path.exists(tmp):
@@ -240,6 +276,15 @@ def _finite(sample, *args) -> WaveField:
     return field
 
 
+def _snapshot_blocks(times, x: np.ndarray, values) -> Iterator[tuple]:
+    """The blocks of ``snapshots.csv``: per time, its t cell in every row, the x cells
+    and that snapshot's table of value columns. Every snapshot repeats the x cells, and
+    each of its rows the t cell, so each is formatted once."""
+    x_cells = _Cells(_cells(x[:, None]))
+    for t_cell, table in zip(_cells(np.array(times)[:, None]), values):
+        yield _Cells(np.broadcast_to(t_cell, (len(x), *t_cell.shape))), x_cells, table
+
+
 def run_analytic(cfg: RunConfig, out_dir) -> None:
     """Closed-form observables and snapshots, no propagation."""
     out = Path(out_dir)
@@ -248,10 +293,10 @@ def run_analytic(cfg: RunConfig, out_dir) -> None:
     steps, dt = cfg.grid.snapshot_steps, cfg.grid.dt
     grid = cfg.grid.grid
 
+    times = [step * dt for step in steps]
     obs_rows = []
     nan = float("nan")
-    for step in steps:
-        t = step * dt
+    for t in times:
         xc = float(x_c(packet, cfg.profile, t))
         pc = float(p_c(packet, cfg.profile, t))
         if packet.spec.is_packet:
@@ -261,18 +306,14 @@ def run_analytic(cfg: RunConfig, out_dir) -> None:
             row = [t, nan, nan, pc, nan, nan, nan, lam.real, lam.imag, nan, nan]
         obs_rows.append(row)
 
-    x = grid.points
-
-    def snapshots():
-        for step in steps:
-            t = step * dt
-            values = _finite(sample_gtwp, packet, cfg.profile, grid, t).values
-            yield np.column_stack(
-                [np.full(len(x), t), x, values.real, values.imag, np.abs(values) ** 2]
-            )
+    def values():
+        for t in times:
+            psi = _finite(sample_gtwp, packet, cfg.profile, grid, t).values
+            yield np.column_stack([psi.real, psi.imag, np.abs(psi) ** 2])
 
     # snapshots first: a sample that _finite refuses then leaves no CSV behind
-    write_csv_atomic(out / "snapshots.csv", SNAPSHOTS_HEADER, snapshots())
+    write_csv_atomic(out / "snapshots.csv", SNAPSHOTS_HEADER,
+                     _snapshot_blocks(times, grid.points, values()))
     write_csv_atomic(out / "observables.csv", OBSERVABLES_HEADER, obs_rows)
 
 

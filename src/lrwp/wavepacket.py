@@ -28,6 +28,7 @@ from the same :class:`PacketState` the position route samples.
 """
 
 import cmath
+import functools
 import math
 from typing import Callable
 
@@ -156,29 +157,41 @@ def momentum_solution(
     return out if out.ndim else complex(out)
 
 
+@functools.lru_cache(maxsize=1)
+def _bridge_phases(position_grid: Grid1D, hbar: float) -> tuple[Grid1D, np.ndarray, np.ndarray]:
+    """The momentum grid conjugate to ``position_grid``, and the two arrays of
+    :func:`fourier_bridge` that depend on the grids alone: e^{i·k·Δp·x_lo/ħ}, taken
+    before the DFT, and (n·Δp/√(2πħ))·e^{i·p_lo·x/ħ}, after it. Kept for the last
+    grid, so a run computes them once for all of its snapshots; read-only."""
+    pgrid = conjugate_momentum_grid(position_grid, hbar)
+    n, dp, p_lo = pgrid.n, pgrid.spacing, pgrid.lo
+    twist = np.exp(1j * np.arange(n) * dp * position_grid.lo / hbar)
+    lift = (n * dp / np.sqrt(2.0 * np.pi * hbar)) * np.exp(1j * p_lo * position_grid.points / hbar)
+    twist.flags.writeable = lift.flags.writeable = False
+    return pgrid, twist, lift
+
+
 def fourier_bridge(field: WaveField, hbar: float, position_grid: Grid1D) -> WaveField:
     """Transform a momentum-space field to position space:
 
     ψ(x) = (2πħ)^{−1/2} ∫ φ(p) e^{ipx/ħ} dp,
 
     realized as a DFT onto ``position_grid``, with phase factors for the grid
-    offsets. The field's grid must be exactly ``conjugate_momentum_grid(
-    position_grid, hbar)``. The transform is exactly unitary on the grid
-    (Σ|ψ|²Δx = Σ|φ|²Δp). It raises :class:`AliasingError` when an edge sample
-    of φ exceeds ``ALIASING_TOL`` times max|φ|: relative, as φ scales as ħ^(−1/2).
+    offsets; those depend on the grids alone, and are computed once for a run of
+    snapshots on one grid (``_bridge_phases``). The field's grid must be exactly
+    ``conjugate_momentum_grid(position_grid, hbar)``. The transform is exactly
+    unitary on the grid (Σ|ψ|²Δx = Σ|φ|²Δp). It raises :class:`AliasingError` when
+    an edge sample of φ exceeds ``ALIASING_TOL`` times max|φ|: relative, as φ
+    scales as ħ^(−1/2).
     """
     if field.space is not Space.MOMENTUM:
         raise ValueError("fourier_bridge expects a momentum-space field")
-    if field.grid != conjugate_momentum_grid(position_grid, hbar):
+    pgrid, twist, lift = _bridge_phases(position_grid, hbar)
+    if field.grid != pgrid:
         raise ValueError("the field's grid is not conjugate_momentum_grid(position_grid, hbar)")
-    n, dp, p_lo = field.grid.n, field.grid.spacing, field.grid.lo
     if boundary_amplitude(field) > ALIASING_TOL * np.max(np.abs(field.values)):
         raise AliasingError(f"momentum samples not contained on the grid at t={field.t:g}")
-    x = position_grid.points
-    twisted = field.values * np.exp(1j * np.arange(n) * dp * position_grid.lo / hbar)
-    psi = (n * dp / np.sqrt(2.0 * np.pi * hbar)) * np.exp(1j * p_lo * x / hbar) * np.fft.ifft(
-        twisted
-    )
+    psi = lift * np.fft.ifft(field.values * twist)
     return WaveField(grid=position_grid, t=field.t, values=psi, space=Space.POSITION)
 
 

@@ -1,4 +1,5 @@
 import os
+import runpy
 import subprocess
 import sys
 from pathlib import Path
@@ -329,14 +330,16 @@ def test_numeric_failure_exit_three(tmp_path, capsys):
 
 
 TINY_GRID = "[grid]\nn = 64\ndt = 0.01\nt_max = 0.1\noutput_every = 1\n"
+# (x − x_c)² overflows from |x| ≈ 1.3e154 on, so the packet's closed form is nan there
+HUGE_BOX = ("[grid]\nx_min = -1e200\nx_max = 1e200\nn = 64\ndt = 0.01\nt_max = 0.1\n"
+            "output_every = 1\n")
 
 
 @pytest.mark.parametrize("mode", ["analytic", "momentum"])
 @pytest.mark.parametrize(
     "text",
     [
-        "[grid]\nx_min = -1e200\nx_max = 1e200\nn = 64\ndt = 0.01\nt_max = 0.1\n"
-        "output_every = 1\n",
+        HUGE_BOX,
         "[packet]\nsigma = 1\nx0 = 1e200\n" + TINY_GRID,
         # a² overflows in G2, so even t = 0 is nan
         "[force]\nkind = constant\namplitude = 1e200\n" + TINY_GRID,
@@ -353,6 +356,28 @@ def test_closed_form_overflow_exit_three(tmp_path, capsys, mode, text):
     assert err.startswith("lrwp: numeric failure: ")
     assert not (tmp_path / "out" / "snapshots.csv").exists()
     assert not (tmp_path / "out" / "comparison.csv").exists()
+
+
+def test_huge_box_validate_exit_three(tmp_path, capsys):
+    # the packet's t = 0 sample is refused, so no oracle starts and no file is written
+    cfg = _write(tmp_path, HUGE_BOX)
+    assert main(["validate", "--config", cfg, "--out", str(tmp_path / "out")]) == 3
+    err = capsys.readouterr().err
+    assert err == "lrwp: numeric failure: InstabilityError: non-finite field at t=0\n"
+    assert not (tmp_path / "out" / "observables.csv").exists()
+
+
+@pytest.mark.parametrize("config, code", [(GOOD, 0), (HUGE_BOX, 3)], ids=["ok", "numeric"])
+def test_the_module_run_as_a_script_exits_with_the_code_of_main(tmp_path, monkeypatch, capsys,
+                                                                config, code):
+    # ``python -m lrwp.cli``: executed anew as __main__, as it is not yet imported
+    monkeypatch.delitem(sys.modules, "lrwp.cli")
+    argv = ["lrwp", "analytic", "--config", _write(tmp_path, config), "--out", str(tmp_path)]
+    monkeypatch.setattr(sys, "argv", argv)
+    with pytest.raises(SystemExit) as exc:
+        runpy.run_module("lrwp.cli", run_name="__main__")
+    assert exc.value.code == code
+    assert capsys.readouterr().err.count("\n") == (code != 0)
 
 
 @pytest.mark.parametrize("mode, code", [("analytic", 0), ("validate", 4)])

@@ -25,6 +25,7 @@ from lrwp.errors import (
     LrwpError,
 )
 from lrwp.oracle import ObservableRecord, propagate_cranknicolson
+from lrwp.wavepacket import sample_gtwp
 from lrwp.runner import (
     COMPARISON_HEADER,
     OBSERVABLES_HEADER,
@@ -194,6 +195,30 @@ def _reference_write(path, header, rows):
             fh.write(",".join(fmt(v) for v in row) + "\n")
 
 
+_BITS = st.lists(st.integers(0, 2**64 - 1), min_size=1, max_size=48)
+
+
+@settings(max_examples=50)
+@given(x=_BITS, t=_BITS.map(lambda bits: bits[:3]), values=_BITS,
+       rows=st.integers(1, 64) | st.integers(runner._CHUNK_ROWS - 1, runner._CHUNK_ROWS + 64))
+@example(x=_bit_patterns(*_HARD_CASES, 0.0, -0.0), t=_bit_patterns(-0.0, 5e-324, 1e-100),
+         values=_bit_patterns(*(-v for v in _HARD_CASES), math.nan, -math.inf),
+         rows=runner._CHUNK_ROWS + 1)
+def test_cells_formatted_once_write_the_bytes_of_the_stacked_rows(x, t, values, rows):
+    # raw bit patterns in every column: x's cells are reused in every block and
+    # across chunk boundaries, and each t's in every row of its block
+    x = np.resize(np.array(x, np.uint64).view(np.float64), rows)
+    t = np.array(t, np.uint64).view(np.float64)
+    values = np.resize(np.array(values, np.uint64).view(np.float64), (len(t), rows, 3))
+    stacked = [[tk, *row] for tk, block in zip(t.tolist(), values)
+               for row in np.column_stack([x, block]).tolist()]
+    with tempfile.TemporaryDirectory() as tmp:
+        blocks = runner._snapshot_blocks(t, x, values)
+        write_csv_atomic(Path(tmp) / "new.csv", SNAPSHOTS_HEADER, blocks)
+        _reference_write(Path(tmp) / "ref.csv", SNAPSHOTS_HEADER, stacked)
+        assert (Path(tmp) / "new.csv").read_bytes() == (Path(tmp) / "ref.csv").read_bytes()
+
+
 SPECIAL = [
     -0.0, 0.0, math.nan, -math.nan, math.inf, -math.inf, 5e-324, 1e-310,
     2.2250738585072014e-308, 1e300, -1e300, 1e-300, -1e-300, 1.0 / 3.0, -2.5,
@@ -274,6 +299,25 @@ class TestAnalytic:
         assert "nan" not in (tmp_path / "snapshots.csv").read_text()
         prob = np.array(_col(header, rows, "prob"), dtype=float)
         np.testing.assert_allclose(prob, 1.0, atol=1e-12)
+
+    def test_snapshots_are_the_stacked_rows_of_their_closed_form(self, tmp_path):
+        # two chunks a snapshot, and x cells that are negative, zero and of 3-digit exponent
+        cfg = parse_config(
+            "[packet]\nF0 = 0\np0 = 1\n[grid]\nx_min = -1e200\nx_max = 1e200\nn = 2048\n"
+            "dt = 1e-3\nt_max = 0.1\noutput_every = 50\n"
+        )
+        run_analytic(cfg, tmp_path)
+        grid, x = cfg.grid.grid, cfg.grid.grid.points
+        assert grid.n > runner._CHUNK_ROWS and len(cfg.grid.snapshot_steps) == 3
+        assert (x < 0).any() and 0.0 in x and np.abs(x[x != 0]).min() >= 1e100
+        rows = []
+        for step in cfg.grid.snapshot_steps:
+            t = step * cfg.grid.dt
+            psi = sample_gtwp(cfg.packet, cfg.profile, grid, t).values
+            columns = [np.full(grid.n, t), x, psi.real, psi.imag, np.abs(psi) ** 2]
+            rows += np.column_stack(columns).tolist()
+        _reference_write(tmp_path / "ref.csv", SNAPSHOTS_HEADER, rows)
+        assert (tmp_path / "snapshots.csv").read_bytes() == (tmp_path / "ref.csv").read_bytes()
 
     def test_byte_identical_reruns(self, tmp_path):
         cfg = parse_config("[force]\nkind = constant\namplitude = 1\n" + SMALL_GRID)
@@ -490,6 +534,25 @@ class TestSweep:
         assert 3.4 < errs[1] / errs[2] < 4.6
         assert all(r[-1] == "ok" for r in rows)
         assert (tmp_path / "dt=0.002" / "observables.csv").exists()
+
+    def test_a_case_that_stops_first_leaves_its_batch_as_their_lone_runs(self, tmp_path):
+        # one batch at --jobs 1: σ = 0.23 reaches the ±10 box's edge at t = 0.465 and
+        # stops, and the two other cases step on past it to t = 0.5, as they would alone
+        cfg = parse_config(
+            SINUSOIDAL + "[grid]\nx_min = -10\nx_max = 10\nn = 512\ndt = 1e-3\nt_max = 0.5\n"
+            "output_every = 10\n[run]\nmode = sweep\nsweep_axis = sigma\n"
+            "sweep_values = 1.0, 0.23, 0.8\nsweep_mode = validate\n"
+        )
+        assert runner._batches(cfg, 1) == [[0, 1, 2]]
+        rows = run_sweep(cfg, tmp_path / "sweep", jobs=1)
+        assert [row[-1] for row in rows] == ["ok", "error:AliasingError", "ok"]
+        with pytest.raises(AliasingError, match="at t=0.465: "):
+            run_validate(cfg.sweep[1][1], tmp_path / "alone")
+        for value, case in (cfg.sweep[0], cfg.sweep[2]):
+            run_validate(case, tmp_path / "alone")
+            name = config.sweep_case_name("sigma", value)
+            assert ((tmp_path / "sweep" / name / "observables.csv").read_bytes()
+                    == (tmp_path / "alone" / "observables.csv").read_bytes())
 
     def test_sigma_axis_width_column(self, tmp_path):
         cfg = parse_config(
