@@ -13,7 +13,7 @@ from .errors import (
     ModeMismatchError,
     OutOfDomainError,
 )
-from .fields import Grid1D, Space, WaveField, conjugate_momentum_grid
+from .fields import Grid1D, WaveField, conjugate_momentum_grid
 from .forcing import ConstantForce, ForceProfile, PiecewiseLinearForce, SinusoidalForce
 from .invariant import InvariantSpec, PacketState, apply_invariant, coeffs_at, eigenvalue
 from .oracle import (

@@ -36,7 +36,7 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("mode", choices=["analytic", "validate", "momentum", "sweep"])
     parser.add_argument("--config", required=True, help="path to the run configuration")
     parser.add_argument("--out", required=True, help="output directory for CSV files")
-    parser.add_argument("--jobs", type=_jobs, default=None, help="sweep worker count (>= 1)")
+    parser.add_argument("--jobs", type=_jobs, default=None, help="processes to run at once (>= 1)")
     return parser
 
 
@@ -54,7 +54,7 @@ def main(argv=None) -> int:
         if args.mode == "analytic":
             run_analytic(cfg, out)
         elif args.mode == "validate":
-            summary = run_validate(cfg, out)
+            summary = run_validate(cfg, out, jobs=args.jobs)
             print(
                 f"validate: max L2 split-step {summary.max_l2_ss:.3e}, "
                 f"crank-nicolson {summary.max_l2_cn:.3e}, "

@@ -20,7 +20,9 @@ class ModeMismatchError(LrwpError):
 
 
 class InstabilityError(LrwpError):
-    """Propagation norm drifted beyond tolerance."""
+    """A field that cannot be trusted: a closed-form sample or a propagated field
+    that is not finite, an initial field that is not normalized, a norm that drifted
+    beyond tolerance, or a singular Crank–Nicolson matrix."""
 
 
 class AliasingError(LrwpError):

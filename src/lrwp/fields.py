@@ -6,7 +6,6 @@ power of two ≥ 16, and Δ = (hi − lo)/n a normal float wide enough for n dis
 points. The Nyquist bin is masked out of momentum observables and spectral derivatives.
 """
 
-import enum
 import math
 import sys
 from dataclasses import dataclass
@@ -16,7 +15,6 @@ import numpy as np
 from .errors import DegenerateFieldError
 
 __all__ = [
-    "Space",
     "Grid1D",
     "WaveField",
     "wavenumbers",
@@ -28,11 +26,6 @@ __all__ = [
     "boundary_amplitude",
     "conjugate_momentum_grid",
 ]
-
-
-class Space(enum.Enum):
-    POSITION = "position"
-    MOMENTUM = "momentum"
 
 
 @dataclass(frozen=True)
@@ -65,13 +58,12 @@ class Grid1D:
 
 @dataclass(frozen=True)
 class WaveField:
-    """One snapshot of a complex field, in position or momentum space. It carries no
+    """One snapshot of a complex field, on a position or momentum grid. It carries no
     quality flags: an operation that cannot trust its input raises instead."""
 
     grid: Grid1D
     t: float
     values: np.ndarray
-    space: Space = Space.POSITION
 
     def __post_init__(self):
         values = np.asarray(self.values, dtype=complex)
@@ -128,8 +120,6 @@ def grid_moments(f: WaveField) -> tuple[float, float]:
 
 def momentum_moments(f: WaveField, hbar: float) -> tuple[float, float]:
     """(⟨p⟩, Δp) of a position-space field, computed spectrally."""
-    if f.space is not Space.POSITION:
-        raise ValueError("momentum_moments expects a position-space field")
     w = np.abs(np.fft.fft(f.values)) ** 2 * _nyquist_mask(f.grid.n)
     return _moments(hbar * wavenumbers(f.grid), w)
 

@@ -124,9 +124,7 @@ def apply_invariant(
     at the box edges or is periodic on the box (a plane wave with a grid
     wavenumber); callers choose grids that contain the packet.
     """
-    if field.space.name != "POSITION":
-        raise ValueError("apply_invariant expects a position-space field")
     a, b, c = coeffs
     dpsi = spectral_derivative(field.values, field.grid)
     values = a * (-1j * hbar * dpsi) + b * field.grid.points * field.values + c * field.values
-    return WaveField(grid=field.grid, t=field.t, values=values, space=field.space)
+    return WaveField(grid=field.grid, t=field.t, values=values)

@@ -41,9 +41,9 @@ constant force factors once per run, a sinusoidal one every step, a
 piecewise-linear one once per flat segment plus once per sloped step.
 Rebuilding the same operands would give the same bytes, so the output does
 not depend on what was reused. SciPy's LAPACK is imported by ``load_lapack``,
-which ``propagate_cranknicolson`` calls, not when its stream first steps: the
-runner iterates that stream in a forked child, which inherits it loaded, and
-loads it before a validate sweep forks its pool. A run that never propagates
+which ``propagate_cranknicolson`` calls, not when its stream first steps: a
+child that the runner forks to iterate that stream inherits it loaded, and so
+does each worker that a validate sweep forks. A run that never propagates
 never loads SciPy.
 """
 
@@ -56,7 +56,6 @@ import numpy as np
 from .errors import AliasingError, DegenerateFieldError, InstabilityError, LrwpError
 from .fields import (
     Grid1D,
-    Space,
     WaveField,
     field_norm,
     grid_moments,
@@ -230,7 +229,7 @@ class _Rows:
         out = []
         for i, error in enumerate(self.errors):
             if error is None:
-                field = WaveField(grid=self.grid, t=t, values=psi[i].copy(), space=Space.POSITION)
+                field = WaveField(grid=self.grid, t=t, values=psi[i].copy())
                 try:
                     out.append(_checked(field, self.norm0[i]))
                     continue

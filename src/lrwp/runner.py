@@ -28,15 +28,15 @@ name the quality thresholds it broke, or the exception that stopped it.
 ``run_validate`` raises that exception, or an AcceptanceViolation built from the
 violations; a sweep records either in the case's summary row.
 
-A validate batch runs its two oracles at once: the split step in the calling
-process, and Crank–Nicolson in a child forked for the batch (``_in_child``),
-which sends each snapshot through a pipe as it is made. The child is joined
-before ``_validate`` returns or raises; one that dies early stops every running
-case with an LrwpError. So a validate task is two processes, and a sweep of them
-runs ``--jobs N // 2`` tasks (at least one) at once.
+``--jobs N`` bounds the processes a run keeps busy; each one but the calling
+process is forked by ``_in_child``, which streams the child's items through a
+pipe and joins it as its block is left. At more than one job a validate batch
+runs Crank–Nicolson in such a child, at the same time as the split step, so a
+validate task is two processes and a sweep of them runs ``N // 2`` tasks (at
+least one) at once. A sweep deals its tasks in turn to the calling process and
+a child for each other worker.
 """
 
-import concurrent.futures
 import contextlib
 import functools
 import os
@@ -332,7 +332,7 @@ def _feed(stream: Iterator, receiver, sender) -> None:
     receiver.close()  # else the pipe keeps a reader, and a send to a closed parent blocks
     try:
         for item in stream:
-            sender.send(("snapshot", item))
+            sender.send(("item", item))
         sender.send(("end", None))
     except BrokenPipeError:
         pass
@@ -341,15 +341,18 @@ def _feed(stream: Iterator, receiver, sender) -> None:
             sender.send(("raise", exc))
 
 
-def _in_child(stream: Iterator) -> Iterator:
-    """Yield the items of ``stream``, iterated in a forked child process.
+@contextlib.contextmanager
+def _in_child(stream: Iterator, name: str, item: str) -> Iterator[Iterator]:
+    """Iterate ``stream`` in a child process forked as the block is entered; the
+    block reads the child's items from the iterator it is given.
 
     The child sends each item through a one-way pipe as it is made and blocks while
     the pipe is full, so no more than a pipe's buffer and one item are in flight
-    (one b1 snapshot fills half of it). An exception that stops
-    ``stream`` is raised here with its type and message; a child that dies before
-    its end raises LrwpError with its exit code. Closing the generator closes the
-    pipe and joins the child, which stops at its next send.
+    (one b1 snapshot fills half of it). An exception that stops ``stream`` is raised
+    by the iterator with its type and message; a child that dies before its end
+    raises LrwpError with its exit code, naming it the ``name`` process and its
+    items each an ``item``. Leaving the block closes the pipe and joins the child,
+    which stops at its next send.
     """
     import multiprocessing  # here, not at the top: importing the package does not load it
 
@@ -358,32 +361,36 @@ def _in_child(stream: Iterator) -> Iterator:
     child = context.Process(target=_feed, args=(stream, receiver, sender))
     child.start()
     sender.close()
-    try:
+
+    def items():
         while True:
             try:
                 kind, payload = receiver.recv()
             except EOFError:
                 child.join()
-                raise LrwpError(f"the Crank–Nicolson process exited with code {child.exitcode} "
-                                "before its last snapshot") from None
+                raise LrwpError(f"the {name} process exited with code {child.exitcode} "
+                                f"before its last {item}") from None
             if kind == "end":
                 return
             if kind == "raise":
                 raise payload
             yield payload
+
+    try:
+        yield items()
     finally:
         receiver.close()
         child.join()
 
 
-def _validate(cases: list[tuple[RunConfig, Path]]) -> list[ValidateSummary | Exception]:
+def _validate(cases: list[tuple[RunConfig, Path]], fork: bool) -> list[ValidateSummary | Exception]:
     """Propagate validate cases that share grid, dt, force, m and ħ as one batch.
 
-    Each case gets one outcome: its summary, or the exception that stopped it.
+    Each case gets one outcome: its ValidateSummary, or the exception that stopped it.
     Each case is a normalized packet that its box contains, as the parser vets it;
-    one whose t = 0 sample is refused is not propagated. The split step runs here
-    and Crank–Nicolson at the same time in a forked child (``_in_child``); both
-    streams are closed, and the child joined, before this returns or raises.
+    one whose t = 0 sample is refused is not propagated. The split step runs here,
+    and so does Crank–Nicolson, in step with it; or, if ``fork``, at the same time
+    in a forked child (``_in_child``), joined before this returns or raises.
     Observables are measured on the split-step field (the sharper oracle), and each
     oracle's field meets the closed form through ``l2_error``. A case stops at the
     first snapshot where the split step, then Crank–Nicolson, then its own
@@ -405,31 +412,30 @@ def _validate(cases: list[tuple[RunConfig, Path]]) -> list[ValidateSummary | Exc
     cfg = cases[0][0]
     m, hbar, profile, grid = cfg.packet.m, cfg.packet.hbar, cfg.profile, cfg.grid.grid
     args = (list(initials.values()), profile, m, hbar, cfg.grid)
-    streams = [propagate_splitstep(*args), _in_child(propagate_cranknicolson(*args))]
+    cn = propagate_cranknicolson(*args)
     measured = {i: [] for i in initials}
-    try:
-        for fields_ss, fields_cn in zip(*streams):
-            for i, f_ss, f_cn in zip(initials, fields_ss, fields_cn):
-                if outcomes[i] is not None:
-                    continue
-                try:
-                    for entry in (f_ss, f_cn):
-                        if isinstance(entry, Exception):
-                            raise entry
-                    packet = cases[i][0].packet
-                    analytic = _finite(sample_gtwp, packet, profile, grid, f_ss.t)
-                    coeffs = coeffs_at(packet.spec, m, profile, f_ss.t)
-                    rec = observables(f_ss, m, hbar, coeffs)
-                    measured[i].append((rec, *(l2_error(f, analytic) for f in (f_ss, f_cn))))
-                except (LrwpError, ValueError) as exc:
-                    outcomes[i] = exc
-            if None not in outcomes:
-                break
-    except (LrwpError, ValueError) as exc:
-        outcomes = [exc if outcome is None else outcome for outcome in outcomes]
-    finally:
-        for stream in streams:
-            stream.close()
+    streaming = _in_child(cn, "Crank–Nicolson", "snapshot") if fork else contextlib.nullcontext(cn)
+    with streaming as cn:
+        try:
+            for fields_ss, fields_cn in zip(propagate_splitstep(*args), cn):
+                for i, f_ss, f_cn in zip(initials, fields_ss, fields_cn):
+                    if outcomes[i] is not None:
+                        continue
+                    try:
+                        for entry in (f_ss, f_cn):
+                            if isinstance(entry, Exception):
+                                raise entry
+                        packet = cases[i][0].packet
+                        analytic = _finite(sample_gtwp, packet, profile, grid, f_ss.t)
+                        coeffs = coeffs_at(packet.spec, m, profile, f_ss.t)
+                        rec = observables(f_ss, m, hbar, coeffs)
+                        measured[i].append((rec, *(l2_error(f, analytic) for f in (f_ss, f_cn))))
+                    except (LrwpError, ValueError) as exc:
+                        outcomes[i] = exc
+                if None not in outcomes:
+                    break
+        except (LrwpError, ValueError) as exc:
+            outcomes = [exc if outcome is None else outcome for outcome in outcomes]
     return [_judge(cases[i][1], scales[i], measured[i]) if outcome is None else outcome
             for i, outcome in enumerate(outcomes)]
 
@@ -456,11 +462,12 @@ def _judge(out_dir, scale: float, measured: list) -> ValidateSummary:
     return ValidateSummary(*(value for _, value, _ in figures), violations)
 
 
-def run_validate(cfg: RunConfig, out_dir) -> ValidateSummary:
+def run_validate(cfg: RunConfig, out_dir, jobs: int | None = None) -> ValidateSummary:
     """Propagate the packet with both oracles and compare to the closed form:
-    the batch of one. Raises the error that stopped the run, or, once the full
-    file is written, AcceptanceViolation if any quality threshold fails."""
-    [outcome] = _validate([(cfg, out_dir)])
+    the batch of one, with Crank–Nicolson in a forked child at more than one of
+    ``jobs`` (by default the CPU count). Raises the error that stopped the run, or,
+    once the full file is written, AcceptanceViolation if any quality threshold fails."""
+    [outcome] = _validate([(cfg, out_dir)], (jobs or os.cpu_count() or 1) > 1)
     if isinstance(outcome, Exception):
         raise outcome
     if outcome.violations:
@@ -502,17 +509,14 @@ def _error_row(axis: str, value: float, error: Exception) -> list:
     return [axis, value, nan, nan, nan, nan, f"error:{type(error).__name__}"]
 
 
-def _run_sweep_case(task) -> list[list]:
+def _run_sweep_case(axis: str, batch: list[tuple], fork: bool) -> list[list]:
     """Summary rows of one batch of ``(value, case, case_dir)``, in batch order.
 
-    A batch of validate cases propagates as one (``_validate``). Every other
-    case, and every case the parser refused, is a batch of its own (``_batches``).
+    A batch of validate cases propagates as one (``_validate``, which forks if
+    ``fork``). Every other case is a batch of its own (``_batches``).
     """
-    axis, batch = task
     nan = float("nan")
     value, case, case_dir = batch[0]
-    if isinstance(case, Exception):  # refused at parse: nothing to run
-        return [_error_row(axis, value, case)]
     try:
         if case.mode is RunMode.ANALYTIC:
             run_analytic(case, case_dir)
@@ -521,7 +525,7 @@ def _run_sweep_case(task) -> list[list]:
     except (LrwpError, ValueError) as exc:
         return [_error_row(axis, value, exc)]
     cases = [(case, case_dir) for _, case, case_dir in batch]
-    outcomes = _validate(cases) if case.mode is RunMode.VALIDATE else [None]
+    outcomes = _validate(cases, fork) if case.mode is RunMode.VALIDATE else [None]
     rows = []
     for (value, case, _), outcome in zip(batch, outcomes):
         metrics = _packet_metrics(case)
@@ -568,44 +572,45 @@ def _batches(cfg: RunConfig, jobs: int) -> list[list[int]]:
 
 
 def run_sweep(cfg: RunConfig, out_dir, jobs: int | None = None) -> list[list]:
-    """Run each case of the sweep plan (``cfg.sweep``) in its mode, concurrently.
+    """Run each case of the sweep plan (``cfg.sweep``) in its mode, in at most ``jobs``
+    processes (by default the CPU count).
 
-    Validate cases that share grid, dt, force, m and ħ propagate as batches
-    (``_batches``); each batch, or each case of another kind, is one task of a
-    pool of at most ``jobs`` workers. A validate task is two processes, its own
-    and its Crank–Nicolson child, so a validate sweep's pool holds at most
-    ``_slots(jobs)`` workers. One worker runs in process. Each case writes into its own
-    subdirectory; per-case failures are recorded in the summary and do not
-    abort the sweep. Every case of a batch whose worker process died, or that
-    was still pending when another worker died, is recorded as
-    ``error:BrokenProcessPool``. Summary rows follow the plan's order.
+    A case the parser refused runs nothing; its error row is made here. Validate
+    cases that share grid, dt, force, m and ħ propagate as batches (``_batches``);
+    each batch, or each other case, is a task. Tasks are dealt in turn to at most
+    ``jobs`` workers, or ``_slots(jobs)`` in a validate sweep: the calling process,
+    and a child forked by ``_in_child`` for each other worker. Each case writes into
+    its own subdirectory; per-case failures are recorded in the summary and do not
+    abort the sweep, and each task a dead worker had not finished reads
+    ``error:LrwpError``. Summary rows follow the plan's order.
     """
     out = Path(out_dir)
     axis = cfg.sweep_axis
     jobs = jobs or os.cpu_count() or 1
-    batches = _batches(cfg, jobs)
     plan = [(value, case, str(out / sweep_case_name(axis, value))) for value, case in cfg.sweep]
-    tasks = [(axis, [plan[i] for i in batch]) for batch in batches]
-    validates = any(not isinstance(case, Exception) and case.mode is RunMode.VALIDATE
-                    for _, case in cfg.sweep)
-    # the pool forks all of its workers up front, so never ask for more than tasks
+    results = [_error_row(axis, value, case) if isinstance(case, Exception) else None
+               for value, case, _ in plan]
+    tasks = [batch for batch in _batches(cfg, jobs) if results[batch[0]] is None]
+    validates = any(plan[batch[0]][1].mode is RunMode.VALIDATE for batch in tasks)
     workers = min(_slots(jobs) if validates else jobs, len(tasks))
-    if validates:  # here, once: every worker the pool forks inherits it loaded
+    if validates:  # here, once: every process forked after this inherits it loaded
         load_lapack()
-    if workers <= 1:
-        done = [_run_sweep_case(task) for task in tasks]
-    else:
-        done = []
-        with concurrent.futures.ProcessPoolExecutor(max_workers=workers) as pool:
-            futures = [pool.submit(_run_sweep_case, task) for task in tasks]
-            for (_, batch), future in zip(tasks, futures):
-                try:
-                    done.append(future.result())
-                except concurrent.futures.BrokenExecutor as exc:  # BrokenProcessPool
-                    done.append([_error_row(axis, value, exc) for value, _, _ in batch])
-    results = [None] * len(plan)
-    for batch, rows in zip(batches, done):
-        for i, row in zip(batch, rows):
-            results[i] = row
+    shares = [tasks[k::workers] for k in range(workers)]
+
+    def work(share):
+        return (_run_sweep_case(axis, [plan[i] for i in batch], jobs > 1) for batch in share)
+
+    with contextlib.ExitStack() as children:
+        # the others first, so that they run while the calling process works its share
+        forked = [(share, children.enter_context(_in_child(work(share), "sweep worker", "batch")))
+                  for share in shares[1:]]
+        for share, rows in [(share, work(share)) for share in shares[:1]] + forked:
+            try:
+                for batch in share:
+                    for i, row in zip(batch, next(rows)):
+                        results[i] = row
+            except LrwpError as exc:  # the worker died: each task of its share not yet done
+                for i in (i for batch in share for i in batch):
+                    results[i] = results[i] or _error_row(axis, plan[i][0], exc)
     write_csv_atomic(out / "sweep_summary.csv", SWEEP_HEADER, results)
     return results

@@ -36,7 +36,7 @@ import numpy as np
 
 from .classical import kinetic_action, p_c, x_c
 from .errors import AliasingError, ModeMismatchError
-from .fields import Grid1D, Space, WaveField, boundary_amplitude, conjugate_momentum_grid
+from .fields import Grid1D, WaveField, boundary_amplitude, conjugate_momentum_grid
 from .forcing import ForceProfile
 from .invariant import InvariantSpec, PacketState
 
@@ -184,15 +184,13 @@ def fourier_bridge(field: WaveField, hbar: float, position_grid: Grid1D) -> Wave
     an edge sample of φ exceeds ``ALIASING_TOL`` times max|φ|: relative, as φ
     scales as ħ^(−1/2).
     """
-    if field.space is not Space.MOMENTUM:
-        raise ValueError("fourier_bridge expects a momentum-space field")
     pgrid, twist, lift = _bridge_phases(position_grid, hbar)
     if field.grid != pgrid:
         raise ValueError("the field's grid is not conjugate_momentum_grid(position_grid, hbar)")
     if boundary_amplitude(field) > ALIASING_TOL * np.max(np.abs(field.values)):
         raise AliasingError(f"momentum samples not contained on the grid at t={field.t:g}")
     psi = lift * np.fft.ifft(field.values * twist)
-    return WaveField(grid=position_grid, t=field.t, values=psi, space=Space.POSITION)
+    return WaveField(grid=position_grid, t=field.t, values=psi)
 
 
 def matched_packet(
@@ -220,7 +218,7 @@ def matched_packet(
 def sample_gtwp(state: PacketState, profile: ForceProfile, grid: Grid1D, t: float) -> WaveField:
     """:func:`gtwp_psi` on a position grid: the packet, or at F0 = 0 the plane wave."""
     values = gtwp_psi(state, profile, grid.points, t)
-    return WaveField(grid=grid, t=t, values=values, space=Space.POSITION)
+    return WaveField(grid=grid, t=t, values=values)
 
 
 def sample_gaussian_momentum(
@@ -232,4 +230,4 @@ def sample_gaussian_momentum(
         lambda p: gaussian_phi0(sigma, packet.x0, packet.p0, packet.hbar, p),
         profile, packet.m, packet.hbar, grid.points, t,
     )
-    return WaveField(grid=grid, t=t, values=values, space=Space.MOMENTUM)
+    return WaveField(grid=grid, t=t, values=values)

@@ -218,9 +218,11 @@ def test_config_error_exit_two(tmp_path, capsys):
         ("analytic", "[system]\nm = 0.1\n[packet]\nsigma = 1e154\n",
          "line 4: the packet norm e^(-2*Im alpha0)*sqrt(pi*hbar/(-Im F0)) = nan, "
          "not finite and positive"),
-        # πħ/(−Im F0) underflows to 0, so no α0 normalizes the packet
+        # πħ/(−Im F0) underflows to 0, or overflows to inf, so no α0 normalizes the packet
         ("analytic", "[system]\nhbar = 1e-300\n[packet]\nF0 = 0-1e300i\n",
          "line 4: pi*hbar/(-Im F0) = 0: no alpha0 normalizes the packet"),
+        ("analytic", "[system]\nhbar = 1e300\n[packet]\nF0 = 0-1e-10i\n",
+         "line 4: pi*hbar/(-Im F0) = inf: no alpha0 normalizes the packet"),
         # the conjugate momentum spacing 2πħ/(x_max − x_min) underflows to 0, or to a
         # subnormal float that cannot hold the grid's points
         *[(mode, "[system]\nhbar = 1e-150\n[grid]\nx_min = -1e300\nx_max = 1e300\n[run]\n"

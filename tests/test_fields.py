@@ -9,7 +9,6 @@ from hypothesis import strategies as st
 from lrwp.errors import DegenerateFieldError
 from lrwp.fields import (
     Grid1D,
-    Space,
     WaveField,
     boundary_amplitude,
     conjugate_momentum_grid,
@@ -119,7 +118,7 @@ def _gaussian(grid, sigma=1.0, x0=0.0, k0=0.0):
     psi = (2 * np.pi * sigma**2) ** -0.25 * np.exp(
         -((x - x0) ** 2) / (4 * sigma**2) + 1j * k0 * x
     )
-    return WaveField(grid=grid, t=0.0, values=psi, space=Space.POSITION)
+    return WaveField(grid=grid, t=0.0, values=psi)
 
 
 def test_gaussian_moments():
@@ -137,9 +136,9 @@ def test_gaussian_moments():
 def test_l2_error_and_degenerate():
     g = Grid1D(-20.0, 20.0, 256)
     a = _gaussian(g)
-    b = WaveField(grid=g, t=0.0, values=a.values * 1.01, space=Space.POSITION)
+    b = WaveField(grid=g, t=0.0, values=a.values * 1.01)
     assert l2_error(b, a) == pytest.approx(0.01, rel=1e-9)
-    zero = WaveField(grid=g, t=0.0, values=np.zeros(256), space=Space.POSITION)
+    zero = WaveField(grid=g, t=0.0, values=np.zeros(256))
     with pytest.raises(DegenerateFieldError):
         l2_error(a, zero)
     with pytest.raises(DegenerateFieldError):

@@ -76,9 +76,15 @@ the cell: small_b1_validate 2.2e-15 (6.8e-9), small_sinusoidal_validate
 5.7e-16 (2.8e-9), small_tabulated_validate 7.5e-16 (4.2e-9), the small-b1
 sweep summary 2.2e-15 (6.8e-9), and in the σ sweep its summary 1.1e-15
 (3.8e-8), σ = 1 1.1e-15 (3.8e-8) and σ = 0.8 8.8e-16 (1.2e-8).
+
+The three small validate runs are pinned twice: with ``jobs`` left to its
+default, which forks Crank–Nicolson into a child on a host with two or more
+CPUs, and at one job, where both oracles run in the calling process and no
+process is forked. Both give the same bytes.
 """
 
 import hashlib
+import os
 from pathlib import Path
 
 import pytest
@@ -152,15 +158,15 @@ GOLDEN = {
 }
 
 
+VALIDATE_RUNS = {"small_b1_validate": SMALL_B1, "small_sinusoidal_validate": SMALL_SINUSOIDAL,
+                 "small_tabulated_validate": SMALL_TABULATED}
+
+
 def _run(run: str, out: Path) -> None:
     if run in ("free_gaussian", "driven_plane_wave"):
         run_analytic(parse_config((CONFIGS / f"{run}.ini").read_text()), out)
-    elif run == "small_b1_validate":
-        run_validate(parse_config(SMALL_B1), out)
-    elif run == "small_sinusoidal_validate":
-        run_validate(parse_config(SMALL_SINUSOIDAL), out)
-    elif run == "small_tabulated_validate":
-        run_validate(parse_config(SMALL_TABULATED), out)
+    elif run in VALIDATE_RUNS:
+        run_validate(parse_config(VALIDATE_RUNS[run]), out)
     elif run == "small_b1_momentum":
         run_momentum(parse_config(SMALL_B1, mode_override="momentum"), out)
     elif run == "b1_analytic":
@@ -176,6 +182,18 @@ def test_output_hash_is_golden(tmp_path, run, name):
     _run(run, tmp_path)
     digest = hashlib.sha256((tmp_path / name).read_bytes()).hexdigest()
     assert digest == GOLDEN[run, name]
+
+
+@pytest.mark.parametrize("run", sorted(VALIDATE_RUNS))
+def test_a_lone_validate_at_one_job_is_golden_in_one_process(tmp_path, monkeypatch, run):
+    # both oracles run in the calling process, and give the bytes of the forked run
+    def no_fork():
+        raise AssertionError("a process was forked")
+
+    monkeypatch.setattr(os, "fork", no_fork)
+    run_validate(parse_config(VALIDATE_RUNS[run]), tmp_path, jobs=1)
+    digest = hashlib.sha256((tmp_path / "observables.csv").read_bytes()).hexdigest()
+    assert digest == GOLDEN[run, "observables.csv"]
 
 
 @pytest.mark.parametrize("jobs", [1, 2, 3])

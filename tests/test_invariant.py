@@ -7,7 +7,7 @@ from lrwp.classical import p_c, x_c
 from lrwp.errors import (
     InvalidInvariantError,
 )
-from lrwp.fields import Grid1D, Space, WaveField
+from lrwp.fields import Grid1D, WaveField
 from lrwp.forcing import ConstantForce, SinusoidalForce
 from lrwp.invariant import InvariantSpec, PacketState, apply_invariant, coeffs_at, eigenvalue
 from cross_checks import eigen_residual, phase_alpha
@@ -134,7 +134,7 @@ def _gaussian_field(grid, k0=0.0):
     x = grid.points
     psi = np.exp(-(x**2) / 4.0 + 1j * k0 * x)
     psi /= np.sqrt(np.sum(np.abs(psi) ** 2) * grid.spacing)
-    return WaveField(grid=grid, t=0.0, values=psi, space=Space.POSITION)
+    return WaveField(grid=grid, t=0.0, values=psi)
 
 
 class TestApplyInvariant:
@@ -142,7 +142,7 @@ class TestApplyInvariant:
         grid = Grid1D(-16.0, 16.0, 256)
         k0 = 2.0 * np.pi * 8 / 32.0  # exact grid wavenumber
         psi = np.exp(1j * k0 * grid.points)
-        field = WaveField(grid=grid, t=0.0, values=psi, space=Space.POSITION)
+        field = WaveField(grid=grid, t=0.0, values=psi)
         out = apply_invariant((1.0, 0.0, 0.0), field, hbar=1.0)
         np.testing.assert_allclose(out.values, k0 * psi, atol=1e-12)
 
@@ -162,7 +162,7 @@ class TestApplyInvariant:
         grid = Grid1D(-18.0, 18.0, 2048)
         x = grid.points
         psi = x * np.exp(-(x**2) / 2.0)
-        field = WaveField(grid=grid, t=0.0, values=psi.astype(complex), space=Space.POSITION)
+        field = WaveField(grid=grid, t=0.0, values=psi.astype(complex))
         out = apply_invariant((1.0, -1j, 0.0), field, hbar=1.0)
         dx = grid.spacing
         dpsi = (
@@ -170,12 +170,6 @@ class TestApplyInvariant:
         ) / (12 * dx)
         expected = -1j * dpsi + (-1j) * x * psi
         assert np.max(np.abs(out.values - expected)) < 1e-6
-
-    def test_requires_position_space(self):
-        grid = Grid1D(-8.0, 8.0, 64)
-        f = WaveField(grid=grid, t=0.0, values=np.zeros(64), space=Space.MOMENTUM)
-        with pytest.raises(ValueError):
-            apply_invariant((1.0, 0.0, 0.0), f, 1.0)
 
 
 class TestPhaseAlpha:

@@ -4,7 +4,7 @@ import scipy.linalg.lapack as lapack
 
 from lrwp import oracle
 from lrwp.errors import AliasingError, DegenerateFieldError, InstabilityError
-from lrwp.fields import Grid1D, Space, WaveField, field_norm, l2_error
+from lrwp.fields import Grid1D, WaveField, field_norm, l2_error
 from lrwp.forcing import (
     ConstantForce,
     ForceProfile,
@@ -140,7 +140,7 @@ class TestGuards:
         spec = GridSpec(-20.0, 20.0, 256, 1e-3, 1e-3)
         profile = ConstantForce(0.0)
         bad = sample_gtwp(PACKET, profile, spec.grid, 0.0)
-        bad = WaveField(grid=bad.grid, t=0.0, values=2.0 * bad.values, space=Space.POSITION)
+        bad = WaveField(grid=bad.grid, t=0.0, values=2.0 * bad.values)
         with pytest.raises(InstabilityError, match="normalized"):
             next(propagate_one(propagate_splitstep, bad, ConstantForce(0.0), M, HBAR, spec))
 
@@ -149,7 +149,7 @@ class TestGuards:
         spec = GridSpec(-20.0, 20.0, 256, 1e-3, 1e-3)
         field = sample_gtwp(PACKET, ConstantForce(0.0), spec.grid, 0.0)
         values = field.values * np.sqrt((1.0 + excess) / field_norm(field) ** 2)
-        scaled = WaveField(grid=spec.grid, t=0.0, values=values, space=Space.POSITION)
+        scaled = WaveField(grid=spec.grid, t=0.0, values=values)
         frames = propagate_one(propagate_splitstep, scaled, ConstantForce(0.0), M, HBAR, spec)
         if abs(excess) < oracle.INITIAL_NORM_TOL:
             assert len(list(frames)) == 2
@@ -175,15 +175,14 @@ class TestGuards:
 
     def test_drift_is_measured_from_the_initial_norm_whatever_it_is(self):
         grid = Grid1D(-10.0, 10.0, 256)
-        field = WaveField(grid=grid, t=0.5, values=1e3 * np.exp(-(grid.points**2)),
-                          space=Space.POSITION)
+        field = WaveField(grid=grid, t=0.5, values=1e3 * np.exp(-(grid.points**2)))
         assert _checked(field, norm0=field_norm(field) ** 2) is field
 
     def test_instability_guard_trips_on_norm_drift(self):
         grid = Grid1D(-10.0, 10.0, 256)
         x = grid.points
         psi = np.exp(-(x**2)) * 1.01
-        field = WaveField(grid=grid, t=0.5, values=psi, space=Space.POSITION)
+        field = WaveField(grid=grid, t=0.5, values=psi)
         with pytest.raises(InstabilityError):
             _checked(field, norm0=1.0)
 
@@ -224,7 +223,7 @@ class TestNonFinite:
         grid = Grid1D(-10.0, 10.0, 256)
         psi = np.exp(-(grid.points**2)).astype(complex)
         psi[128] = np.nan  # the boundary is clean, the norm is not
-        field = WaveField(grid=grid, t=0.5, values=psi, space=Space.POSITION)
+        field = WaveField(grid=grid, t=0.5, values=psi)
         with pytest.raises(InstabilityError, match="norm drift nan"):
             _checked(field, norm0=1.0)
 
@@ -293,7 +292,7 @@ def _random_fields(rng, grid, k):
         ripple = 0.3 * np.exp(2j * np.pi * rng.uniform()) * np.cos(rng.uniform(0.5, 2.0) * x)
         values = (1.0 + ripple) * np.exp(-((x - x0) ** 2) / (4.0 * width**2) + 1j * p0 * x)
         values /= np.sqrt(np.sum(np.abs(values) ** 2) * grid.spacing)
-        fields.append(WaveField(grid=grid, t=0.0, values=values, space=Space.POSITION))
+        fields.append(WaveField(grid=grid, t=0.0, values=values))
     return fields
 
 
@@ -432,7 +431,7 @@ class TestObservables:
     def test_norm_of_an_unnormalized_field(self):
         grid = Grid1D(-10.0, 10.0, 256)
         values = 2.0 * np.exp(-(grid.points**2) / 2.0).astype(complex)
-        field = WaveField(grid=grid, t=0.0, values=values, space=Space.POSITION)
+        field = WaveField(grid=grid, t=0.0, values=values)
         rec = observables(field, M, HBAR, (1.0, 0.0, 0.0))
         assert rec.norm == pytest.approx(np.sum(np.abs(values) ** 2) * grid.spacing, rel=1e-14)
         assert rec.norm == pytest.approx(4.0 * np.sqrt(np.pi), rel=1e-12)
@@ -449,7 +448,7 @@ class TestObservables:
 
     def test_degenerate_field(self):
         grid = Grid1D(-10.0, 10.0, 128)
-        zero = WaveField(grid=grid, t=0.0, values=np.zeros(128), space=Space.POSITION)
+        zero = WaveField(grid=grid, t=0.0, values=np.zeros(128))
         with pytest.raises(DegenerateFieldError):
             observables(zero, M, HBAR, (1.0, 0.0, 0.0))
 

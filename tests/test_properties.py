@@ -27,7 +27,7 @@ from lrwp.classical import p_c, x_c  # noqa: E402
 from lrwp.config import RunConfig, parse_config  # noqa: E402
 from lrwp.errors import AcceptanceViolation, ConfigError, LrwpError  # noqa: E402
 from lrwp.fields import (  # noqa: E402
-    Grid1D, Space, WaveField, conjugate_momentum_grid, wavenumbers,
+    Grid1D, WaveField, conjugate_momentum_grid, wavenumbers,
 )
 from lrwp.invariant import InvariantSpec, PacketState, coeffs_at, eigenvalue  # noqa: E402
 from lrwp.oracle import GridSpec, propagate_cranknicolson, propagate_splitstep  # noqa: E402
@@ -347,7 +347,7 @@ def test_cranknicolson_is_the_dense_cayley_step(profile, m, hbar, dt, steps, n, 
     rows = np.array([np.exp(-(((x - x0) / (2.0 * sigma)) ** 2) + 1j * p0 * x / hbar)
                      for x0, p0, sigma in packets])
     rows /= np.sqrt(np.sum(np.abs(rows) ** 2, axis=1, keepdims=True) * spec.grid.spacing)
-    initials = [WaveField(spec.grid, 0.0, row, Space.POSITION) for row in rows]
+    initials = [WaveField(spec.grid, 0.0, row) for row in rows]
     snapshots = propagate_cranknicolson(initials, profile, m, hbar, spec)
     for step, (fields, expected) in enumerate(
         zip(snapshots, cayley_reference(rows, profile, m, hbar, spec), strict=True)

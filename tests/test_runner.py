@@ -1,4 +1,4 @@
-import concurrent.futures
+import contextlib
 import math
 import multiprocessing
 import os
@@ -415,9 +415,24 @@ class TestCrankNicolsonChild:
     def test_a_stream_in_a_child_yields_its_items_then_ends(self):
         # in _validate the split step's end stops zip first, so "end" is read here
         items = [[1.0, np.arange(3)], "two", None]
-        got = list(runner._in_child(iter(items)))
+        with runner._in_child(iter(items), "test", "item") as stream:
+            assert multiprocessing.active_children() != []  # forked as the block is entered
+            got = list(stream)
         assert got[1:] == items[1:] and got[0][0] == 1.0
         np.testing.assert_array_equal(got[0][1], items[0][1])
+        assert multiprocessing.active_children() == []
+
+    @pytest.mark.parametrize("jobs, cpus, forks", [(None, 2, 1), (None, 1, 0), (1, 64, 0), (2, 1, 1)])
+    def test_a_lone_run_forks_its_child_at_more_than_one_job(self, tmp_path, monkeypatch,
+                                                             jobs, cpus, forks):
+        # --jobs reaches validate, and defaults to the CPU count; at one job both oracles
+        # run in the calling process
+        monkeypatch.setattr(runner.os, "cpu_count", lambda: cpus)
+        counted, _ = _counted_forks(monkeypatch)
+        (tmp_path / "run.ini").write_text(self.CFG)
+        argv = ["validate", "--config", str(tmp_path / "run.ini"), "--out", str(tmp_path / "out")]
+        assert main(argv + ([] if jobs is None else ["--jobs", str(jobs)])) == 0
+        assert counted == ["Crank–Nicolson"] * forks
         assert multiprocessing.active_children() == []
 
     def test_a_run_every_case_stops_at_the_first_snapshot_ends_early(self, tmp_path, monkeypatch):
@@ -638,16 +653,17 @@ class TestSweep:
 
     def test_a_validate_pool_forks_with_lapack_loaded(self, tmp_path):
         # a fresh interpreter, which has not loaded SciPy: the sweep loads it once, before
-        # the pool of jobs // 2 = 2 workers forks, so that no worker imports it again
+        # the second of its jobs // 2 = 2 workers forks, so that no worker imports it again
         probe = (
             "import sys\n"
             "from lrwp import runner\n"
             "from lrwp.config import parse_config\n"
-            "pool = runner.concurrent.futures.ProcessPoolExecutor\n"
-            "def probe(max_workers):\n"
-            "    print(max_workers, 'scipy.linalg.lapack' in sys.modules)\n"
-            "    return pool(max_workers=max_workers)\n"
-            "runner.concurrent.futures.ProcessPoolExecutor = probe\n"
+            "in_child = runner._in_child\n"
+            "def probe(stream, name, item):\n"
+            "    if name == 'sweep worker':\n"
+            "        print(name, 'scipy.linalg.lapack' in sys.modules, flush=True)\n"
+            "    return in_child(stream, name, item)\n"
+            "runner._in_child = probe\n"
             "print('scipy.linalg.lapack' in sys.modules)\n"
             "rows = runner.run_sweep(parse_config(sys.stdin.read()), sys.argv[1], jobs=4)\n"
             "print(*[row[-1] for row in rows])\n"
@@ -662,7 +678,7 @@ class TestSweep:
             text=True, timeout=120, env={**os.environ, "PYTHONPATH": path},
         )
         assert result.returncode == 0, result.stderr
-        assert result.stdout.splitlines() == ["False", "2 True", "ok ok"]
+        assert result.stdout.splitlines() == ["False", "sweep worker True", "ok ok"]
 
     def test_plane_wave_case_of_a_validate_sweep_stops_before_propagating(self, tmp_path):
         # F0_imag = 0 makes the case a plane wave, which has no width to validate against
@@ -677,23 +693,34 @@ class TestSweep:
         assert not (tmp_path / "F0_imag=0" / "observables.csv").exists()
 
     def test_crashed_worker_keeps_the_summary(self, tmp_path, monkeypatch):
-        monkeypatch.setattr(runner, "_run_sweep_case", _crash_on_sigma_one)
+        # two workers: the calling process runs σ = 0.5, 1.5 and 2.5, the child 1, 2 and 3;
+        # the child dies at σ = 2, so σ = 1, which it finished, keeps its row, and 2 and 3
+        # are error rows, while the calling process runs its share on
+        run_case = runner._run_sweep_case
+
+        def crash_in_child(axis, batch, fork):
+            if multiprocessing.parent_process() is not None and batch[0][0] == 2.0:
+                os._exit(1)  # the worker process dies without a result
+            return run_case(axis, batch, fork)
+
+        monkeypatch.setattr(runner, "_run_sweep_case", crash_in_child)
         cfg = parse_config(
             SMALL_GRID
-            + "[run]\nmode = sweep\nsweep_axis = sigma\nsweep_values = 0.5, 1.0, 2.0\n"
-            "sweep_mode = analytic\n"
+            + "[run]\nmode = sweep\nsweep_axis = sigma\n"
+            "sweep_values = 0.5, 1.0, 1.5, 2.0, 2.5, 3.0\nsweep_mode = analytic\n"
         )
         results = run_sweep(cfg, tmp_path, jobs=2)
         header, rows = _read(tmp_path / "sweep_summary.csv")
-        assert [float(r[1]) for r in rows] == [0.5, 1.0, 2.0]
-        assert rows[1][-1] == "error:BrokenProcessPool"
-        assert all(r[-1] in ("ok", "error:BrokenProcessPool") for r in rows)
+        assert [float(r[1]) for r in rows] == [0.5, 1.0, 1.5, 2.0, 2.5, 3.0]
+        assert [r[-1] for r in rows] == ["ok"] * 3 + ["error:LrwpError", "ok", "error:LrwpError"]
         assert [r[-1] for r in results] == [r[-1] for r in rows]
+        assert (tmp_path / "sigma=1" / "snapshots.csv").exists()
+        assert multiprocessing.active_children() == []
 
     @pytest.mark.parametrize("jobs, cpus, workers", [(10_000, 1, 4), (None, 64, 4), (2, 1, 2)])
     def test_pool_never_outnumbers_the_cases(self, tmp_path, monkeypatch, jobs, cpus, workers):
-        # the fake pool runs each case inline, so no process is ever started
-        started, _ = _inline_pool(monkeypatch)
+        # each worker but the calling process runs its share inline, so no process starts
+        forks, _ = _counted_forks(monkeypatch, inline=True)
         monkeypatch.setattr(runner.os, "cpu_count", lambda: cpus)
         cfg = parse_config(
             SMALL_GRID
@@ -701,8 +728,33 @@ class TestSweep:
             "sweep_mode = analytic\n"
         )
         results = run_sweep(cfg, tmp_path, jobs=jobs)
-        assert started == [workers]
+        assert forks == ["sweep worker"] * (workers - 1)
         assert [r[-1] for r in results] == ["ok"] * 4
+
+    def test_a_refused_case_takes_no_workers_turn(self, tmp_path, monkeypatch):
+        # σ = −1 is refused at parse and answered by the calling process, so the other
+        # two batches go to the two workers that four jobs give a validate sweep
+        log = tmp_path / "batches"
+        run_case = runner._run_sweep_case
+
+        def logged(axis, batch, fork):
+            with open(log, "a") as fh:
+                fh.write(f"{[value for value, _, _ in batch]} {os.getpid()}\n")
+            return run_case(axis, batch, fork)
+
+        monkeypatch.setattr(runner, "_run_sweep_case", logged)
+        cfg = parse_config(
+            SINUSOIDAL + SMALL_GRID.replace("t_max = 0.5", "t_max = 0.1")
+            + "[run]\nmode = sweep\nsweep_axis = sigma\nsweep_values = 1, 1.1, -1, 1.2, 1.3\n"
+            "sweep_mode = validate\n"
+        )
+        assert runner._batches(cfg, 4) == [[0, 1], [2], [3, 4]]
+        rows = run_sweep(cfg, tmp_path / "out", jobs=4)
+        assert [r[-1] for r in rows] == ["ok", "ok", "error:ConfigError", "ok", "ok"]
+        runs = dict(line.rsplit(" ", 1) for line in log.read_text().splitlines())
+        assert sorted(runs) == ["[1.0, 1.1]", "[1.2, 1.3]"]
+        assert runs["[1.0, 1.1]"] == str(os.getpid()) != runs["[1.2, 1.3]"]
+        assert multiprocessing.active_children() == []
 
     def test_validate_cases_sharing_a_hamiltonian_batch_in_sweep_order(self):
         text = SINUSOIDAL + SMALL_GRID + "[run]\nmode = sweep\nsweep_mode = validate\n"
@@ -723,7 +775,7 @@ class TestSweep:
         assert runner._batches(analytic, 1) == [[0], [1]]
 
     def test_batches_hold_at_most_max_points_over_n_cases(self, tmp_path, monkeypatch):
-        started, batches = _inline_pool(monkeypatch)
+        forks, batches = _counted_forks(monkeypatch, inline=True)
         monkeypatch.setattr(runner, "MAX_POINTS", 2 * 256)
         cfg = parse_config(
             SINUSOIDAL + SMALL_GRID.replace("t_max = 0.5", "t_max = 0.1")
@@ -732,9 +784,10 @@ class TestSweep:
         )
         results = run_sweep(cfg, tmp_path, jobs=4)
         # four jobs are two validate slots, which would take batches of 3 and 2;
-        # 512 points hold two cases of n = 256
-        assert started == [2]
-        assert batches == [[1.0, 1.1], [1.2, 1.3], [1.4]]
+        # 512 points hold two cases of n = 256, and the two workers take turns
+        assert forks.count("sweep worker") == 1
+        assert forks.count("Crank–Nicolson") == 3
+        assert batches == [[1.0, 1.1], [1.4], [1.2, 1.3]]
         assert [r[-1] for r in results] == ["ok"] * 5
         assert [r[1] for r in results] == [1.0, 1.1, 1.2, 1.3, 1.4]
 
@@ -775,73 +828,64 @@ class TestSweep:
         assert results[1][-1] == "ok"
 
 
-def _inline_pool(monkeypatch):
-    """Replace the process pool by one that runs each task inline, so no process
-    starts. Returns the worker counts asked for and the sweep values of each task."""
-    started, batches = [], []
+def _counted_forks(monkeypatch, inline=False):
+    """Record the name of each ``runner._in_child`` fork that this process makes, and
+    the sweep values of each task that it runs, in the order it runs them. With
+    ``inline``, each would-be child's stream runs here instead, when it is read, so
+    no process starts."""
+    forks, batches = [], []
+    in_child, run_case = runner._in_child, runner._run_sweep_case
 
-    class InlinePool:
-        def __init__(self, max_workers):
-            started.append(max_workers)
+    def counted(stream, name, item):
+        forks.append(name)
+        return contextlib.nullcontext(stream) if inline else in_child(stream, name, item)
 
-        def __enter__(self):
-            return self
+    def recorded(axis, batch, fork):
+        batches.append([value for value, _, _ in batch])
+        return run_case(axis, batch, fork)
 
-        def __exit__(self, *exc):
-            return False
-
-        def submit(self, fn, task):
-            batches.append([value for value, _, _ in task[1]])
-            future = concurrent.futures.Future()
-            future.set_result(fn(task))
-            return future
-
-    monkeypatch.setattr(runner.concurrent.futures, "ProcessPoolExecutor", InlinePool)
-    return started, batches
-
-
-_RUN_SWEEP_CASE = runner._run_sweep_case
-
-
-def _crash_on_sigma_one(task):
-    _, batch = task
-    if any(value == 1.0 for value, _, _ in batch):
-        os._exit(1)  # the worker process dies without a result
-    return _RUN_SWEEP_CASE(task)
+    monkeypatch.setattr(runner, "_in_child", counted)
+    monkeypatch.setattr(runner, "_run_sweep_case", recorded)
+    return forks, batches
 
 
 @pytest.mark.parametrize("jobs, values", [(1, "0.5, 1, 1.5"), (4, "0.5")])
 def test_a_single_worker_runs_in_process(tmp_path, monkeypatch, jobs, values):
-    # one job, or one task, needs no pool at all
-    started, batches = _inline_pool(monkeypatch)
+    # one job, or one task, forks no worker
+    forks, batches = _counted_forks(monkeypatch)
     cfg = parse_config(
         SMALL_GRID
         + f"[run]\nmode = sweep\nsweep_axis = sigma\nsweep_values = {values}\n"
         "sweep_mode = analytic\n"
     )
     results = run_sweep(cfg, tmp_path, jobs=jobs)
-    assert started == [] and batches == []
+    assert forks == [] and batches == [[float(v)] for v in values.split(",")]
     assert all(r[-1] == "ok" for r in results)
 
 
 def test_a_validate_sweep_at_two_jobs_starts_no_pool(tmp_path, monkeypatch):
     # two jobs are one validate slot: each group is one batch, run in process with
-    # its Crank–Nicolson child; one and four jobs write the same bytes, here and in
-    # the shipped validate sweeps
+    # its Crank–Nicolson child, and no sweep worker is forked; one job forks nothing,
+    # and one and four jobs write the same bytes, here and in the shipped validate sweeps
     docs = {"sinusoidal": SINUSOIDAL + SMALL_GRID + "[run]\nmode = sweep\nsweep_axis = sigma\n"
             "sweep_values = 0.9, 1, 1.1, 1.2\nsweep_mode = validate\n",
             **{name: (CONFIGS / f"{name}.ini").read_text() for name in ("dt_sweep", "sigma_sweep")}}
     for name, doc in docs.items():
         cfg, out = parse_config(doc), tmp_path / name
         with monkeypatch.context() as patch:
-            started, batches = _inline_pool(patch)
+            forks, batches = _counted_forks(patch)
             results = run_sweep(cfg, out / "2", jobs=2)
-        assert started == [] and batches == []
+        assert forks == ["Crank–Nicolson"] * len(batches)
+        assert sorted(value for batch in batches for value in batch) == sorted(
+            value for value, _ in cfg.sweep)
         assert [r[-1] for r in results] == ["ok"] * len(cfg.sweep), name
         files = sorted(p.relative_to(out / "2") for p in (out / "2").rglob("*.csv"))
         assert len(files) == len(cfg.sweep) + 1
         for jobs in (1, 4):
-            run_sweep(cfg, out / str(jobs), jobs=jobs)
+            with monkeypatch.context() as patch:
+                forks, _ = _counted_forks(patch)
+                run_sweep(cfg, out / str(jobs), jobs=jobs)
+            assert jobs > 1 or forks == [], "one job forks nothing"
             assert sorted(p.relative_to(out / str(jobs))
                           for p in (out / str(jobs)).rglob("*.csv")) == files
             for file in files:

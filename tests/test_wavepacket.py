@@ -11,7 +11,6 @@ from lrwp.config import parse_config
 from lrwp.errors import AliasingError, ModeMismatchError
 from lrwp.fields import (
     Grid1D,
-    Space,
     WaveField,
     conjugate_momentum_grid,
     field_norm,
@@ -351,7 +350,7 @@ class TestFourierBridge:
         # aliasing is an edge sample that exceeds ALIASING_TOL·max|φ|; 0 does not exceed 0
         grid = Grid1D(-20.0, 20.0, 64)
         pgrid = conjugate_momentum_grid(grid, 1.0)
-        phi = WaveField(grid=pgrid, t=0.0, values=np.zeros(64, complex), space=Space.MOMENTUM)
+        phi = WaveField(grid=pgrid, t=0.0, values=np.zeros(64, complex))
         assert not fourier_bridge(phi, 1.0, position_grid=grid).values.any()
 
 

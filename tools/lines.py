@@ -8,10 +8,11 @@ line tracer that records each line of the copied package it reaches. Only the
 standard library and pytest are needed. A line is executable when a code object
 compiled from its module maps an instruction to it. The tool prints each
 module's unrun lines with their text, then the totals; with no module named,
-it reports every module of the package.
+it reports every module of the package. It exits 0 when every line ran, 1 when
+any line is unrun, and 2 when the suite fails in the copy.
 
-Processes that ``multiprocessing`` forks (sweep workers, and the child that
-runs Crank–Nicolson) inherit the tracer, and each adds the lines it ran as it
+Processes that ``multiprocessing`` forks (sweep workers, and the children that
+run Crank–Nicolson) inherit the tracer, and each adds the lines it ran as it
 exits. The count is approximate: a child that ends without returning from its
 bootstrap (``os._exit`` in a test) adds nothing, and a line that the compiler
 folds into a jump (a bare ``continue``, say) may count as unrun.
@@ -116,7 +117,7 @@ def main(argv=None) -> int:
             for line in unrun:
                 print(f"  {line}: {text[line - 1].strip()}")
         print(f"total: {unrun_total} of {total} executable lines never ran")
-    return 0
+    return 1 if unrun_total else 0
 
 
 if __name__ == "__main__":
